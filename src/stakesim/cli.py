@@ -40,7 +40,7 @@ DEFAULT_TABLE_REPS = 20_000
 _TOP_KEYS = ("initial_stakes", "scheme", "reward_budget_K", "steps_n",
              "repetitions", "base_seed", "record")
 _REQUIRED_KEYS = _TOP_KEYS[:-1]
-_RECORD_KEYS = ("stride", "histogram_bins", "track_nodes")
+_RECORD_KEYS = ("stride", "track_nodes")
 
 
 def _is_number(x) -> bool:
@@ -53,8 +53,7 @@ def _is_int(x) -> bool:
 
 def load_config(data: bytes | str) -> ExperimentConfig:
     """Parse and validate a JSON experiment config.  Unknown keys are
-    rejected; `record` is optional (defaults: stride 0, 100 bins, track all
-    nodes)."""
+    rejected; `record` is optional (defaults: stride 0, track all nodes)."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -112,19 +111,16 @@ def load_config(data: bytes | str) -> ExperimentConfig:
             if key not in _RECORD_KEYS:
                 raise SchemaError(f"record.{key}", "unknown key")
         stride = rec.get("stride", 0)
-        bins = rec.get("histogram_bins", 100)
         track = rec.get("track_nodes")
         if not _is_int(stride) or stride < 0:
             raise SchemaError("record.stride", "must be an integer >= 0")
-        if not _is_int(bins) or bins < 1:
-            raise SchemaError("record.histogram_bins", "must be an integer >= 1")
         if track is not None:
             if not isinstance(track, list) or not all(_is_int(i) for i in track):
                 raise SchemaError("record.track_nodes", "must be an array of integers")
             if not all(0 <= i < len(stakes) for i in track):
                 raise SchemaError("record.track_nodes", "node index out of range")
             track = tuple(track)
-        record = RecordPolicy(stride=stride, histogram_bins=bins, track_nodes=track)
+        record = RecordPolicy(stride=stride, track_nodes=track)
 
     try:
         config = ExperimentConfig(
@@ -150,10 +146,7 @@ def serialize_config(config: ExperimentConfig) -> dict:
     scheme: object = config.scheme
     if config.scheme == "custom":
         scheme = {"custom": [list(row) for row in config.custom_entries]}
-    record: dict[str, object] = {
-        "stride": config.record.stride,
-        "histogram_bins": config.record.histogram_bins,
-    }
+    record: dict[str, object] = {"stride": config.record.stride}
     if config.record.track_nodes is not None:
         record["track_nodes"] = list(config.record.track_nodes)
     return {

@@ -26,7 +26,7 @@ from .errors import (
     RowSumMismatch,
 )
 from .schemes import ROW_SUM_RTOL, RewardMatrix, constant_matrix, custom_matrix, frd_matrix
-from .urn import recorded_steps, stake_vector
+from .urn import recorded_steps, run_slots, stake_vector
 
 SCHEMES = ("constant", "frd", "custom")
 
@@ -49,14 +49,11 @@ class RecordPolicy:
     """
 
     stride: int = 0
-    histogram_bins: int = 100
     track_nodes: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.stride < 0:
             raise ValueError("stride must be >= 0")
-        if self.histogram_bins < 1:
-            raise ValueError("histogram_bins must be >= 1")
         if self.track_nodes is not None:
             nodes = tuple(int(i) for i in self.track_nodes)
             if len(set(nodes)) != len(nodes):
@@ -256,49 +253,26 @@ def _chunk_size(n: int, recorded: int, tracked: int) -> int:
 
 
 def _chunk_task(payload) -> tuple[np.ndarray, np.ndarray, list | None]:
-    """Simulate repetitions [rep_start, rep_stop); one PCG64 stream each.
-
-    Row-wise the arithmetic is identical to the single-trajectory path in
-    urn.py (same cumulative sums, same adds, same analytic total), so the
-    two routes agree bit for bit.
-    """
-    (entries, row_sum, stakes0, n, base_seed, rep_start, rep_stop, steps, track) = payload
+    """Simulate repetitions [rep_start, rep_stop); one PCG64 stream each."""
+    (matrix, stakes0, n, base_seed, rep_start, rep_stop, steps, track) = payload
     count = rep_stop - rep_start
-    m = entries.shape[0]
     draws = np.empty((count, n))
     for i in range(count):
         bitgen = np.random.PCG64(base_seed ^ (rep_start + i))
         np.random.Generator(bitgen).random(n, out=draws[i])
     initial = np.asarray(stakes0, dtype=np.float64)
     stakes = np.tile(initial, (count, 1))
-    total = float(initial.sum())
-    counts = np.zeros(m, dtype=np.int64)
     rec = None
-    next_rec = 0
-    track_idx = None
     if steps is not None:
         track_idx = np.asarray(track, dtype=np.intp)
         rec = np.empty((count, len(steps), len(track)))
-        if steps[0] == 0:
-            rec[:, 0, :] = stakes[:, track_idx] / total
-            next_rec = 1
-    for step in range(n):
-        thresholds = draws[:, step] * total
-        cums = np.cumsum(stakes, axis=1)
-        mask = thresholds[:, None] < cums
-        proposers = mask.argmax(axis=1)
-        missed = ~mask[:, -1]
-        if missed.any():
-            # the draw fell past the float sum of stakes: assign the last
-            # node with positive stake, as the scalar path does
-            rev = stakes[missed, ::-1] > 0
-            proposers[missed] = m - 1 - rev.argmax(axis=1)
-        counts += np.bincount(proposers, minlength=m)
-        stakes += entries[proposers]
-        total += row_sum
-        if rec is not None and next_rec < len(steps) and step + 1 == steps[next_rec]:
-            rec[:, next_rec, :] = stakes[:, track_idx] / total
-            next_rec += 1
+
+    def record(i: int, current: np.ndarray, total: float) -> None:
+        rec[:, i, :] = current[:, track_idx] / total
+
+    counts, total = run_slots(
+        stakes, float(initial.sum()), matrix, draws, steps=steps or (), on_record=record
+    )
     fractions = stakes / total
     moments = None
     if rec is not None:
@@ -341,8 +315,7 @@ def run_experiment(
     chunk = _chunk_size(n, len(steps) if steps else 0, len(track))
     bounds = [(a, min(a + chunk, stop)) for a in range(start, stop, chunk)]
     payloads = [
-        (matrix.entries, matrix.row_sum, config.initial_stakes, n,
-         config.base_seed, a, b, steps, track)
+        (matrix, config.initial_stakes, n, config.base_seed, a, b, steps, track)
         for a, b in bounds
     ]
     if workers > 1 and len(payloads) > 1:

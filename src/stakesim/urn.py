@@ -7,7 +7,7 @@ stake therefore grows by exactly the row sum K each slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -74,47 +74,6 @@ def fractional_stakes(state: UrnState) -> np.ndarray:
     return state.stakes / state.total
 
 
-def select_proposer(state: UrnState, uniform_draw: float) -> int:
-    """Map a uniform draw in [0, 1) to a node index.
-
-    Node g owns the half-open interval [C_{g-1}, C_g) of the cumulative
-    fractions built in ascending node order, so zero-stake nodes (empty
-    intervals) are never selected.
-    """
-    if not 0.0 <= uniform_draw < 1.0:
-        raise ValueError(f"draw must lie in [0, 1), got {uniform_draw!r}")
-    threshold = uniform_draw * state.total
-    acc = 0.0
-    last_positive = -1
-    for g, s in enumerate(state.stakes.tolist()):
-        if s > 0.0:
-            last_positive = g
-        acc += s
-        if threshold < acc:
-            return g
-    # float edge: the running sum of stakes can land a hair below the
-    # analytic total; the draw then belongs to the last non-empty interval
-    return last_positive
-
-
-def apply_reward(state: UrnState, proposer: int, matrix: "RewardMatrix") -> UrnState:
-    """Add row `proposer` of the reward matrix to all stakes; one slot elapses."""
-    if matrix.num_nodes != state.num_nodes:
-        raise DimensionMismatch(
-            f"matrix is {matrix.num_nodes}x{matrix.num_nodes}, state has {state.num_nodes} nodes"
-        )
-    if not 0 <= proposer < state.num_nodes:
-        raise IndexError(f"proposer index {proposer} out of range")
-    stakes = state.stakes + matrix.entries[proposer]
-    stakes.setflags(write=False)
-    return UrnState(
-        stakes=stakes,
-        step=state.step + 1,
-        initial_total=state.initial_total,
-        total=state.total + matrix.row_sum,
-    )
-
-
 def recorded_steps(n: int, stride: int) -> list[int]:
     """Steps at which state is recorded.
 
@@ -131,6 +90,63 @@ def recorded_steps(n: int, stride: int) -> list[int]:
     return steps
 
 
+def run_slots(
+    stakes: np.ndarray,
+    total: float,
+    matrix: "RewardMatrix",
+    draws: np.ndarray,
+    *,
+    steps: Sequence[int] = (),
+    on_record: Callable[[int, np.ndarray, float], None] | None = None,
+    proposers: np.ndarray | None = None,
+) -> tuple[np.ndarray, float]:
+    """Run one slot per column of `draws` on `count` urns at once.
+
+    `stakes` is a (count, m) array, advanced in place; `total` is the
+    analytic total stake shared by all urns; `draws` is (count, n) uniforms
+    in [0, 1), row c feeding urn c.  In each slot urn c's proposer is the
+    node g whose half-open interval [C_{g-1}, C_g) of the cumulative stakes,
+    built in ascending node order, holds draws[c, k] * total, so zero-stake
+    nodes (empty intervals) are never selected.  Row g of the reward matrix
+    is then added to the urn's stakes and the total grows by the row sum.
+
+    `on_record(i, stakes, total)` is called with the state after steps[i]
+    slots, for each i, so it is required when `steps` is given.
+    `proposers`, a (count, n) integer array, receives every proposer.
+    Returns the per-node proposer counts summed over urns and slots, and
+    the final total.
+    """
+    n = draws.shape[1]
+    m = matrix.num_nodes
+    entries = matrix.entries
+    counts = np.zeros(m, dtype=np.int64)
+    next_rec = 0
+    if steps and steps[0] == 0:
+        on_record(0, stakes, total)
+        next_rec = 1
+    for step in range(n):
+        thresholds = draws[:, step] * total
+        cums = np.cumsum(stakes, axis=1)
+        mask = thresholds[:, None] < cums
+        chosen = mask.argmax(axis=1)
+        missed = ~mask[:, -1]
+        if missed.any():
+            # float edge: the running sum of stakes can land a hair below
+            # the analytic total; the draw then belongs to the last node
+            # with positive stake
+            rev = stakes[missed, ::-1] > 0
+            chosen[missed] = m - 1 - rev.argmax(axis=1)
+        counts += np.bincount(chosen, minlength=m)
+        if proposers is not None:
+            proposers[:, step] = chosen
+        stakes += entries[chosen]
+        total += matrix.row_sum
+        if next_rec < len(steps) and step + 1 == steps[next_rec]:
+            on_record(next_rec, stakes, total)
+            next_rec += 1
+    return counts, total
+
+
 def simulate_trajectory(
     initial: UrnState,
     matrix: "RewardMatrix",
@@ -138,35 +154,37 @@ def simulate_trajectory(
     seed: int,
     record_stride: int = 0,
 ) -> tuple[Trajectory, UrnState]:
-    """Run n select/apply slots from a PCG64 stream initialized with `seed`.
+    """Run n slots of one urn from a PCG64 stream initialized with `seed`.
 
     One uniform draw is consumed per slot, so identical seeds reproduce the
     trajectory bit for bit.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if matrix.num_nodes != initial.num_nodes:
+        raise DimensionMismatch(
+            f"matrix is {matrix.num_nodes}x{matrix.num_nodes}, state has {initial.num_nodes} nodes"
+        )
     steps = recorded_steps(n, record_stride)
-    gen = np.random.Generator(np.random.PCG64(seed))
-    state = initial
-    proposers = np.empty(n, dtype=np.int64)
-    snap_steps: list[int] = []
-    snaps: list[np.ndarray] = []
-    next_record = 0
-    if steps[next_record] == 0:
-        snap_steps.append(0)
-        snaps.append(np.array(state.stakes))
-        next_record += 1
-    for k in range(n):
-        g = select_proposer(state, gen.random())
-        proposers[k] = g
-        state = apply_reward(state, g, matrix)
-        if next_record < len(steps) and k + 1 == steps[next_record]:
-            snap_steps.append(k + 1)
-            snaps.append(np.array(state.stakes))
-            next_record += 1
+    draws = np.random.Generator(np.random.PCG64(seed)).random((1, n))
+    stakes = np.array(initial.stakes, ndmin=2)
+    proposers = np.empty((1, n), dtype=np.int64)
+    snapshots = np.empty((len(steps), initial.num_nodes))
+
+    def record(i: int, current: np.ndarray, _total: float) -> None:
+        snapshots[i] = current[0]
+
+    _, total = run_slots(
+        stakes, initial.total, matrix, draws, steps=steps, on_record=record, proposers=proposers
+    )
+    final = stakes[0]
+    final.setflags(write=False)
     trajectory = Trajectory(
-        proposers=proposers,
-        snapshot_steps=np.array(snap_steps, dtype=np.int64),
-        snapshot_stakes=np.array(snaps) if snaps else np.empty((0, state.num_nodes)),
+        proposers=proposers[0],
+        snapshot_steps=np.array(steps, dtype=np.int64),
+        snapshot_stakes=snapshots,
+    )
+    state = UrnState(
+        stakes=final, step=initial.step + n, initial_total=initial.initial_total, total=total
     )
     return trajectory, state

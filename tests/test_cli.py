@@ -43,7 +43,7 @@ class TestLoadConfig:
         assert config.initial_stakes == (50.0, 50.0)
         assert config.scheme == "frd"
         assert config.steps_n == 1000
-        assert config.record == RecordPolicy()  # defaults: stride 0, 100 bins
+        assert config.record == RecordPolicy()  # defaults: stride 0, all nodes
 
     def test_custom_scheme(self):
         doc = dict(MINIMAL, scheme={"custom": [[150, 50], [50, 150]]})
@@ -52,9 +52,9 @@ class TestLoadConfig:
         assert config.custom_entries == ((150.0, 50.0), (50.0, 150.0))
 
     def test_record_block(self):
-        doc = dict(MINIMAL, record={"stride": 10, "histogram_bins": 50, "track_nodes": [1]})
+        doc = dict(MINIMAL, record={"stride": 10, "track_nodes": [1]})
         config = load_config(as_json(doc))
-        assert config.record == RecordPolicy(stride=10, histogram_bins=50, track_nodes=(1,))
+        assert config.record == RecordPolicy(stride=10, track_nodes=(1,))
 
     def test_missing_required_key(self):
         doc = dict(MINIMAL)
@@ -68,8 +68,9 @@ class TestLoadConfig:
             load_config(as_json(dict(MINIMAL, extra=1)))
 
     def test_unknown_record_key_rejected(self):
-        with pytest.raises(SchemaError):
-            load_config(as_json(dict(MINIMAL, record={"strife": 1})))
+        for key in ("strife", "histogram_bins"):
+            with pytest.raises(SchemaError, match=f"^record.{key}: unknown key$"):
+                load_config(as_json(dict(MINIMAL, record={key: 1})))
 
     def test_malformed_json_reports_line(self):
         with pytest.raises(ParseError) as exc:
@@ -107,7 +108,7 @@ class TestLoadConfig:
             initial_stakes=(1.0, 2.0, 3.0), scheme="custom", reward_budget_K=4.0,
             steps_n=8, repetitions=2, base_seed=9,
             custom_entries=((2.0, 1.0, 1.0), (1.0, 2.0, 1.0), (1.0, 1.0, 2.0)),
-            record=RecordPolicy(stride=2, histogram_bins=10, track_nodes=(0, 2)),
+            record=RecordPolicy(stride=2, track_nodes=(0, 2)),
         ),
         ExperimentConfig(
             initial_stakes=(33.33, 66.67), scheme="constant", reward_budget_K=200.0,

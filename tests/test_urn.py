@@ -1,4 +1,4 @@
-"""Tests for the core urn process: state, sampling, reward application."""
+"""Tests for the core urn process: state, the slot kernel, trajectories."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stakesim import (
-    apply_reward,
     constant_matrix,
     fractional_stakes,
     frd_matrix,
     new_state,
     recorded_steps,
-    select_proposer,
     simulate_trajectory,
 )
+from stakesim.urn import run_slots
 from stakesim.errors import (
     DimensionMismatch,
     EmptyStakeSet,
@@ -69,56 +68,80 @@ class TestFractionalStakes:
         assert abs(fractions.sum() - 1.0) < 1e-12
 
 
+def select(stakes, draws):
+    """Proposers of one slot run on len(draws) copies of the urn `stakes`,
+    copy c taking draws[c]."""
+    state = new_state(stakes)
+    draws = np.asarray(draws, dtype=np.float64).reshape(-1, 1)
+    urns = np.tile(state.stakes, (len(draws), 1))
+    proposers = np.empty(draws.shape, dtype=np.int64)
+    matrix = constant_matrix(state.num_nodes, 200.0)
+    run_slots(urns, state.total, matrix, draws, proposers=proposers)
+    return proposers[:, 0]
+
+
+def one_slot(stakes, matrix, draw):
+    """(proposer, stakes, total) after one slot of the urn `stakes`."""
+    state = new_state(stakes)
+    urn = np.array(state.stakes, ndmin=2)
+    proposers = np.empty((1, 1), dtype=np.int64)
+    _, total = run_slots(urn, state.total, matrix, np.array([[draw]]), proposers=proposers)
+    return int(proposers[0, 0]), urn[0], total
+
+
 class TestSelectProposer:
     def test_draw_in_first_interval(self):
-        assert select_proposer(new_state([50, 50]), 0.3) == 0
+        assert select([50, 50], [0.3]).tolist() == [0]
 
     def test_draw_in_second_interval(self):
-        assert select_proposer(new_state([50, 50]), 0.75) == 1
+        assert select([50, 50], [0.75]).tolist() == [1]
 
     def test_boundary_is_half_open(self):
         # draw exactly at the cumulative boundary belongs to the next node
-        assert select_proposer(new_state([50, 50]), 0.5) == 1
+        assert select([50, 50], [0.5]).tolist() == [1]
 
     def test_zero_stake_node_never_selected(self):
-        state = new_state([0, 100])
-        for draw in (0.0, 0.3, 0.999999):
-            assert select_proposer(state, draw) == 1
+        assert select([0, 100], [0.0, 0.3, 0.999999]).tolist() == [1, 1, 1]
 
-    def test_draw_out_of_range(self):
-        with pytest.raises(ValueError):
-            select_proposer(new_state([50, 50]), 1.0)
+    def test_float_edge_goes_to_last_positive_node(self):
+        # u * total rounds to the float sum of all stakes, so no interval
+        # claims the draw: it goes to node 7, the last with positive stake,
+        # and not to the empty node 8.  u = 1 - 2**-53 is the largest value
+        # Generator.random returns.
+        stakes = [523.43472739492, 88.93564024627199, 981.9426931267062,
+                  571.3956004557745, 6.408882664310167, 772.6492012253887,
+                  978.2657138401457, 589.8700283209505, 0.0]
+        u = np.nextafter(1.0, 0.0)
+        assert u == 1.0 - 2.0**-53
+        assert u * new_state(stakes).total == np.cumsum(stakes)[-1]
+        assert select(stakes, [u]).tolist() == [7]
 
     def test_frequency_matches_fraction(self):
         # 1e6 single-step draws from [30, 70]: node 1 comes up 0.7 +- 0.003
-        state = new_state([30.0, 70.0])
         draws = np.random.Generator(np.random.PCG64(2024)).random(1_000_000)
-        hits = sum(select_proposer(state, u) for u in draws.tolist())
+        hits = int(select([30.0, 70.0], draws).sum())
         assert abs(hits / 1_000_000 - 0.7) <= 0.003
 
 
 class TestApplyReward:
     def test_shared_reward_row(self):
-        state = new_state([100, 100])
         matrix = frd_matrix([100, 100], 200)
         assert matrix.entries.tolist() == [[150.0, 50.0], [50.0, 150.0]]
-        nxt = apply_reward(state, 0, matrix)
-        assert nxt.stakes.tolist() == [250.0, 150.0]
-        assert nxt.step == 1
+        proposer, stakes, _ = one_slot([100, 100], matrix, 0.25)
+        assert proposer == 0
+        assert stakes.tolist() == [250.0, 150.0]
 
     def test_winner_takes_all_row(self):
-        nxt = apply_reward(new_state([100, 100]), 1, constant_matrix(2, 200))
-        assert nxt.stakes.tolist() == [100.0, 300.0]
+        proposer, stakes, _ = one_slot([100, 100], constant_matrix(2, 200), 0.75)
+        assert proposer == 1
+        assert stakes.tolist() == [100.0, 300.0]
 
     def test_total_grows_by_budget(self):
-        state = new_state([12.5, 87.5])
         for matrix in (frd_matrix([12.5, 87.5], 200), constant_matrix(2, 200)):
-            for proposer in (0, 1):
-                assert apply_reward(state, proposer, matrix).total == 300.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            apply_reward(new_state([1, 2, 3]), 0, constant_matrix(2, 200))
+            for draw, expected in ((0.05, 0), (0.5, 1)):
+                proposer, _, total = one_slot([12.5, 87.5], matrix, draw)
+                assert proposer == expected
+                assert total == 300.0
 
 
 class TestSimulateTrajectory:
@@ -149,6 +172,7 @@ class TestSimulateTrajectory:
         matrix = constant_matrix(2, 200)
         trajectory, final = simulate_trajectory(state, matrix, 95, seed=5, record_stride=20)
         assert trajectory.proposers.shape == (95,)
+        assert final.step == 95
         assert trajectory.snapshot_steps.tolist() == [0, 20, 40, 60, 80, 95]
         assert np.all(np.diff(trajectory.snapshot_steps) > 0)
         assert np.array_equal(trajectory.snapshot_stakes[-1], final.stakes)
@@ -159,6 +183,10 @@ class TestSimulateTrajectory:
         )
         assert trajectory.snapshot_steps.tolist() == [12]
         assert np.array_equal(trajectory.snapshot_stakes[0], final.stakes)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            simulate_trajectory(new_state([1, 2, 3]), constant_matrix(2, 200), 0, seed=1)
 
 
 def test_recorded_steps_policy():
