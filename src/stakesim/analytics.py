@@ -23,22 +23,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sp_stats
 
-from .errors import (
-    DegenerateBeta,
-    DegenerateDenominator,
-    InsufficientSamples,
-    NonpositiveBudget,
-    SupercriticalUnsupported,
-)
+from .errors import DegenerateBeta, InvalidInput
 from .schemes import ROW_SUM_RTOL, Regime, RewardMatrix, classify_regime
 from .urn import stake_vector
 
 
 def _check_wl(l: float, w: float, budget: float) -> None:
     if not (0.0 <= l <= w <= budget):
-        raise ValueError(f"need 0 <= l <= w <= K, got l={l!r} w={w!r} K={budget!r}")
+        raise InvalidInput(f"need 0 <= l <= w <= K, got l={l!r} w={w!r} K={budget!r}")
 
 
 def classify_wl(l: float, w: float, budget: float) -> Regime:
@@ -64,7 +57,7 @@ def predict_mean_stake(l: float, w: float, budget: float, n: int) -> float:
         return 0.0
     denom = budget - w + l
     if denom <= 0.0:
-        raise DegenerateDenominator(f"K - w + l = {denom!r} <= 0")
+        raise InvalidInput(f"K - w + l = {denom!r} <= 0")
     return l / denom * budget * n
 
 
@@ -72,11 +65,11 @@ def predict_var_stake(l: float, w: float, budget: float, n: int) -> tuple[float,
     """Leading term of the stake variance, plus the regime it came from.
 
     Subcritical growth is linear in n; critical growth is n * ln n.
-    Raises SupercriticalUnsupported when w - l > K/2.
+    Raises InvalidInput when w - l > K/2.
     """
     regime = classify_wl(l, w, budget)
     if regime is Regime.SUPERCRITICAL:
-        raise SupercriticalUnsupported(
+        raise InvalidInput(
             "no closed-form variance for w - l > K/2; use beta_limit_params"
         )
     if n <= 0:
@@ -111,7 +104,7 @@ def limiting_mean_fraction(l: float, w: float, budget: float) -> float:
     _check_wl(l, w, budget)
     denom = budget - w + l
     if denom <= 0.0:
-        raise DegenerateDenominator(f"K - w + l = {denom!r} <= 0")
+        raise InvalidInput(f"K - w + l = {denom!r} <= 0")
     return l / denom
 
 
@@ -133,7 +126,7 @@ def predict(matrix: RewardMatrix, node: int, initial_total: float, n: int) -> An
     """Assemble the full prediction for one node of a balanced matrix."""
     regime = classify_regime(matrix, node)
     if regime is Regime.SUPERCRITICAL:
-        raise SupercriticalUnsupported(
+        raise InvalidInput(
             "no closed-form prediction in the supercritical regime"
         )
     w = float(matrix.balanced.w[node])
@@ -169,7 +162,7 @@ def exact_stake_moments(
     valid in every regime.  O(n) time.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise InvalidInput("n must be >= 0")
     m1 = float(s_i0)
     m2 = m1 * m1
     total = float(initial_total)
@@ -211,7 +204,7 @@ def beta_limit_params(initial_stakes: Sequence[float], budget: float, node: int)
     """
     stakes = stake_vector(initial_stakes)
     if budget <= 0:
-        raise NonpositiveBudget(f"budget must be > 0, got {budget!r}")
+        raise InvalidInput(f"budget must be > 0, got {budget!r}")
     if not 0 <= node < stakes.shape[0]:
         raise IndexError(f"node index {node} out of range")
     a = float(stakes[node]) / budget
@@ -235,11 +228,11 @@ def empirical_stats(samples: Sequence[float], bins: int = 100) -> SampleStats:
     (last bin right-closed, so the counts always sum to the sample count)."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
-        raise InsufficientSamples("need at least 2 samples")
+        raise InvalidInput("need at least 2 samples")
     if bins < 1:
-        raise ValueError("bins must be >= 1")
+        raise InvalidInput("bins must be >= 1")
     if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("samples must lie in [0, 1]")
+        raise InvalidInput("samples must lie in [0, 1]")
     counts, edges = np.histogram(arr, bins=bins, range=(0.0, 1.0))
     return SampleStats(
         count=int(arr.size),
@@ -254,5 +247,7 @@ def ks_distance(samples: Sequence[float], beta: BetaParams) -> float:
     """Sup-norm distance between the empirical CDF and the Beta(a, b) CDF."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 100:
-        raise InsufficientSamples("need at least 100 samples")
+        raise InvalidInput("need at least 100 samples")
+    from scipy import stats as sp_stats
+
     return float(sp_stats.kstest(arr, sp_stats.beta(beta.a, beta.b).cdf).statistic)

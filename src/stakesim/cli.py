@@ -10,22 +10,16 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .analytics import BetaParams, SampleStats, beta_limit_params, empirical_stats, predict
-from .errors import (
-    DegenerateBeta,
-    EmptyHistogram,
-    ParseError,
-    SchemaError,
-    StakeSimError,
-)
+from .errors import DegenerateBeta, InvalidInput, ParseError, SchemaError, StakeSimError
 from .montecarlo import (
     ExperimentConfig,
     ExperimentResult,
@@ -227,12 +221,14 @@ def render_histogram_svg(
     edges = np.asarray(stats.bin_edges, dtype=np.float64)
     total = counts.sum()
     if counts.size == 0 or total <= 0:
-        raise EmptyHistogram("no counts to draw")
+        raise InvalidInput("no counts to draw")
     widths = np.diff(edges)
     density = counts / (total * widths)
 
     curve = None
     if beta is not None:
+        from scipy import stats as sp_stats
+
         grid = np.linspace(0.002, 0.998, 250)
         curve = sp_stats.beta(beta.a, beta.b).pdf(grid)
     y_max = float(density.max())
@@ -515,13 +511,18 @@ def _cmd_hist(args) -> int:
     per_node = load_samples_csv(Path(args.samples).read_bytes())
     if args.node not in per_node:
         raise SchemaError("node", f"node {args.node} not present in samples")
-    stats = empirical_stats(per_node[args.node], bins=args.bins)
+    try:
+        stats = empirical_stats(per_node[args.node], bins=args.bins)
+    except InvalidInput as e:
+        raise SchemaError("hist", str(e)) from None
     beta = None
     if args.beta is not None:
         try:
             a, b = (float(x) for x in args.beta.split(","))
         except ValueError:
             raise SchemaError("beta", "expected two comma-separated numbers") from None
+        if not (0 < a < math.inf and 0 < b < math.inf):
+            raise SchemaError("beta", "both parameters must be finite and > 0")
         beta = BetaParams(a=a, b=b)
     svg = render_histogram_svg(stats, beta=beta, mean_marker=args.mean_marker)
     Path(args.out).write_bytes(svg)
@@ -530,7 +531,10 @@ def _cmd_hist(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    configs = builtin_benchmark_configs(repetitions=args.reps, base_seed=args.seed)
+    try:
+        configs = builtin_benchmark_configs(repetitions=args.reps, base_seed=args.seed)
+    except InvalidInput as e:
+        raise SchemaError("table1", str(e)) from None
     print(f"base_seed={args.seed}")
     rows, text = table1_report(configs, workers=args.workers)
     print(text)

@@ -1,7 +1,8 @@
 """Exception types raised across the package.
 
-Everything derives from StakeSimError; most types also subclass ValueError
-so generic callers can catch invalid-input failures uniformly.
+Everything derives from StakeSimError.  Bad input of any kind raises
+InvalidInput, which is also a ValueError so generic callers can catch it;
+the subclasses are the failures some caller handles on its own.
 """
 
 
@@ -9,97 +10,16 @@ class StakeSimError(Exception):
     """Base class for all stakesim errors."""
 
 
-# --- stake vectors / urn state ---------------------------------------------
-
-class EmptyStakeSet(StakeSimError, ValueError):
-    """No nodes were given."""
-
-
-class NegativeStake(StakeSimError, ValueError):
-    """A stake amount is negative (or not a finite number)."""
+class InvalidInput(StakeSimError, ValueError):
+    """An argument, stake vector, reward matrix or regime the operation
+    cannot accept."""
 
 
-class ZeroTotalStake(StakeSimError, ValueError):
-    """Stakes sum to zero; fractions are undefined."""
-
-
-class DimensionMismatch(StakeSimError, ValueError):
-    """Matrix dimension does not match the number of nodes."""
-
-
-# --- reward matrices --------------------------------------------------------
-
-class InvalidDimension(StakeSimError, ValueError):
-    """Requested node count is not a positive integer."""
-
-
-class NonpositiveBudget(StakeSimError, ValueError):
-    """Per-slot reward budget must be strictly positive."""
-
-
-class NotSquare(StakeSimError, ValueError):
-    """Custom reward matrix is not a square 2-D array."""
-
-
-class NegativeEntry(StakeSimError, ValueError):
-    """Custom reward matrix has a negative entry."""
-
-    def __init__(self, i: int, j: int):
-        super().__init__(f"negative entry at ({i}, {j})")
-        self.i = i
-        self.j = j
-
-
-class RowSumMismatch(StakeSimError, ValueError):
-    """A matrix row does not sum to the shared per-slot budget."""
-
-    def __init__(self, row: int, row_sum: float):
-        super().__init__(f"row {row} sums to {row_sum!r}, expected the shared budget")
-        self.row = row
-        self.row_sum = row_sum
-
-
-class UnbalancedMatrix(StakeSimError, ValueError):
-    """Matrix lacks the column-constant off-diagonal structure the
-    closed-form theory assumes."""
-
-
-# --- analytics ---------------------------------------------------------------
-
-class DegenerateDenominator(StakeSimError, ValueError):
-    """K - w + l <= 0; the mean predictor's denominator vanishes."""
-
-
-class SupercriticalUnsupported(StakeSimError, ValueError):
-    """No closed-form variance in the supercritical regime; use the
-    beta limit for the proposer-takes-all scheme instead."""
-
-
-class DegenerateBeta(StakeSimError, ValueError):
+class DegenerateBeta(InvalidInput):
     """A beta parameter would be zero (node holds nothing, or everything)."""
 
 
-class InsufficientSamples(StakeSimError, ValueError):
-    """Too few samples for the requested statistic."""
-
-
-# --- experiment runner -------------------------------------------------------
-
-class ResourceLimit(StakeSimError):
-    """Result would exceed the configured memory cap."""
-
-
-class ConfigMismatch(StakeSimError, ValueError):
-    """Partial results were produced under different configurations."""
-
-
-class OverlappingRanges(StakeSimError, ValueError):
-    """Partial repetition ranges overlap or leave gaps."""
-
-
-# --- config / IO -------------------------------------------------------------
-
-class ParseError(StakeSimError, ValueError):
+class ParseError(InvalidInput):
     """Config document is not valid JSON."""
 
     def __init__(self, line: int, message: str = "invalid JSON"):
@@ -107,14 +27,10 @@ class ParseError(StakeSimError, ValueError):
         self.line = line
 
 
-class SchemaError(StakeSimError, ValueError):
-    """Config document violates the schema."""
+class SchemaError(InvalidInput):
+    """Config document or command-line argument violates the schema."""
 
     def __init__(self, field: str, reason: str):
         super().__init__(f"{field}: {reason}")
         self.field = field
         self.reason = reason
-
-
-class EmptyHistogram(StakeSimError, ValueError):
-    """Histogram has no counts to draw."""

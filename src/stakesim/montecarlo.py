@@ -12,19 +12,12 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigMismatch,
-    DimensionMismatch,
-    InsufficientSamples,
-    NonpositiveBudget,
-    OverlappingRanges,
-    ResourceLimit,
-    RowSumMismatch,
-)
+from .errors import InvalidInput, StakeSimError
 from .schemes import ROW_SUM_RTOL, RewardMatrix, constant_matrix, custom_matrix, frd_matrix
 from .urn import recorded_steps, run_slots, stake_vector
 
@@ -53,11 +46,11 @@ class RecordPolicy:
 
     def __post_init__(self):
         if self.stride < 0:
-            raise ValueError("stride must be >= 0")
+            raise InvalidInput("stride must be >= 0")
         if self.track_nodes is not None:
             nodes = tuple(int(i) for i in self.track_nodes)
             if len(set(nodes)) != len(nodes):
-                raise ValueError("track_nodes must not repeat")
+                raise InvalidInput("track_nodes must not repeat")
             object.__setattr__(self, "track_nodes", nodes)
 
 
@@ -76,29 +69,29 @@ class ExperimentConfig:
         stakes = stake_vector(self.initial_stakes)
         object.__setattr__(self, "initial_stakes", tuple(float(s) for s in stakes))
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            raise InvalidInput(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if (self.custom_entries is None) != (self.scheme != "custom"):
-            raise ValueError("custom_entries must be given exactly when scheme is 'custom'")
+            raise InvalidInput("custom_entries must be given exactly when scheme is 'custom'")
         if self.custom_entries is not None:
             object.__setattr__(
                 self,
                 "custom_entries",
                 tuple(tuple(float(x) for x in row) for row in self.custom_entries),
             )
-        if self.reward_budget_K <= 0:
-            raise NonpositiveBudget(f"reward_budget_K must be > 0, got {self.reward_budget_K!r}")
+        if not self.reward_budget_K > 0:  # also rejects nan
+            raise InvalidInput(f"reward_budget_K must be > 0, got {self.reward_budget_K!r}")
         object.__setattr__(self, "reward_budget_K", float(self.reward_budget_K))
         if self.steps_n < 0:
-            raise ValueError("steps_n must be >= 0")
+            raise InvalidInput("steps_n must be >= 0")
         if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+            raise InvalidInput("repetitions must be >= 1")
         if not 0 <= self.base_seed < 2**64:
-            raise ValueError("base_seed must be an unsigned 64-bit integer")
+            raise InvalidInput("base_seed must be an unsigned 64-bit integer")
         m = len(self.initial_stakes)
         if self.record.track_nodes is not None:
             for i in self.record.track_nodes:
                 if not 0 <= i < m:
-                    raise ValueError(f"track_nodes entry {i} out of range for {m} nodes")
+                    raise InvalidInput(f"track_nodes entry {i} out of range for {m} nodes")
 
     @property
     def num_nodes(self) -> int:
@@ -116,12 +109,15 @@ class ExperimentConfig:
             return frd_matrix(self.initial_stakes, self.reward_budget_K)
         matrix = custom_matrix(self.custom_entries)
         if matrix.num_nodes != self.num_nodes:
-            raise DimensionMismatch(
+            raise InvalidInput(
                 f"custom matrix is {matrix.num_nodes}x{matrix.num_nodes}, "
                 f"config has {self.num_nodes} nodes"
             )
         if abs(matrix.row_sum - self.reward_budget_K) > ROW_SUM_RTOL * self.reward_budget_K:
-            raise RowSumMismatch(0, matrix.row_sum)
+            raise InvalidInput(
+                f"custom matrix rows sum to {matrix.row_sum!r}, "
+                f"reward_budget_K is {self.reward_budget_K!r}"
+            )
         return matrix
 
 
@@ -160,12 +156,9 @@ class RunningMoments:
 
     def add_values(self, values: np.ndarray) -> None:
         s, s2 = _exact_sums(np.asarray(values, dtype=np.float64))
-        self.add_sums(len(values), s, s2)
-
-    def add_sums(self, count: int, sum_scaled: int, sumsq_scaled: int) -> None:
-        self.count += count
-        self.sum_scaled += sum_scaled
-        self.sumsq_scaled += sumsq_scaled
+        self.count += len(values)
+        self.sum_scaled += s
+        self.sumsq_scaled += s2
 
     def merged(self, other: "RunningMoments") -> "RunningMoments":
         return RunningMoments(
@@ -221,7 +214,7 @@ class TimeSeries:
 
     def merged(self, other: "TimeSeries") -> "TimeSeries":
         if self.steps != other.steps or self.nodes != other.nodes:
-            raise ConfigMismatch("time series cover different steps or nodes")
+            raise InvalidInput("time series cover different steps or nodes")
         cells = tuple(
             tuple(a.merged(b) for a, b in zip(ra, rb))
             for ra, rb in zip(self.cells, other.cells)
@@ -243,25 +236,42 @@ class ExperimentResult:
     time_series: TimeSeries | None
 
 
-def _chunk_size(n: int, recorded: int, tracked: int) -> int:
+def _chunk_bounds(
+    start: int, stop: int, n: int, recorded: int, tracked: int, workers: int
+) -> list[tuple[int, int]]:
+    """Split [start, stop) into near-equal chunks within the per-chunk
+    memory budgets: a multiple of `workers` chunks when there are at least
+    that many repetitions, so no worker sits idle.
+    """
     cap = _MAX_CHUNK
     if n > 0:
         cap = min(cap, max(1, _DRAW_BUDGET // n))
     if recorded * tracked > 0:
         cap = min(cap, max(1, _RECORD_BUDGET // (recorded * tracked)))
-    return cap
+    workers = max(workers, 1)
+    reps = stop - start
+    k = max(-(-reps // cap), workers)
+    k = min(-(-k // workers) * workers, reps)  # a multiple of workers, none empty
+    return [(start + i * reps // k, start + (i + 1) * reps // k) for i in range(k)]
 
 
-def _chunk_task(payload) -> tuple[np.ndarray, np.ndarray, list | None]:
-    """Simulate repetitions [rep_start, rep_stop); one PCG64 stream each."""
-    (matrix, stakes0, n, base_seed, rep_start, rep_stop, steps, track) = payload
-    count = rep_stop - rep_start
+def _chunk_task(
+    config: ExperimentConfig,
+    matrix: RewardMatrix,
+    steps: tuple[int, ...] | None,
+    bounds: tuple[int, int],
+) -> ExperimentResult:
+    """Simulate repetitions [a, b) of `config`; one PCG64 stream each."""
+    a, b = bounds
+    count = b - a
+    n = config.steps_n
     draws = np.empty((count, n))
     for i in range(count):
-        bitgen = np.random.PCG64(base_seed ^ (rep_start + i))
+        bitgen = np.random.PCG64(config.base_seed ^ (a + i))
         np.random.Generator(bitgen).random(n, out=draws[i])
-    initial = np.asarray(stakes0, dtype=np.float64)
+    initial = np.asarray(config.initial_stakes, dtype=np.float64)
     stakes = np.tile(initial, (count, 1))
+    track = config.tracked_nodes()
     rec = None
     if steps is not None:
         track_idx = np.asarray(track, dtype=np.intp)
@@ -273,14 +283,20 @@ def _chunk_task(payload) -> tuple[np.ndarray, np.ndarray, list | None]:
     counts, total = run_slots(
         stakes, float(initial.sum()), matrix, draws, steps=steps or (), on_record=record
     )
-    fractions = stakes / total
-    moments = None
+    series = None
     if rec is not None:
-        moments = [
-            [_exact_sums(rec[:, t, j]) for j in range(len(track))]
+        cells = tuple(
+            tuple(RunningMoments(count, *_exact_sums(rec[:, t, j])) for j in range(len(track)))
             for t in range(len(steps))
-        ]
-    return fractions, counts, moments
+        )
+        series = TimeSeries(steps=steps, nodes=track, cells=cells)
+    return ExperimentResult(
+        config=config,
+        rep_range=(a, b),
+        final_fractions=stakes / total,
+        proposer_counts=counts,
+        time_series=series,
+    )
 
 
 def run_experiment(
@@ -295,66 +311,42 @@ def run_experiment(
     `rep_range` (default: all repetitions) selects a half-open block of
     repetition indices; partial results over adjacent blocks merge into
     exactly the full-run result (see merge_results).  `workers` > 1 farms
-    fixed-size chunks to a process pool; the output is identical to the
-    serial run.
+    chunks to a process pool; the output is identical to the serial run.
     """
     matrix = config.reward_matrix()
     m = matrix.num_nodes
     start, stop = rep_range if rep_range is not None else (0, config.repetitions)
     if not 0 <= start < stop <= config.repetitions:
-        raise ValueError(f"rep_range {(start, stop)} invalid for {config.repetitions} repetitions")
+        raise InvalidInput(
+            f"rep_range {(start, stop)} invalid for {config.repetitions} repetitions"
+        )
     reps = stop - start
     if reps * m > max_result_elements:
-        raise ResourceLimit(
+        raise StakeSimError(
             f"{reps} repetitions x {m} nodes exceeds the cap of {max_result_elements} values"
         )
     n = config.steps_n
     stride = config.record.stride
     steps = tuple(recorded_steps(n, stride)) if stride > 0 else None
-    track = config.tracked_nodes()
-    chunk = _chunk_size(n, len(steps) if steps else 0, len(track))
-    bounds = [(a, min(a + chunk, stop)) for a in range(start, stop, chunk)]
-    payloads = [
-        (matrix, config.initial_stakes, n, config.base_seed, a, b, steps, track)
-        for a, b in bounds
-    ]
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_chunk_task, payloads))
-    else:
-        outputs = [_chunk_task(p) for p in payloads]
-
-    final_fractions = np.concatenate([o[0] for o in outputs], axis=0)
-    proposer_counts = np.zeros(m, dtype=np.int64)
-    for _, chunk_counts, _ in outputs:
-        proposer_counts += chunk_counts
-    series = None
-    if steps is not None:
-        cells = [[RunningMoments() for _ in track] for _ in steps]
-        for (a, b), (_, _, moments) in zip(bounds, outputs):
-            for t in range(len(steps)):
-                for j in range(len(track)):
-                    s, s2 = moments[t][j]
-                    cells[t][j].add_sums(b - a, s, s2)
-        series = TimeSeries(
-            steps=steps, nodes=track, cells=tuple(tuple(row) for row in cells)
-        )
-    return ExperimentResult(
-        config=config,
-        rep_range=(start, stop),
-        final_fractions=final_fractions,
-        proposer_counts=proposer_counts,
-        time_series=series,
+    bounds = _chunk_bounds(
+        start, stop, n, len(steps) if steps else 0, len(config.tracked_nodes()), workers
     )
+    task = partial(_chunk_task, config, matrix, steps)
+    if workers > 1 and len(bounds) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outputs = list(pool.map(task, bounds))
+    else:
+        outputs = [task(b) for b in bounds]
+    return merge_results(outputs)
 
 
 def time_series_stats(config: ExperimentConfig, *, workers: int = 1) -> TimeSeries:
     """Cross-repetition mean and unbiased variance of the tracked nodes'
     fractions at every recorded step."""
     if config.record.stride < 1:
-        raise ValueError("time series need record.stride >= 1")
+        raise InvalidInput("time series need record.stride >= 1")
     if config.repetitions < 2:
-        raise InsufficientSamples("time series need at least 2 repetitions")
+        raise InvalidInput("time series need at least 2 repetitions")
     return run_experiment(config, workers=workers).time_series
 
 
@@ -362,21 +354,21 @@ def merge_results(partials: Sequence[ExperimentResult]) -> ExperimentResult:
     """Concatenate partial results over adjacent repetition ranges.
 
     The merge is bit-exact: with ranges tiling [0, repetitions) the merged
-    result equals the single-shot run.  Raises ConfigMismatch when configs
-    differ and OverlappingRanges when ranges overlap or leave gaps.
+    result equals the single-shot run.  Raises InvalidInput when configs
+    differ or when ranges overlap or leave gaps.
     """
     if not partials:
-        raise ValueError("nothing to merge")
+        raise InvalidInput("nothing to merge")
     first = partials[0]
     for p in partials[1:]:
         if p.config != first.config:
-            raise ConfigMismatch("partial results come from different configs")
+            raise InvalidInput("partial results come from different configs")
         if (p.time_series is None) != (first.time_series is None):
-            raise ConfigMismatch("partial results disagree on time-series recording")
+            raise InvalidInput("partial results disagree on time-series recording")
     ordered = sorted(partials, key=lambda p: p.rep_range[0])
     for prev, nxt in zip(ordered, ordered[1:]):
         if nxt.rep_range[0] != prev.rep_range[1]:
-            raise OverlappingRanges(
+            raise InvalidInput(
                 f"ranges {prev.rep_range} and {nxt.rep_range} overlap or leave a gap"
             )
     series = ordered[0].time_series

@@ -13,14 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidDimension,
-    NegativeEntry,
-    NonpositiveBudget,
-    NotSquare,
-    RowSumMismatch,
-    UnbalancedMatrix,
-)
+from .errors import InvalidInput
 from .urn import stake_vector
 
 # row sums (and the critical-regime equality) are checked to 1e-9 * K:
@@ -61,9 +54,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def constant_matrix(m: int, budget: float) -> RewardMatrix:
     """Proposer-takes-all baseline: K on the diagonal, zero elsewhere."""
     if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidDimension(f"node count must be a positive integer, got {m!r}")
+        raise InvalidInput(f"node count must be a positive integer, got {m!r}")
     if budget <= 0:
-        raise NonpositiveBudget(f"budget must be > 0, got {budget!r}")
+        raise InvalidInput(f"budget must be > 0, got {budget!r}")
     budget = float(budget)
     entries = np.eye(m, dtype=np.float64) * budget
     params = BalancedParams(
@@ -83,7 +76,7 @@ def frd_matrix(initial_stakes: Sequence[float], budget: float) -> RewardMatrix:
     """
     stakes = stake_vector(initial_stakes)
     if budget <= 0:
-        raise NonpositiveBudget(f"budget must be > 0, got {budget!r}")
+        raise InvalidInput(f"budget must be > 0, got {budget!r}")
     budget = float(budget)
     total = float(stakes.sum())
     # fractions first: alpha*S_i(0) = v_i(0)*K/2 without overflow for
@@ -122,19 +115,20 @@ def custom_matrix(entries: Sequence[Sequence[float]]) -> RewardMatrix:
     """Validate a user-supplied matrix and detect the balanced structure."""
     arr = np.array(entries, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise NotSquare(f"expected a non-empty square matrix, got shape {arr.shape}")
+        raise InvalidInput(f"expected a non-empty square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         i, j = map(int, np.argwhere(~np.isfinite(arr))[0])
-        raise ValueError(f"non-finite entry at ({i}, {j})")
+        raise InvalidInput(f"non-finite entry at ({i}, {j})")
     if np.any(arr < 0):
-        raise NegativeEntry(*map(int, np.argwhere(arr < 0)[0]))
+        i, j = map(int, np.argwhere(arr < 0)[0])
+        raise InvalidInput(f"negative entry at ({i}, {j})")
     row_sums = arr.sum(axis=1)
     budget = float(row_sums[0])
     if budget <= 0:
-        raise NonpositiveBudget("rows must sum to a positive budget")
+        raise InvalidInput("rows must sum to a positive budget")
     for g, s in enumerate(row_sums.tolist()):
         if abs(s - budget) > ROW_SUM_RTOL * abs(budget):
-            raise RowSumMismatch(g, s)
+            raise InvalidInput(f"row {g} sums to {s!r}, expected the shared budget")
     return RewardMatrix(
         entries=_freeze(arr), row_sum=budget, balanced=_detect_balanced(arr, budget)
     )
@@ -147,7 +141,7 @@ def classify_regime(matrix: RewardMatrix, node: int) -> Regime:
     cover arbitrary reward structures.
     """
     if matrix.balanced is None:
-        raise UnbalancedMatrix("regime classification needs a balanced matrix")
+        raise InvalidInput("regime classification needs a balanced matrix")
     if not 0 <= node < matrix.num_nodes:
         raise IndexError(f"node index {node} out of range")
     diff = float(matrix.balanced.w[node] - matrix.balanced.l[node])

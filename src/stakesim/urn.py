@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyStakeSet, NegativeStake, ZeroTotalStake
+from .errors import InvalidInput
 
 if TYPE_CHECKING:  # pragma: no cover
     from .schemes import RewardMatrix
@@ -20,15 +20,15 @@ if TYPE_CHECKING:  # pragma: no cover
 def stake_vector(values: Sequence[float]) -> np.ndarray:
     """Validate and normalize a stake vector to a float64 array.
 
-    Raises EmptyStakeSet / NegativeStake / ZeroTotalStake.
+    Raises InvalidInput for an empty, negative, non-finite or all-zero vector.
     """
     stakes = np.array(values, dtype=np.float64)
     if stakes.ndim != 1 or stakes.size == 0:
-        raise EmptyStakeSet("need a non-empty 1-D stake vector")
+        raise InvalidInput("need a non-empty 1-D stake vector")
     if not np.all(np.isfinite(stakes)) or np.any(stakes < 0):
-        raise NegativeStake("stakes must be finite and >= 0")
+        raise InvalidInput("stakes must be finite and >= 0")
     if float(stakes.sum()) <= 0.0:
-        raise ZeroTotalStake("at least one stake must be positive")
+        raise InvalidInput("at least one stake must be positive")
     stakes.setflags(write=False)
     return stakes
 
@@ -81,7 +81,7 @@ def recorded_steps(n: int, stride: int) -> list[int]:
     every multiple of the stride, and always the final step.
     """
     if n < 0 or stride < 0:
-        raise ValueError("n and stride must be >= 0")
+        raise InvalidInput("n and stride must be >= 0")
     if stride == 0:
         return [n]
     steps = list(range(0, n + 1, stride))
@@ -160,9 +160,9 @@ def simulate_trajectory(
     trajectory bit for bit.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise InvalidInput("n must be >= 0")
     if matrix.num_nodes != initial.num_nodes:
-        raise DimensionMismatch(
+        raise InvalidInput(
             f"matrix is {matrix.num_nodes}x{matrix.num_nodes}, state has {initial.num_nodes} nodes"
         )
     steps = recorded_steps(n, record_stride)

@@ -33,13 +33,7 @@ from stakesim import (
     predict_var_stake,
     run_experiment,
 )
-from stakesim.errors import (
-    DegenerateBeta,
-    DegenerateDenominator,
-    InsufficientSamples,
-    SupercriticalUnsupported,
-    UnbalancedMatrix,
-)
+from stakesim.errors import DegenerateBeta, InvalidInput
 
 LN1000 = math.log(1000.0)
 
@@ -76,7 +70,7 @@ class TestPredictVarStake:
         assert var == 0.0
 
     def test_supercritical_rejected(self):
-        with pytest.raises(SupercriticalUnsupported):
+        with pytest.raises(InvalidInput, match="no closed-form variance for w - l > K/2"):
             predict_var_stake(0, 200, 200, 1000)
 
     def test_zero_horizon(self):
@@ -113,7 +107,7 @@ class TestPredictFraction:
 
 class TestLimitingMeanFraction:
     def test_degenerate_denominator(self):
-        with pytest.raises(DegenerateDenominator):
+        with pytest.raises(InvalidInput, match=r"K - w \+ l = 0 <= 0"):
             limiting_mean_fraction(0, 200, 200)
 
     @given(
@@ -142,12 +136,13 @@ class TestPredictAssembly:
         assert prediction.leading_order_only
 
     def test_supercritical_rejected(self):
-        with pytest.raises(SupercriticalUnsupported):
+        message = "no closed-form prediction in the supercritical regime"
+        with pytest.raises(InvalidInput, match=message):
             predict(constant_matrix(2, 200), 0, 100.0, 1000)
 
     def test_unbalanced_rejected(self):
         matrix = custom_matrix([[120, 40, 40], [30, 130, 40], [40, 40, 120]])
-        with pytest.raises(UnbalancedMatrix):
+        with pytest.raises(InvalidInput, match="regime classification needs a balanced matrix"):
             predict(matrix, 0, 200.0, 10)
 
 
@@ -257,7 +252,7 @@ class TestEmpiricalStats:
         assert stats.bin_counts.tolist() == [1, 1, 1, 1]  # 1.0 lands in the last bin
 
     def test_too_few_samples(self):
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(InvalidInput, match="need at least 2 samples"):
             empirical_stats([0.5])
 
     def test_bad_bins(self):
@@ -287,7 +282,7 @@ class TestKsDistance:
         assert ks_distance(samples, BetaParams(0.25, 0.25)) < 0.02
 
     def test_too_few_samples(self):
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(InvalidInput, match="need at least 100 samples"):
             ks_distance([0.5] * 99, BetaParams(0.25, 0.25))
 
     def test_winner_takes_all_converges_toward_beta(self):

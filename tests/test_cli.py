@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stakesim
 from stakesim import ExperimentConfig, RecordPolicy, empirical_stats, run_experiment
 from stakesim.analytics import BetaParams, SampleStats
 from stakesim.cli import (
@@ -21,7 +26,7 @@ from stakesim.cli import (
     write_samples_csv,
     write_stats_csv,
 )
-from stakesim.errors import EmptyHistogram, ParseError, SchemaError
+from stakesim.errors import InvalidInput, ParseError, SchemaError
 
 MINIMAL = {
     "initial_stakes": [50, 50],
@@ -193,7 +198,7 @@ class TestSvg:
             count=0, mean=0.0, variance=0.0,
             bin_edges=np.linspace(0, 1, 4), bin_counts=np.zeros(3, dtype=int),
         )
-        with pytest.raises(EmptyHistogram):
+        with pytest.raises(InvalidInput, match="no counts to draw"):
             render_histogram_svg(stats)
 
 
@@ -373,3 +378,37 @@ class TestMainCommands:
         code = main(["hist", "--samples", str(tmp_path / "out" / "samples.csv"),
                      "--node", "9", "--out", str(tmp_path / "h.svg")])
         assert code == 2
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--bins", "0"], "hist: bins must be >= 1"),
+        (["--beta", "0,1"], "beta: both parameters must be finite and > 0"),
+        (["--beta=-1,2"], "beta: both parameters must be finite and > 0"),
+    ])
+    def test_hist_bad_flag_is_config_error(self, tmp_path, capsys, flags, message):
+        path = self.write_config(tmp_path)
+        main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        svg = tmp_path / "h.svg"
+        code = main(["hist", "--samples", str(tmp_path / "out" / "samples.csv"),
+                     "--out", str(svg), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--reps", "0"], "table1: repetitions must be >= 1"),
+        (["--seed", "-1"], "table1: base_seed must be an unsigned 64-bit integer"),
+        # config i is seeded with seed + i, so the last config overflows
+        (["--seed", str(2**64 - 2)], "table1: base_seed must be an unsigned 64-bit integer"),
+    ])
+    def test_table1_bad_flag_is_config_error(self, capsys, flags, message):
+        assert main(["table1", *flags]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second to import; only ks_distance and the
+    # hist --beta overlay need it
+    code = "import sys, stakesim.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(stakesim.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -17,15 +17,7 @@ from stakesim import (
     simulate_trajectory,
     time_series_stats,
 )
-from stakesim.errors import (
-    ConfigMismatch,
-    DimensionMismatch,
-    InsufficientSamples,
-    NonpositiveBudget,
-    OverlappingRanges,
-    ResourceLimit,
-    RowSumMismatch,
-)
+from stakesim.errors import InvalidInput, StakeSimError
 
 
 def make_config(**overrides):
@@ -89,6 +81,33 @@ class TestRunExperiment:
             mc._MAX_CHUNK = old
         assert results_equal(serial, parallel)
 
+    @pytest.mark.parametrize("workers,reps", [(2, 5000), (3, 40), (2, 20000), (4, 3)])
+    def test_every_worker_gets_a_chunk(self, monkeypatch, workers, reps):
+        # the pool stand-in runs serially and records the chunks it is given
+        chunks = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                assert max_workers == workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, bounds):
+                chunks.extend(bounds)
+                return [fn(b) for b in bounds]
+
+        config = make_config(repetitions=reps, record=RecordPolicy(stride=50))
+        monkeypatch.setattr("stakesim.montecarlo.ProcessPoolExecutor", SerialPool)
+        parallel = run_experiment(config, workers=workers)
+        sizes = [b - a for a, b in chunks]
+        assert chunks and len(chunks) % min(workers, reps) == 0
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= 8192
+        assert results_equal(parallel, run_experiment(config, workers=1))
+
     def test_fraction_rows_sum_to_one(self):
         result = run_experiment(make_config(initial_stakes=(10.0, 30.0, 30.0, 30.0)))
         sums = result.final_fractions.sum(axis=1)
@@ -119,8 +138,10 @@ class TestRunExperiment:
             assert abs(result.final_fractions[:, 0].mean() - share) <= bound
 
     def test_resource_limit(self):
-        with pytest.raises(ResourceLimit):
+        message = "1000 repetitions x 2 nodes exceeds the cap of 100 values"
+        with pytest.raises(StakeSimError, match=message) as exc:
             run_experiment(make_config(repetitions=1000), max_result_elements=100)
+        assert not isinstance(exc.value, InvalidInput)
 
     def test_bad_rep_range(self):
         with pytest.raises(ValueError):
@@ -152,19 +173,21 @@ class TestMergeResults:
     def test_config_mismatch(self):
         a = run_experiment(make_config())
         b = run_experiment(make_config(reward_budget_K=100.0))
-        with pytest.raises(ConfigMismatch):
+        with pytest.raises(InvalidInput, match="partial results come from different configs"):
             merge_results([a, b])
 
     def test_overlap_rejected(self):
         config = make_config()
         parts = [run_experiment(config, rep_range=r) for r in [(0, 30), (20, 60)]]
-        with pytest.raises(OverlappingRanges):
+        message = r"ranges \(0, 30\) and \(20, 60\) overlap or leave a gap"
+        with pytest.raises(InvalidInput, match=message):
             merge_results(parts)
 
     def test_gap_rejected(self):
         config = make_config()
         parts = [run_experiment(config, rep_range=r) for r in [(0, 20), (30, 60)]]
-        with pytest.raises(OverlappingRanges):
+        message = r"ranges \(0, 20\) and \(30, 60\) overlap or leave a gap"
+        with pytest.raises(InvalidInput, match=message):
             merge_results(parts)
 
 
@@ -247,7 +270,7 @@ class TestTimeSeries:
 
     def test_needs_two_repetitions(self):
         config = make_config(repetitions=1, record=RecordPolicy(stride=10))
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(InvalidInput, match="time series need at least 2 repetitions"):
             time_series_stats(config)
 
 
@@ -263,8 +286,10 @@ class TestConfigValidation:
             make_config(custom_entries=((200.0, 0.0), (0.0, 200.0)))
 
     def test_budget_positive(self):
-        with pytest.raises(NonpositiveBudget):
+        with pytest.raises(InvalidInput, match="reward_budget_K must be > 0, got 0.0"):
             make_config(reward_budget_K=0.0)
+        with pytest.raises(InvalidInput, match="reward_budget_K must be > 0, got nan"):
+            make_config(reward_budget_K=float("nan"))
 
     def test_ranges(self):
         with pytest.raises(ValueError):
@@ -282,13 +307,14 @@ class TestConfigValidation:
             custom_entries=((200.0, 0.0), (0.0, 200.0)),
             initial_stakes=(10.0, 10.0, 10.0),
         )
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="custom matrix is 2x2, config has 3 nodes"):
             config.reward_matrix()
 
     def test_custom_matrix_budget_checked(self):
         config = make_config(scheme="custom", custom_entries=((150.0, 50.0), (50.0, 150.0)),
                              reward_budget_K=100.0)
-        with pytest.raises(RowSumMismatch):
+        message = "custom matrix rows sum to 200.0, reward_budget_K is 100.0"
+        with pytest.raises(InvalidInput, match=message):
             config.reward_matrix()
 
     def test_scheme_dispatch(self):

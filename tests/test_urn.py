@@ -14,12 +14,7 @@ from stakesim import (
     simulate_trajectory,
 )
 from stakesim.urn import run_slots
-from stakesim.errors import (
-    DimensionMismatch,
-    EmptyStakeSet,
-    NegativeStake,
-    ZeroTotalStake,
-)
+from stakesim.errors import InvalidInput
 
 
 class TestNewState:
@@ -38,15 +33,15 @@ class TestNewState:
         assert fractional_stakes(state)[0] == 0.0
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyStakeSet):
+        with pytest.raises(InvalidInput, match="need a non-empty 1-D stake vector"):
             new_state([])
 
     def test_negative_rejected(self):
-        with pytest.raises(NegativeStake):
+        with pytest.raises(InvalidInput, match="stakes must be finite and >= 0"):
             new_state([-1.0, 5.0])
 
     def test_all_zero_rejected(self):
-        with pytest.raises(ZeroTotalStake):
+        with pytest.raises(InvalidInput, match="at least one stake must be positive"):
             new_state([0.0, 0.0])
 
 
@@ -185,7 +180,7 @@ class TestSimulateTrajectory:
         assert np.array_equal(trajectory.snapshot_stakes[0], final.stakes)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="matrix is 2x2, state has 3 nodes"):
             simulate_trajectory(new_state([1, 2, 3]), constant_matrix(2, 200), 0, seed=1)
 
 
