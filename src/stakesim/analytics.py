@@ -25,11 +25,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateBeta, InvalidInput
-from .schemes import ROW_SUM_RTOL, Regime, RewardMatrix, classify_regime
+from .schemes import Regime, RewardMatrix, check_budget, classify_regime, regime_of
 from .urn import stake_vector
 
 
 def _check_wl(l: float, w: float, budget: float) -> None:
+    check_budget(budget)
     if not (0.0 <= l <= w <= budget):
         raise InvalidInput(f"need 0 <= l <= w <= K, got l={l!r} w={w!r} K={budget!r}")
 
@@ -38,11 +39,7 @@ def classify_wl(l: float, w: float, budget: float) -> Regime:
     """Regime of a (w, l) pair, with the same relative tolerance used for
     matrix validation."""
     _check_wl(l, w, budget)
-    diff = w - l
-    half = 0.5 * budget
-    if abs(diff - half) <= ROW_SUM_RTOL * budget:
-        return Regime.CRITICAL
-    return Regime.SUBCRITICAL if diff < half else Regime.SUPERCRITICAL
+    return regime_of(l, w, budget)
 
 
 def predict_mean_stake(l: float, w: float, budget: float, n: int) -> float:
@@ -55,10 +52,7 @@ def predict_mean_stake(l: float, w: float, budget: float, n: int) -> float:
     _check_wl(l, w, budget)
     if l == 0.0:
         return 0.0
-    denom = budget - w + l
-    if denom <= 0.0:
-        raise InvalidInput(f"K - w + l = {denom!r} <= 0")
-    return l / denom * budget * n
+    return limiting_mean_fraction(l, w, budget) * budget * n
 
 
 def predict_var_stake(l: float, w: float, budget: float, n: int) -> tuple[float, Regime]:
@@ -134,14 +128,14 @@ def predict(matrix: RewardMatrix, node: int, initial_total: float, n: int) -> An
     budget = matrix.row_sum
     mean_stake = predict_mean_stake(l, w, budget, n)
     var_stake, _ = predict_var_stake(l, w, budget, n)
-    mean_frac, var_frac = predict_fraction(l, w, budget, n, initial_total)
+    total = budget * n + initial_total
     return AnalyticPrediction(
         node=node,
         horizon_n=n,
         mean_stake=mean_stake,
         var_stake=var_stake,
-        mean_fraction=mean_frac,
-        var_fraction=var_frac,
+        mean_fraction=mean_stake / total,
+        var_fraction=var_stake / (total * total),
         regime=regime,
     )
 
@@ -203,8 +197,7 @@ def beta_limit_params(initial_stakes: Sequence[float], budget: float, node: int)
     proposer-takes-all scheme.
     """
     stakes = stake_vector(initial_stakes)
-    if budget <= 0:
-        raise InvalidInput(f"budget must be > 0, got {budget!r}")
+    budget = check_budget(budget)
     if not 0 <= node < stakes.shape[0]:
         raise IndexError(f"node index {node} out of range")
     a = float(stakes[node]) / budget

@@ -46,8 +46,13 @@ def _is_int(x) -> bool:
 
 
 def load_config(data: bytes | str) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config.  Unknown keys are
-    rejected; `record` is optional (defaults: stride 0, track all nodes)."""
+    """Parse a JSON experiment config.  Unknown keys are rejected; `record`
+    is optional (defaults: stride 0, track all nodes).
+
+    Only the JSON layer is checked here: syntax, keys and value types.  The
+    value rules are ExperimentConfig's and RecordPolicy's; their
+    InvalidInput comes out as SchemaError("config", ...).
+    """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -67,8 +72,8 @@ def load_config(data: bytes | str) -> ExperimentConfig:
             raise SchemaError(key, "required key missing")
 
     stakes = doc["initial_stakes"]
-    if not isinstance(stakes, list) or not stakes or not all(_is_number(x) for x in stakes):
-        raise SchemaError("initial_stakes", "must be a non-empty array of numbers")
+    if not isinstance(stakes, list) or not all(_is_number(x) for x in stakes):
+        raise SchemaError("initial_stakes", "must be an array of numbers")
 
     scheme = doc["scheme"]
     custom_entries = None
@@ -79,7 +84,7 @@ def load_config(data: bytes | str) -> ExperimentConfig:
         if set(scheme) != {"custom"}:
             raise SchemaError("scheme", "object form must have exactly the key 'custom'")
         rows = scheme["custom"]
-        if (not isinstance(rows, list) or not rows
+        if (not isinstance(rows, list)
                 or not all(isinstance(r, list) and all(_is_number(x) for x in r) for r in rows)):
             raise SchemaError("scheme", "'custom' must be an array of arrays of numbers")
         custom_entries = tuple(tuple(float(x) for x in r) for r in rows)
@@ -87,34 +92,24 @@ def load_config(data: bytes | str) -> ExperimentConfig:
     else:
         raise SchemaError("scheme", "must be a string or a {'custom': ...} object")
 
-    if not _is_number(doc["reward_budget_K"]) or doc["reward_budget_K"] <= 0:
-        raise SchemaError("reward_budget_K", "must be a number > 0")
-    if not _is_int(doc["steps_n"]) or doc["steps_n"] < 0:
-        raise SchemaError("steps_n", "must be an integer >= 0")
-    if not _is_int(doc["repetitions"]) or doc["repetitions"] < 1:
-        raise SchemaError("repetitions", "must be an integer >= 1")
-    if not _is_int(doc["base_seed"]) or not 0 <= doc["base_seed"] < 2**64:
-        raise SchemaError("base_seed", "must be an unsigned 64-bit integer")
+    if not _is_number(doc["reward_budget_K"]):
+        raise SchemaError("reward_budget_K", "must be a number")
+    for key in ("steps_n", "repetitions", "base_seed"):
+        if not _is_int(doc[key]):
+            raise SchemaError(key, "must be an integer")
 
-    record = RecordPolicy()
-    if "record" in doc:
-        rec = doc["record"]
-        if not isinstance(rec, dict):
-            raise SchemaError("record", "must be an object")
-        for key in rec:
-            if key not in _RECORD_KEYS:
-                raise SchemaError(f"record.{key}", "unknown key")
-        stride = rec.get("stride", 0)
-        track = rec.get("track_nodes")
-        if not _is_int(stride) or stride < 0:
-            raise SchemaError("record.stride", "must be an integer >= 0")
-        if track is not None:
-            if not isinstance(track, list) or not all(_is_int(i) for i in track):
-                raise SchemaError("record.track_nodes", "must be an array of integers")
-            if not all(0 <= i < len(stakes) for i in track):
-                raise SchemaError("record.track_nodes", "node index out of range")
-            track = tuple(track)
-        record = RecordPolicy(stride=stride, track_nodes=track)
+    rec = doc.get("record", {})
+    if not isinstance(rec, dict):
+        raise SchemaError("record", "must be an object")
+    for key in rec:
+        if key not in _RECORD_KEYS:
+            raise SchemaError(f"record.{key}", "unknown key")
+    stride = rec.get("stride", 0)
+    track = rec.get("track_nodes")
+    if not _is_int(stride):
+        raise SchemaError("record.stride", "must be an integer")
+    if track is not None and not (isinstance(track, list) and all(_is_int(i) for i in track)):
+        raise SchemaError("record.track_nodes", "must be an array of integers")
 
     try:
         config = ExperimentConfig(
@@ -124,12 +119,10 @@ def load_config(data: bytes | str) -> ExperimentConfig:
             steps_n=doc["steps_n"],
             repetitions=doc["repetitions"],
             base_seed=doc["base_seed"],
-            record=record,
+            record=RecordPolicy(stride=stride, track_nodes=track),
             custom_entries=custom_entries,
         )
         config.reward_matrix()  # surface bad stakes / bad custom matrices now
-    except SchemaError:
-        raise
     except ValueError as e:
         raise SchemaError("config", str(e)) from None
     return config
@@ -213,10 +206,11 @@ def render_histogram_svg(
     *,
     beta: BetaParams | None = None,
     mean_marker: float | None = None,
-    title: str = "",
 ) -> bytes:
     """Standalone SVG: density bars over [0, 1], an optional beta-density
     overlay, and an optional vertical predicted-mean marker."""
+    if mean_marker is not None and not 0.0 <= mean_marker <= 1.0:  # also rejects nan
+        raise InvalidInput(f"mean marker must be in [0, 1], got {mean_marker!r}")
     counts = np.asarray(stats.bin_counts, dtype=np.float64)
     edges = np.asarray(stats.bin_edges, dtype=np.float64)
     total = counts.sum()
@@ -300,11 +294,6 @@ def render_histogram_svg(
         f'<text x="{px(0.5):.2f}" y="{_SVG_H - 6}" font-size="13" text-anchor="middle" '
         f'font-family="sans-serif">final fractional stake</text>'
     )
-    if title:
-        parts.append(
-            f'<text x="{px(0.5):.2f}" y="{_MARGIN_T + 14}" font-size="13" text-anchor="middle" '
-            f'font-family="sans-serif">{title}</text>'
-        )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode()
 
@@ -331,10 +320,10 @@ class ReportRow:
 
 def builtin_benchmark_configs(
     repetitions: int = DEFAULT_TABLE_REPS,
-    steps_n: int = 1000,
     base_seed: int = DEFAULT_TABLE_SEED,
 ) -> list[tuple[str, ExperimentConfig]]:
-    """The four stock benchmark setups: S(0)=100, K=200, tracked node 0.
+    """The four stock benchmark setups: S(0)=100, K=200, n=1000, tracked
+    node 0.
 
     Config i is seeded with base_seed + i: a tracked node's fraction path
     depends only on its own (w, l, v0), so sharing one seed would make the
@@ -353,7 +342,7 @@ def builtin_benchmark_configs(
                 initial_stakes=stakes,
                 scheme="frd",
                 reward_budget_K=200.0,
-                steps_n=steps_n,
+                steps_n=1000,
                 repetitions=repetitions,
                 base_seed=base_seed + offset,
                 record=RecordPolicy(track_nodes=(0,)),
@@ -511,10 +500,6 @@ def _cmd_hist(args) -> int:
     per_node = load_samples_csv(Path(args.samples).read_bytes())
     if args.node not in per_node:
         raise SchemaError("node", f"node {args.node} not present in samples")
-    try:
-        stats = empirical_stats(per_node[args.node], bins=args.bins)
-    except InvalidInput as e:
-        raise SchemaError("hist", str(e)) from None
     beta = None
     if args.beta is not None:
         try:
@@ -524,7 +509,11 @@ def _cmd_hist(args) -> int:
         if not (0 < a < math.inf and 0 < b < math.inf):
             raise SchemaError("beta", "both parameters must be finite and > 0")
         beta = BetaParams(a=a, b=b)
-    svg = render_histogram_svg(stats, beta=beta, mean_marker=args.mean_marker)
+    try:
+        stats = empirical_stats(per_node[args.node], bins=args.bins)
+        svg = render_histogram_svg(stats, beta=beta, mean_marker=args.mean_marker)
+    except InvalidInput as e:
+        raise SchemaError("hist", str(e)) from None
     Path(args.out).write_bytes(svg)
     print(f"wrote {args.out}")
     return 0

@@ -18,7 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput, StakeSimError
-from .schemes import ROW_SUM_RTOL, RewardMatrix, constant_matrix, custom_matrix, frd_matrix
+from .schemes import (
+    ROW_SUM_RTOL, RewardMatrix, check_budget, constant_matrix, custom_matrix, frd_matrix,
+)
 from .urn import recorded_steps, run_slots, stake_vector
 
 SCHEMES = ("constant", "frd", "custom")
@@ -29,7 +31,8 @@ _DRAW_BUDGET = 1 << 23
 _RECORD_BUDGET = 1 << 22
 _MAX_CHUNK = 8192
 
-DEFAULT_MAX_RESULT_ELEMENTS = 100_000_000
+# cap on repetitions x nodes in one result's final_fractions
+_MAX_RESULT_ELEMENTS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,9 @@ class ExperimentConfig:
                 "custom_entries",
                 tuple(tuple(float(x) for x in row) for row in self.custom_entries),
             )
-        if not self.reward_budget_K > 0:  # also rejects nan
-            raise InvalidInput(f"reward_budget_K must be > 0, got {self.reward_budget_K!r}")
-        object.__setattr__(self, "reward_budget_K", float(self.reward_budget_K))
+        object.__setattr__(
+            self, "reward_budget_K", check_budget(self.reward_budget_K, "reward_budget_K")
+        )
         if self.steps_n < 0:
             raise InvalidInput("steps_n must be >= 0")
         if self.repetitions < 1:
@@ -304,7 +307,6 @@ def run_experiment(
     *,
     workers: int = 1,
     rep_range: tuple[int, int] | None = None,
-    max_result_elements: int = DEFAULT_MAX_RESULT_ELEMENTS,
 ) -> ExperimentResult:
     """Run the configured experiment over a range of repetitions.
 
@@ -321,9 +323,9 @@ def run_experiment(
             f"rep_range {(start, stop)} invalid for {config.repetitions} repetitions"
         )
     reps = stop - start
-    if reps * m > max_result_elements:
+    if reps * m > _MAX_RESULT_ELEMENTS:
         raise StakeSimError(
-            f"{reps} repetitions x {m} nodes exceeds the cap of {max_result_elements} values"
+            f"{reps} repetitions x {m} nodes exceeds the cap of {_MAX_RESULT_ELEMENTS} values"
         )
     n = config.steps_n
     stride = config.record.stride

@@ -46,6 +46,23 @@ class RewardMatrix:
         return int(self.entries.shape[0])
 
 
+def check_budget(value: float, name: str = "budget") -> float:
+    """The per-slot budget rule, K finite and > 0; returns K as a float."""
+    if not 0 < value < np.inf:  # also rejects nan
+        raise InvalidInput(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
+
+
+def regime_of(l: float, w: float, budget: float) -> Regime:
+    """The regime split itself: w - l against K/2, equal within
+    ROW_SUM_RTOL * K."""
+    diff = w - l
+    half = 0.5 * budget
+    if abs(diff - half) <= ROW_SUM_RTOL * budget:
+        return Regime.CRITICAL
+    return Regime.SUBCRITICAL if diff < half else Regime.SUPERCRITICAL
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -55,9 +72,7 @@ def constant_matrix(m: int, budget: float) -> RewardMatrix:
     """Proposer-takes-all baseline: K on the diagonal, zero elsewhere."""
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise InvalidInput(f"node count must be a positive integer, got {m!r}")
-    if budget <= 0:
-        raise InvalidInput(f"budget must be > 0, got {budget!r}")
-    budget = float(budget)
+    budget = check_budget(budget)
     entries = np.eye(m, dtype=np.float64) * budget
     params = BalancedParams(
         w=_freeze(np.full(m, budget)), l=_freeze(np.zeros(m))
@@ -75,9 +90,7 @@ def frd_matrix(initial_stakes: Sequence[float], budget: float) -> RewardMatrix:
     exactly on the critical line w_i - l_i = K/2.
     """
     stakes = stake_vector(initial_stakes)
-    if budget <= 0:
-        raise InvalidInput(f"budget must be > 0, got {budget!r}")
-    budget = float(budget)
+    budget = check_budget(budget)
     total = float(stakes.sum())
     # fractions first: alpha*S_i(0) = v_i(0)*K/2 without overflow for
     # extreme stake magnitudes
@@ -123,9 +136,7 @@ def custom_matrix(entries: Sequence[Sequence[float]]) -> RewardMatrix:
         i, j = map(int, np.argwhere(arr < 0)[0])
         raise InvalidInput(f"negative entry at ({i}, {j})")
     row_sums = arr.sum(axis=1)
-    budget = float(row_sums[0])
-    if budget <= 0:
-        raise InvalidInput("rows must sum to a positive budget")
+    budget = check_budget(float(row_sums[0]), "row sum")
     for g, s in enumerate(row_sums.tolist()):
         if abs(s - budget) > ROW_SUM_RTOL * abs(budget):
             raise InvalidInput(f"row {g} sums to {s!r}, expected the shared budget")
@@ -144,8 +155,6 @@ def classify_regime(matrix: RewardMatrix, node: int) -> Regime:
         raise InvalidInput("regime classification needs a balanced matrix")
     if not 0 <= node < matrix.num_nodes:
         raise IndexError(f"node index {node} out of range")
-    diff = float(matrix.balanced.w[node] - matrix.balanced.l[node])
-    half = 0.5 * matrix.row_sum
-    if abs(diff - half) <= ROW_SUM_RTOL * matrix.row_sum:
-        return Regime.CRITICAL
-    return Regime.SUBCRITICAL if diff < half else Regime.SUPERCRITICAL
+    return regime_of(
+        float(matrix.balanced.l[node]), float(matrix.balanced.w[node]), matrix.row_sum
+    )

@@ -91,11 +91,15 @@ class TestLoadConfig:
             {"initial_stakes": []},
             {"initial_stakes": [-5, 10]},
             {"reward_budget_K": 0},
+            {"reward_budget_K": math.inf},
+            {"reward_budget_K": math.nan},
             {"steps_n": -1},
             {"repetitions": 0},
             {"base_seed": -3},
             {"scheme": "geometric"},
             {"record": {"track_nodes": [7]}},
+            {"record": {"stride": -1}},
+            {"record": {"track_nodes": [0, 0]}},
         ):
             with pytest.raises(SchemaError):
                 load_config(as_json(dict(MINIMAL, **patch)))
@@ -383,6 +387,8 @@ class TestMainCommands:
         (["--bins", "0"], "hist: bins must be >= 1"),
         (["--beta", "0,1"], "beta: both parameters must be finite and > 0"),
         (["--beta=-1,2"], "beta: both parameters must be finite and > 0"),
+        (["--mean-marker", "nan"], "hist: mean marker must be in [0, 1], got nan"),
+        (["--mean-marker", "7"], "hist: mean marker must be in [0, 1], got 7.0"),
     ])
     def test_hist_bad_flag_is_config_error(self, tmp_path, capsys, flags, message):
         path = self.write_config(tmp_path)

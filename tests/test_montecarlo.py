@@ -137,10 +137,12 @@ class TestRunExperiment:
             bound = 3 * math.sqrt(predicted.var_fraction / config.repetitions)
             assert abs(result.final_fractions[:, 0].mean() - share) <= bound
 
-    def test_resource_limit(self):
+    def test_resource_limit(self, monkeypatch):
+        import stakesim.montecarlo as mc
+        monkeypatch.setattr(mc, "_MAX_RESULT_ELEMENTS", 100)
         message = "1000 repetitions x 2 nodes exceeds the cap of 100 values"
         with pytest.raises(StakeSimError, match=message) as exc:
-            run_experiment(make_config(repetitions=1000), max_result_elements=100)
+            run_experiment(make_config(repetitions=1000))
         assert not isinstance(exc.value, InvalidInput)
 
     def test_bad_rep_range(self):
@@ -286,9 +288,9 @@ class TestConfigValidation:
             make_config(custom_entries=((200.0, 0.0), (0.0, 200.0)))
 
     def test_budget_positive(self):
-        with pytest.raises(InvalidInput, match="reward_budget_K must be > 0, got 0.0"):
+        with pytest.raises(InvalidInput, match="reward_budget_K must be finite and > 0, got 0.0"):
             make_config(reward_budget_K=0.0)
-        with pytest.raises(InvalidInput, match="reward_budget_K must be > 0, got nan"):
+        with pytest.raises(InvalidInput, match="reward_budget_K must be finite and > 0, got nan"):
             make_config(reward_budget_K=float("nan"))
 
     def test_ranges(self):

@@ -1,11 +1,22 @@
 """Tests for reward-matrix construction, validation, and regime tags."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stakesim import Regime, classify_regime, constant_matrix, custom_matrix, frd_matrix
+from stakesim import (
+    ExperimentConfig,
+    Regime,
+    beta_limit_params,
+    classify_regime,
+    constant_matrix,
+    custom_matrix,
+    frd_matrix,
+    predict_var_stake,
+)
 from stakesim.errors import InvalidInput
 
 stake_lists = st.lists(
@@ -35,7 +46,7 @@ class TestConstantMatrix:
             constant_matrix(0, 200)
 
     def test_nonpositive_budget(self):
-        with pytest.raises(InvalidInput, match="budget must be > 0, got 0.0"):
+        with pytest.raises(InvalidInput, match="budget must be finite and > 0, got 0.0"):
             constant_matrix(2, 0.0)
 
 
@@ -61,7 +72,7 @@ class TestFrdMatrix:
             frd_matrix([0.0, 0.0], 200)
 
     def test_nonpositive_budget(self):
-        with pytest.raises(InvalidInput, match="budget must be > 0, got -1"):
+        with pytest.raises(InvalidInput, match="budget must be finite and > 0, got -1"):
             frd_matrix([50, 50], -1)
 
     @given(stakes=stake_lists, budget=st.floats(0.01, 1e6))
@@ -124,6 +135,14 @@ class TestCustomMatrix:
         with pytest.raises(InvalidInput, match=message):
             custom_matrix([[1, 2, 3], [4, 5, 6]])
 
+    @pytest.mark.parametrize("rows,row_sum", [
+        ([[0.0, 0.0], [0.0, 0.0]], "0.0"),
+        ([[1e308, 1e308], [1e308, 1e308]], "inf"),  # finite entries, overflowing sum
+    ])
+    def test_row_sum_must_be_finite_and_positive(self, rows, row_sum):
+        with pytest.raises(InvalidInput, match=f"row sum must be finite and > 0, got {row_sum}"):
+            custom_matrix(rows)
+
     def test_single_node_treated_as_winner_takes_all(self):
         matrix = custom_matrix([[5.0]])
         assert matrix.balanced.l.tolist() == [0.0]
@@ -153,3 +172,23 @@ class TestClassifyRegime:
         # published-style rounded entries sit within the relative tolerance
         matrix = custom_matrix([[133.34, 66.66], [33.34, 166.66]])
         assert classify_regime(matrix, 0) is Regime.CRITICAL
+
+
+# every function that takes the per-slot budget K applies the one rule
+BUDGET_CONSUMERS = {
+    "ExperimentConfig": lambda k: ExperimentConfig(
+        initial_stakes=(50.0, 50.0), scheme="frd", reward_budget_K=k,
+        steps_n=10, repetitions=2, base_seed=1),
+    "constant_matrix": lambda k: constant_matrix(2, k),
+    "frd_matrix": lambda k: frd_matrix([50, 50], k),
+    "beta_limit_params": lambda k: beta_limit_params([50, 50], k, 0),
+    "predict_var_stake": lambda k: predict_var_stake(1, 2, k, 10),
+}
+
+
+@pytest.mark.parametrize("budget", [0, -1, float("nan"), float("inf")])
+@pytest.mark.parametrize("consumer", sorted(BUDGET_CONSUMERS))
+def test_budget_must_be_finite_and_positive(consumer, budget):
+    message = re.escape(f"must be finite and > 0, got {budget!r}")
+    with pytest.raises(InvalidInput, match=message):
+        BUDGET_CONSUMERS[consumer](budget)
