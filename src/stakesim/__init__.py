@@ -10,7 +10,6 @@ from .analytics import (
     ks_distance,
     limiting_mean_fraction,
     predict,
-    predict_fraction,
     predict_mean_stake,
     predict_var_stake,
 )
@@ -22,7 +21,6 @@ from .montecarlo import (
     TimeSeries,
     merge_results,
     run_experiment,
-    time_series_stats,
 )
 from .schemes import (
     BalancedParams,
@@ -72,12 +70,10 @@ __all__ = [
     "merge_results",
     "new_state",
     "predict",
-    "predict_fraction",
     "predict_mean_stake",
     "predict_var_stake",
     "recorded_steps",
     "run_experiment",
     "simulate_trajectory",
     "stake_vector",
-    "time_series_stats",
 ]

@@ -35,13 +35,6 @@ def _check_wl(l: float, w: float, budget: float) -> None:
         raise InvalidInput(f"need 0 <= l <= w <= K, got l={l!r} w={w!r} K={budget!r}")
 
 
-def classify_wl(l: float, w: float, budget: float) -> Regime:
-    """Regime of a (w, l) pair, with the same relative tolerance used for
-    matrix validation."""
-    _check_wl(l, w, budget)
-    return regime_of(l, w, budget)
-
-
 def predict_mean_stake(l: float, w: float, budget: float, n: int) -> float:
     """Leading term of the expected stake, l/(K-w+l) * K * n.
 
@@ -61,7 +54,8 @@ def predict_var_stake(l: float, w: float, budget: float, n: int) -> tuple[float,
     Subcritical growth is linear in n; critical growth is n * ln n.
     Raises InvalidInput when w - l > K/2.
     """
-    regime = classify_wl(l, w, budget)
+    _check_wl(l, w, budget)
+    regime = regime_of(l, w, budget)
     if regime is Regime.SUPERCRITICAL:
         raise InvalidInput(
             "no closed-form variance for w - l > K/2; use beta_limit_params"
@@ -76,17 +70,6 @@ def predict_var_stake(l: float, w: float, budget: float, n: int) -> tuple[float,
         / ((budget - w + l) ** 2 * (budget - 2.0 * diff))
     )
     return coeff * n, regime
-
-
-def predict_fraction(
-    l: float, w: float, budget: float, n: int, initial_total: float
-) -> tuple[float, float]:
-    """(mean, variance) of the fractional stake at horizon n: the stake
-    predictions divided by S(n) = K*n + S(0) and its square."""
-    total = budget * n + initial_total
-    mean = predict_mean_stake(l, w, budget, n) / total
-    var, _ = predict_var_stake(l, w, budget, n)
-    return mean, var / (total * total)
 
 
 def limiting_mean_fraction(l: float, w: float, budget: float) -> float:
@@ -224,7 +207,7 @@ def empirical_stats(samples: Sequence[float], bins: int = 100) -> SampleStats:
         raise InvalidInput("need at least 2 samples")
     if bins < 1:
         raise InvalidInput("bins must be >= 1")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also rejects nan
         raise InvalidInput("samples must lie in [0, 1]")
     counts, edges = np.histogram(arr, bins=bins, range=(0.0, 1.0))
     return SampleStats(

@@ -51,7 +51,8 @@ def load_config(data: bytes | str) -> ExperimentConfig:
 
     Only the JSON layer is checked here: syntax, keys and value types.  The
     value rules are ExperimentConfig's and RecordPolicy's; their
-    InvalidInput comes out as SchemaError("config", ...).
+    InvalidInput, and the OverflowError of a number too large for a float,
+    come out as SchemaError("config", ...).
     """
     if isinstance(data, bytes):
         try:
@@ -87,7 +88,7 @@ def load_config(data: bytes | str) -> ExperimentConfig:
         if (not isinstance(rows, list)
                 or not all(isinstance(r, list) and all(_is_number(x) for x in r) for r in rows)):
             raise SchemaError("scheme", "'custom' must be an array of arrays of numbers")
-        custom_entries = tuple(tuple(float(x) for x in r) for r in rows)
+        custom_entries = rows
         scheme = "custom"
     else:
         raise SchemaError("scheme", "must be a string or a {'custom': ...} object")
@@ -122,8 +123,7 @@ def load_config(data: bytes | str) -> ExperimentConfig:
             record=RecordPolicy(stride=stride, track_nodes=track),
             custom_entries=custom_entries,
         )
-        config.reward_matrix()  # surface bad stakes / bad custom matrices now
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise SchemaError("config", str(e)) from None
     return config
 
@@ -178,7 +178,10 @@ def write_stats_csv(series: TimeSeries | None) -> bytes:
 def load_samples_csv(data: bytes | str) -> dict[int, np.ndarray]:
     """Parse a samples.csv back into per-node fraction arrays (rep order)."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise SchemaError("samples", "not valid UTF-8") from None
     reader = csv.reader(io.StringIO(data))
     header = next(reader, None)
     if header != ["rep", "node", "final_fraction"]:
@@ -187,7 +190,13 @@ def load_samples_csv(data: bytes | str) -> dict[int, np.ndarray]:
     for row in reader:
         if not row:
             continue
-        rep, node, value = int(row[0]), int(row[1]), float(row[2])
+        try:
+            rep, node, value = row
+            rep, node, value = int(rep), int(node), float(value)
+        except ValueError:
+            raise SchemaError(
+                "samples", f"line {reader.line_num}: expected rep,node,final_fraction, got {row!r}"
+            ) from None
         per_node.setdefault(node, []).append((rep, value))
     return {
         node: np.array([v for _, v in sorted(pairs)])
@@ -395,12 +404,9 @@ def _render_report_table(rows: Sequence[ReportRow]) -> str:
     for label, schemes in by_label.items():
         cells = [label]
         for scheme in ("constant", "frd"):
-            row = schemes.get(scheme)
-            if row is None:
-                cells += ["-", "-"]
-            else:
-                cells.append(f"{row.mean_empirical:.4f} ({row.mean_predicted:.4f})")
-                cells.append(f"{row.var_empirical:.3e} ({row.var_predicted:.3e})")
+            row = schemes[scheme]
+            cells.append(f"{row.mean_empirical:.4f} ({row.mean_predicted:.4f})")
+            cells.append(f"{row.var_empirical:.3e} ({row.var_predicted:.3e})")
         table.append(cells)
     widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
     sep = "-+-".join("-" * w for w in widths)

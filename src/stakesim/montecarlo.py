@@ -95,6 +95,7 @@ class ExperimentConfig:
             for i in self.record.track_nodes:
                 if not 0 <= i < m:
                     raise InvalidInput(f"track_nodes entry {i} out of range for {m} nodes")
+        self.reward_matrix()  # custom size and row-sum rules apply here, not at first use
 
     @property
     def num_nodes(self) -> int:
@@ -340,16 +341,6 @@ def run_experiment(
     else:
         outputs = [task(b) for b in bounds]
     return merge_results(outputs)
-
-
-def time_series_stats(config: ExperimentConfig, *, workers: int = 1) -> TimeSeries:
-    """Cross-repetition mean and unbiased variance of the tracked nodes'
-    fractions at every recorded step."""
-    if config.record.stride < 1:
-        raise InvalidInput("time series need record.stride >= 1")
-    if config.repetitions < 2:
-        raise InvalidInput("time series need at least 2 repetitions")
-    return run_experiment(config, workers=workers).time_series
 
 
 def merge_results(partials: Sequence[ExperimentResult]) -> ExperimentResult:

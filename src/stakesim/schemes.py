@@ -135,7 +135,8 @@ def custom_matrix(entries: Sequence[Sequence[float]]) -> RewardMatrix:
     if np.any(arr < 0):
         i, j = map(int, np.argwhere(arr < 0)[0])
         raise InvalidInput(f"negative entry at ({i}, {j})")
-    row_sums = arr.sum(axis=1)
+    with np.errstate(over="ignore"):  # check_budget rejects an inf row sum
+        row_sums = arr.sum(axis=1)
     budget = check_budget(float(row_sums[0]), "row sum")
     for g, s in enumerate(row_sums.tolist()):
         if abs(s - budget) > ROW_SUM_RTOL * abs(budget):

@@ -20,15 +20,20 @@ if TYPE_CHECKING:  # pragma: no cover
 def stake_vector(values: Sequence[float]) -> np.ndarray:
     """Validate and normalize a stake vector to a float64 array.
 
-    Raises InvalidInput for an empty, negative, non-finite or all-zero vector.
+    Raises InvalidInput for an empty, negative, non-finite or all-zero
+    vector, and for one whose total overflows to inf.
     """
     stakes = np.array(values, dtype=np.float64)
     if stakes.ndim != 1 or stakes.size == 0:
         raise InvalidInput("need a non-empty 1-D stake vector")
     if not np.all(np.isfinite(stakes)) or np.any(stakes < 0):
         raise InvalidInput("stakes must be finite and >= 0")
-    if float(stakes.sum()) <= 0.0:
+    with np.errstate(over="ignore"):  # an inf total is rejected below
+        total = float(stakes.sum())
+    if total <= 0.0:
         raise InvalidInput("at least one stake must be positive")
+    if total == np.inf:
+        raise InvalidInput("stakes must sum to a finite total")
     stakes.setflags(write=False)
     return stakes
 

@@ -28,7 +28,6 @@ from stakesim import (
     ks_distance,
     limiting_mean_fraction,
     predict,
-    predict_fraction,
     predict_mean_stake,
     predict_var_stake,
     run_experiment,
@@ -83,25 +82,27 @@ class TestPredictVarStake:
 
 
 class TestPredictFraction:
+    # predict(...) divides the stake predictions by S(n) = K*n + S(0) and
+    # its square; node 0 of frd [50, 50] at K = 200 has l = 50, w = 150
+    HALF = frd_matrix([50, 50], 200)
+
     def test_equal_split(self):
-        mean, var = predict_fraction(50, 150, 200, 1000, 100)
-        assert mean == pytest.approx(0.5, abs=5e-4)
-        assert var == pytest.approx(4.3130e-4, rel=1e-3)
+        p = predict(self.HALF, 0, 100, 1000)
+        assert p.mean_fraction == pytest.approx(0.5, abs=5e-4)
+        assert p.var_fraction == pytest.approx(4.3130e-4, rel=1e-3)
 
     def test_one_third_split(self):
-        params = frd_matrix([100 / 3, 200 / 3], 200).balanced
-        mean, var = predict_fraction(params.l[0], params.w[0], 200, 1000, 100)
-        assert mean == pytest.approx(1 / 3, abs=5e-4)
-        assert var == pytest.approx(3.8338e-4, rel=1e-3)
+        p = predict(frd_matrix([100 / 3, 200 / 3], 200), 0, 100, 1000)
+        assert p.mean_fraction == pytest.approx(1 / 3, abs=5e-4)
+        assert p.var_fraction == pytest.approx(3.8338e-4, rel=1e-3)
 
     def test_fraction_variance_vanishes(self):
-        _, var = predict_fraction(50, 150, 200, 10**9, 100)
-        assert var < 1e-8
+        assert predict(self.HALF, 0, 100, 10**9).var_fraction < 1e-8
 
     @pytest.mark.parametrize("n", [8, 64, 512, 4096, 10**6])
     def test_critical_variance_decays_past_n8(self, n):
-        _, a = predict_fraction(50, 150, 200, n, 100)
-        _, b = predict_fraction(50, 150, 200, 2 * n, 100)
+        a = predict(self.HALF, 0, 100, n).var_fraction
+        b = predict(self.HALF, 0, 100, 2 * n).var_fraction
         assert b < a
 
 
@@ -260,8 +261,9 @@ class TestEmpiricalStats:
             empirical_stats([0.1, 0.2], bins=0)
 
     def test_out_of_range_sample(self):
-        with pytest.raises(ValueError):
-            empirical_stats([0.5, 1.5])
+        for samples in ([0.5, 1.5], [0.5, math.nan, 0.3]):
+            with pytest.raises(InvalidInput, match=r"samples must lie in \[0, 1\]"):
+                empirical_stats(samples)
 
 
 def _final_fractions(scheme: str, reps: int, seed: int) -> np.ndarray:

@@ -100,6 +100,11 @@ class TestLoadConfig:
             {"record": {"track_nodes": [7]}},
             {"record": {"stride": -1}},
             {"record": {"track_nodes": [0, 0]}},
+            # integers too large for a float, and finite stakes whose sum is inf
+            {"reward_budget_K": 10**400},
+            {"initial_stakes": [10**400, 50]},
+            {"scheme": {"custom": [[10**400, 0], [0, 200]]}},
+            {"initial_stakes": [1e308, 1e308]},
         ):
             with pytest.raises(SchemaError):
                 load_config(as_json(dict(MINIMAL, **patch)))
@@ -398,6 +403,32 @@ class TestMainCommands:
         code = main(["hist", "--samples", str(tmp_path / "out" / "samples.csv"),
                      "--out", str(svg), *flags])
         assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("patch,message", [
+        ({"reward_budget_K": 10**400}, "config: int too large to convert to float"),
+        ({"initial_stakes": [10**400, 50]}, "config: int too large to convert to float"),
+        ({"initial_stakes": [1e308, 1e308]}, "config: stakes must sum to a finite total"),
+    ])
+    def test_simulate_bad_value_is_config_error(self, tmp_path, capsys, patch, message):
+        path = self.write_config(tmp_path, dict(MINIMAL, **patch))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows,message", [
+        (b"x,0,0.4\n", "samples: line 2: expected rep,node,final_fraction, got ['x', '0', '0.4']"),
+        (b"0,0,0.5\n1,0\n", "samples: line 3: expected rep,node,final_fraction, got ['1', '0']"),
+        (b"0,0,0.5\n1,0,nan\n2,0,0.3\n", "hist: samples must lie in [0, 1]"),
+        (b"0,0,0.5\xff\n", "samples: not valid UTF-8"),
+    ])
+    def test_hist_bad_samples_is_config_error(self, tmp_path, capsys, rows, message):
+        samples = tmp_path / "samples.csv"
+        samples.write_bytes(b"rep,node,final_fraction\n" + rows)
+        svg = tmp_path / "h.svg"
+        assert main(["hist", "--samples", str(samples), "--out", str(svg)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not svg.exists()
 

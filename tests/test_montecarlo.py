@@ -15,7 +15,6 @@ from stakesim import (
     predict,
     run_experiment,
     simulate_trajectory,
-    time_series_stats,
 )
 from stakesim.errors import InvalidInput, StakeSimError
 
@@ -196,14 +195,14 @@ class TestMergeResults:
 class TestTimeSeries:
     def test_recorded_steps_match_stride(self):
         config = make_config(record=RecordPolicy(stride=30, track_nodes=(0, 1)))
-        series = time_series_stats(config)
+        series = run_experiment(config).time_series
         assert series.steps == (0, 30, 60, 90, 100)
         assert series.nodes == (0, 1)
         assert series.count == config.repetitions
 
     def test_initial_step_has_exact_mean_and_zero_variance(self):
         config = make_config(record=RecordPolicy(stride=50), initial_stakes=(30.0, 70.0))
-        series = time_series_stats(config)
+        series = run_experiment(config).time_series
         assert series.mean()[0].tolist() == [0.3, 0.7]
         assert series.variance()[0].tolist() == [0.0, 0.0]
 
@@ -231,7 +230,7 @@ class TestTimeSeries:
             steps_n=1000, repetitions=100, base_seed=424242,
             record=RecordPolicy(stride=100, track_nodes=(0,)),
         )
-        series = time_series_stats(config)
+        series = run_experiment(config).time_series
         share = 1 / 3
         means = series.mean()[:, 0]
         errs = 3 * np.sqrt(series.variance()[:, 0] / series.count)
@@ -245,7 +244,7 @@ class TestTimeSeries:
             steps_n=1000, repetitions=100, base_seed=424242,
             record=RecordPolicy(stride=100, track_nodes=(0,)),
         )
-        series = time_series_stats(config)
+        series = run_experiment(config).time_series
         variances = series.variance()[:, 0]
         i100 = series.steps.index(100)
         i1000 = series.steps.index(1000)
@@ -259,7 +258,7 @@ class TestTimeSeries:
             steps_n=1000, repetitions=2000, base_seed=777,
             record=RecordPolicy(stride=10, track_nodes=(0,)),
         )
-        series = time_series_stats(config)
+        series = run_experiment(config).time_series
         index = {step: i for i, step in enumerate(series.steps)}
         variances = series.variance()[:, 0]
         checkpoints = [variances[index[s]] for s in (10, 50, 100, 500, 1000)]
@@ -267,13 +266,6 @@ class TestTimeSeries:
 
     def test_stride_zero_defines_no_series(self):
         assert run_experiment(make_config()).time_series is None
-        with pytest.raises(ValueError):
-            time_series_stats(make_config())
-
-    def test_needs_two_repetitions(self):
-        config = make_config(repetitions=1, record=RecordPolicy(stride=10))
-        with pytest.raises(InvalidInput, match="time series need at least 2 repetitions"):
-            time_series_stats(config)
 
 
 class TestConfigValidation:
@@ -304,20 +296,18 @@ class TestConfigValidation:
             make_config(record=RecordPolicy(track_nodes=(2,)))
 
     def test_custom_matrix_dimension_checked(self):
-        config = make_config(
-            scheme="custom",
-            custom_entries=((200.0, 0.0), (0.0, 200.0)),
-            initial_stakes=(10.0, 10.0, 10.0),
-        )
         with pytest.raises(InvalidInput, match="custom matrix is 2x2, config has 3 nodes"):
-            config.reward_matrix()
+            make_config(
+                scheme="custom",
+                custom_entries=((200.0, 0.0), (0.0, 200.0)),
+                initial_stakes=(10.0, 10.0, 10.0),
+            )
 
     def test_custom_matrix_budget_checked(self):
-        config = make_config(scheme="custom", custom_entries=((150.0, 50.0), (50.0, 150.0)),
-                             reward_budget_K=100.0)
         message = "custom matrix rows sum to 200.0, reward_budget_K is 100.0"
         with pytest.raises(InvalidInput, match=message):
-            config.reward_matrix()
+            make_config(scheme="custom", custom_entries=((150.0, 50.0), (50.0, 150.0)),
+                        reward_budget_K=100.0)
 
     def test_scheme_dispatch(self):
         assert make_config(scheme="constant").reward_matrix().entries.tolist() == [

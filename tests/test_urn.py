@@ -44,6 +44,11 @@ class TestNewState:
         with pytest.raises(InvalidInput, match="at least one stake must be positive"):
             new_state([0.0, 0.0])
 
+    def test_total_overflow_rejected(self):
+        # each stake is finite, but their sum is inf
+        with pytest.raises(InvalidInput, match="stakes must sum to a finite total"):
+            new_state([1e308, 1e308])
+
 
 class TestFractionalStakes:
     def test_symmetric(self):
