@@ -25,13 +25,13 @@ from .urn import recorded_steps, run_slots, stake_vector
 
 SCHEMES = ("constant", "frd", "custom")
 
-# per-chunk memory budgets (numbers of float64 values); pure performance
-# knobs: results do not depend on them
+# per-chunk limits: _DRAW_BUDGET float64 draws (at least one row) and
+# _MAX_CHUNK repetitions; pure performance knobs, results do not depend on them
 _DRAW_BUDGET = 1 << 23
-_RECORD_BUDGET = 1 << 22
 _MAX_CHUNK = 8192
 
-# cap on repetitions x nodes in one result's final_fractions
+# cap on repetitions x nodes in one result's final_fractions, and on the
+# steps_n draws of one repetition's row
 _MAX_RESULT_ELEMENTS = 100_000_000
 
 
@@ -86,6 +86,12 @@ class ExperimentConfig:
         )
         if self.steps_n < 0:
             raise InvalidInput("steps_n must be >= 0")
+        try:
+            final_total = sum(self.initial_stakes) + self.steps_n * self.reward_budget_K
+        except OverflowError:  # steps_n too large for a float
+            final_total = np.inf
+        if not np.isfinite(final_total):
+            raise InvalidInput("total stake after steps_n slots must be finite")
         if self.repetitions < 1:
             raise InvalidInput("repetitions must be >= 1")
         if not 0 <= self.base_seed < 2**64:
@@ -240,18 +246,14 @@ class ExperimentResult:
     time_series: TimeSeries | None
 
 
-def _chunk_bounds(
-    start: int, stop: int, n: int, recorded: int, tracked: int, workers: int
-) -> list[tuple[int, int]]:
+def _chunk_bounds(start: int, stop: int, n: int, workers: int) -> list[tuple[int, int]]:
     """Split [start, stop) into near-equal chunks within the per-chunk
-    memory budgets: a multiple of `workers` chunks when there are at least
-    that many repetitions, so no worker sits idle.
+    limits: a multiple of `workers` chunks when there are at least that
+    many repetitions, so no worker sits idle.
     """
     cap = _MAX_CHUNK
     if n > 0:
         cap = min(cap, max(1, _DRAW_BUDGET // n))
-    if recorded * tracked > 0:
-        cap = min(cap, max(1, _RECORD_BUDGET // (recorded * tracked)))
     workers = max(workers, 1)
     reps = stop - start
     k = max(-(-reps // cap), workers)
@@ -260,12 +262,10 @@ def _chunk_bounds(
 
 
 def _chunk_task(
-    config: ExperimentConfig,
-    matrix: RewardMatrix,
-    steps: tuple[int, ...] | None,
-    bounds: tuple[int, int],
+    config: ExperimentConfig, matrix: RewardMatrix, bounds: tuple[int, int]
 ) -> ExperimentResult:
-    """Simulate repetitions [a, b) of `config`; one PCG64 stream each."""
+    """Simulate repetitions [a, b) of `config`, one PCG64 stream each, in
+    one segment of draws per recorded step."""
     a, b = bounds
     count = b - a
     n = config.steps_n
@@ -275,25 +275,22 @@ def _chunk_task(
         np.random.Generator(bitgen).random(n, out=draws[i])
     initial = np.asarray(config.initial_stakes, dtype=np.float64)
     stakes = np.tile(initial, (count, 1))
+    record = config.record.stride > 0
+    steps = tuple(recorded_steps(n, config.record.stride))
     track = config.tracked_nodes()
-    rec = None
-    if steps is not None:
-        track_idx = np.asarray(track, dtype=np.intp)
-        rec = np.empty((count, len(steps), len(track)))
-
-    def record(i: int, current: np.ndarray, total: float) -> None:
-        rec[:, i, :] = current[:, track_idx] / total
-
-    counts, total = run_slots(
-        stakes, float(initial.sum()), matrix, draws, steps=steps or (), on_record=record
-    )
-    series = None
-    if rec is not None:
-        cells = tuple(
-            tuple(RunningMoments(count, *_exact_sums(rec[:, t, j])) for j in range(len(track)))
-            for t in range(len(steps))
-        )
-        series = TimeSeries(steps=steps, nodes=track, cells=cells)
+    total = float(initial.sum())
+    counts = np.zeros(config.num_nodes, dtype=np.int64)
+    cells = []
+    done = 0
+    for step in steps:
+        segment_counts, total = run_slots(stakes, total, matrix, draws[:, done:step])
+        counts += segment_counts
+        done = step
+        if record:
+            cells.append(tuple(
+                RunningMoments(count, *_exact_sums(stakes[:, j] / total)) for j in track
+            ))
+    series = TimeSeries(steps=steps, nodes=track, cells=tuple(cells)) if record else None
     return ExperimentResult(
         config=config,
         rep_range=(a, b),
@@ -329,12 +326,12 @@ def run_experiment(
             f"{reps} repetitions x {m} nodes exceeds the cap of {_MAX_RESULT_ELEMENTS} values"
         )
     n = config.steps_n
-    stride = config.record.stride
-    steps = tuple(recorded_steps(n, stride)) if stride > 0 else None
-    bounds = _chunk_bounds(
-        start, stop, n, len(steps) if steps else 0, len(config.tracked_nodes()), workers
-    )
-    task = partial(_chunk_task, config, matrix, steps)
+    if n > _MAX_RESULT_ELEMENTS:  # a chunk holds at least one row of n draws
+        raise StakeSimError(
+            f"steps_n {n} exceeds the cap of {_MAX_RESULT_ELEMENTS} draws per repetition"
+        )
+    bounds = _chunk_bounds(start, stop, n, workers)
+    task = partial(_chunk_task, config, matrix)
     if workers > 1 and len(bounds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(task, bounds))

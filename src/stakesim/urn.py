@@ -7,7 +7,7 @@ stake therefore grows by exactly the row sum K each slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -101,8 +101,6 @@ def run_slots(
     matrix: "RewardMatrix",
     draws: np.ndarray,
     *,
-    steps: Sequence[int] = (),
-    on_record: Callable[[int, np.ndarray, float], None] | None = None,
     proposers: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Run one slot per column of `draws` on `count` urns at once.
@@ -115,8 +113,8 @@ def run_slots(
     nodes (empty intervals) are never selected.  Row g of the reward matrix
     is then added to the urn's stakes and the total grows by the row sum.
 
-    `on_record(i, stakes, total)` is called with the state after steps[i]
-    slots, for each i, so it is required when `steps` is given.
+    Draws are consumed in column order, so calls over consecutive column
+    slices of `draws` end in the same state as one call over all of them.
     `proposers`, a (count, n) integer array, receives every proposer.
     Returns the per-node proposer counts summed over urns and slots, and
     the final total.
@@ -125,10 +123,6 @@ def run_slots(
     m = matrix.num_nodes
     entries = matrix.entries
     counts = np.zeros(m, dtype=np.int64)
-    next_rec = 0
-    if steps and steps[0] == 0:
-        on_record(0, stakes, total)
-        next_rec = 1
     for step in range(n):
         thresholds = draws[:, step] * total
         cums = np.cumsum(stakes, axis=1)
@@ -146,9 +140,6 @@ def run_slots(
             proposers[:, step] = chosen
         stakes += entries[chosen]
         total += matrix.row_sum
-        if next_rec < len(steps) and step + 1 == steps[next_rec]:
-            on_record(next_rec, stakes, total)
-            next_rec += 1
     return counts, total
 
 
@@ -175,13 +166,14 @@ def simulate_trajectory(
     stakes = np.array(initial.stakes, ndmin=2)
     proposers = np.empty((1, n), dtype=np.int64)
     snapshots = np.empty((len(steps), initial.num_nodes))
-
-    def record(i: int, current: np.ndarray, _total: float) -> None:
-        snapshots[i] = current[0]
-
-    _, total = run_slots(
-        stakes, initial.total, matrix, draws, steps=steps, on_record=record, proposers=proposers
-    )
+    total = initial.total
+    done = 0
+    for i, step in enumerate(steps):
+        _, total = run_slots(
+            stakes, total, matrix, draws[:, done:step], proposers=proposers[:, done:step]
+        )
+        snapshots[i] = stakes[0]
+        done = step
     final = stakes[0]
     final.setflags(write=False)
     trajectory = Trajectory(

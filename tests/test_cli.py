@@ -105,6 +105,9 @@ class TestLoadConfig:
             {"initial_stakes": [10**400, 50]},
             {"scheme": {"custom": [[10**400, 0], [0, 200]]}},
             {"initial_stakes": [1e308, 1e308]},
+            # a final total S(0) + steps_n*K that overflows, via K or via steps_n
+            {"reward_budget_K": 1e308},
+            {"steps_n": 10**400},
         ):
             with pytest.raises(SchemaError):
                 load_config(as_json(dict(MINIMAL, **patch)))
@@ -410,6 +413,7 @@ class TestMainCommands:
         ({"reward_budget_K": 10**400}, "config: int too large to convert to float"),
         ({"initial_stakes": [10**400, 50]}, "config: int too large to convert to float"),
         ({"initial_stakes": [1e308, 1e308]}, "config: stakes must sum to a finite total"),
+        ({"reward_budget_K": 1e308}, "config: total stake after steps_n slots must be finite"),
     ])
     def test_simulate_bad_value_is_config_error(self, tmp_path, capsys, patch, message):
         path = self.write_config(tmp_path, dict(MINIMAL, **patch))

@@ -143,6 +143,11 @@ class TestRunExperiment:
         with pytest.raises(StakeSimError, match=message) as exc:
             run_experiment(make_config(repetitions=1000))
         assert not isinstance(exc.value, InvalidInput)
+        # one repetition's row of draws is held whole, so steps_n is capped too
+        message = "steps_n 101 exceeds the cap of 100 draws per repetition"
+        with pytest.raises(StakeSimError, match=message) as exc:
+            run_experiment(make_config(steps_n=101, repetitions=1))
+        assert not isinstance(exc.value, InvalidInput)
 
     def test_bad_rep_range(self):
         with pytest.raises(ValueError):
@@ -266,6 +271,26 @@ class TestTimeSeries:
 
     def test_stride_zero_defines_no_series(self):
         assert run_experiment(make_config()).time_series is None
+
+    def test_recording_is_observation_only(self):
+        # recording splits the draws into segments but does not change the
+        # path: every stride and worker count gives the unrecorded result
+        def config(stride):
+            return make_config(initial_stakes=(20.0, 30.0, 50.0), repetitions=30,
+                               record=RecordPolicy(stride=stride))
+
+        plain = run_experiment(config(0))
+        for stride in (0, 1, 7):
+            for workers in (1, 2):
+                result = run_experiment(config(stride), workers=workers)
+                assert np.array_equal(result.final_fractions, plain.final_fractions)
+                assert np.array_equal(result.proposer_counts, plain.proposer_counts)
+                if stride:
+                    assert result.time_series.steps[-1] == 100
+                    for j, cell in enumerate(result.time_series.cells[-1]):
+                        final = RunningMoments()
+                        final.add_values(plain.final_fractions[:, j])
+                        assert cell == final
 
 
 class TestConfigValidation:

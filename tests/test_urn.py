@@ -177,6 +177,17 @@ class TestSimulateTrajectory:
         assert np.all(np.diff(trajectory.snapshot_steps) > 0)
         assert np.array_equal(trajectory.snapshot_stakes[-1], final.stakes)
 
+    def test_snapshots_equal_shorter_runs(self):
+        # draws are consumed in order, so the snapshot at step s is the final
+        # state of an s-step run from the same seed
+        state = new_state([30, 70])
+        matrix = frd_matrix([30, 70], 200)
+        trajectory, _ = simulate_trajectory(state, matrix, 95, seed=5, record_stride=20)
+        for step, snapshot in zip(trajectory.snapshot_steps, trajectory.snapshot_stakes):
+            shorter, final = simulate_trajectory(state, matrix, int(step), seed=5)
+            assert snapshot.tobytes() == final.stakes.tobytes()
+            assert np.array_equal(trajectory.proposers[:step], shorter.proposers)
+
     def test_stride_zero_records_final_only(self):
         trajectory, final = simulate_trajectory(
             new_state([30, 70]), constant_matrix(2, 200), 12, seed=5, record_stride=0
