@@ -132,25 +132,56 @@ class ExperimentConfig:
 
 
 # --- exact streaming moments -------------------------------------------------
+#
+# A finite float64 with biased exponent e and 52-bit fraction f is
+# M * 2**(sh - 1074), with M = f | 2**52 when e > 0 (M = f for subnormals)
+# and sh = max(e - 1, 0).  So v * 2**1074 = M << sh and v*v * 2**2148 =
+# M*M << 2*sh are integers.  _exact_sums splits M into four 14-bit limbs and
+# sums the limbs, and the limb products by degree, per (column, sh) bucket
+# with np.bincount.  Every weight is below 2**30, so the float64 bucket sums
+# are exact while a bucket holds at most 2**23 values; the buckets then fold
+# into Python ints.
 
-_SCALE_BITS = 1074  # every float64 in [0, 1] is an integer multiple of 2**-1074
+_SCALE_BITS = 1074  # every finite float64 is an integer multiple of 2**-1074
 _SCALE = 1 << _SCALE_BITS
 _SQ_SCALE = 1 << (2 * _SCALE_BITS)
+_LIMB_BITS = 14
+_LIMB_SHIFTS = np.arange(0, 56, _LIMB_BITS, dtype=np.uint64)[:, None]  # 4 limbs hold 53 bits
+_SHIFTS = 2046  # sh runs over 0 .. 2045 for finite values
+_EXACT_ROWS = 1 << 23  # rows per block, so no bucket holds more than 2**23 values
 
 
-def _exact_sums(values: np.ndarray) -> tuple[int, int]:
-    """Exact integer sums of values and squared values (scaled)."""
-    s = 0
-    s2 = 0
-    for v in values.tolist():
-        p, q = v.as_integer_ratio()
-        s += p * (_SCALE // q)
-        s2 += p * p * (_SQ_SCALE // (q * q))
-    return s, s2
+def _exact_sums(values: np.ndarray) -> list[tuple[int, int]]:
+    """Exact sums of each column of a finite (count, k) float64 array: one
+    (sum(v) * 2**1074, sum(v*v) * 2**2148) integer pair per column."""
+    count, k = values.shape
+    sums = [0] * k
+    sumsqs = [0] * k
+    for start in range(0, count, _EXACT_ROWS):
+        block = np.ascontiguousarray(values[start:start + _EXACT_ROWS], dtype=np.float64)
+        bits = block.view(np.uint64).ravel()
+        biased = (bits >> 52) & 0x7FF
+        mantissa = (bits & ((1 << 52) - 1)) | ((biased > 0).astype(np.uint64) << 52)
+        key = np.maximum(biased, 1) - 1 + np.tile(np.arange(k, dtype=np.uint64) * _SHIFTS,
+                                                  len(block))
+        buckets, inverse = np.unique(key, return_inverse=True)
+        limbs = ((mantissa >> _LIMB_SHIFTS) & ((1 << _LIMB_BITS) - 1)).astype(np.float64)
+        sign = np.where(bits >> 63, -1.0, 1.0)
+        totals = [np.bincount(inverse, limb * sign, len(buckets)) for limb in limbs]
+        for d in range(7):  # M*M's limb-pair products, by degree
+            pairs = range(max(d - 3, 0), min(d, 3) + 1)
+            weights = sum(limbs[a] * limbs[d - a] for a in pairs)
+            totals.append(np.bincount(inverse, weights, len(buckets)))
+        totals = np.array(totals, dtype=np.int64).T.tolist()
+        columns, shifts = np.divmod(buckets, _SHIFTS)
+        for j, sh, t in zip(columns.tolist(), shifts.tolist(), totals):
+            sums[j] += sum(x << (_LIMB_BITS * d) for d, x in enumerate(t[:4])) << sh
+            sumsqs[j] += sum(x << (_LIMB_BITS * d) for d, x in enumerate(t[4:])) << (2 * sh)
+    return list(zip(sums, sumsqs))
 
 
 class RunningMoments:
-    """Streaming count/mean/variance over values in [0, 1].
+    """Streaming count/mean/variance over finite float64 values.
 
     Sums are exact integers, so accumulation is associative: any grouping of
     the same repetitions yields bit-identical mean and variance.  Memory is
@@ -165,7 +196,12 @@ class RunningMoments:
         self.sumsq_scaled = sumsq_scaled
 
     def add_values(self, values: np.ndarray) -> None:
-        s, s2 = _exact_sums(np.asarray(values, dtype=np.float64))
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1:
+            raise InvalidInput(f"values must be a 1-D array, got {values.ndim} dimensions")
+        if not np.isfinite(values).all():
+            raise InvalidInput("values must be finite")
+        [(s, s2)] = _exact_sums(values[:, None])
         self.count += len(values)
         self.sum_scaled += s
         self.sumsq_scaled += s2
@@ -287,9 +323,8 @@ def _chunk_task(
         counts += segment_counts
         done = step
         if record:
-            cells.append(tuple(
-                RunningMoments(count, *_exact_sums(stakes[:, j] / total)) for j in track
-            ))
+            sums = _exact_sums(stakes[:, track] / total)
+            cells.append(tuple(RunningMoments(count, s, s2) for s, s2 in sums))
     series = TimeSeries(steps=steps, nodes=track, cells=tuple(cells)) if record else None
     return ExperimentResult(
         config=config,

@@ -1,9 +1,14 @@
 """Tests for the experiment runner: determinism, merging, parallelism, stats."""
 
+import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from stakesim import (
     ExperimentConfig,
@@ -16,6 +21,8 @@ from stakesim import (
     run_experiment,
     simulate_trajectory,
 )
+from stakesim import montecarlo
+from stakesim.cli import write_samples_csv, write_stats_csv
 from stakesim.errors import InvalidInput, StakeSimError
 
 
@@ -291,6 +298,106 @@ class TestTimeSeries:
                         final = RunningMoments()
                         final.add_values(plain.final_fractions[:, j])
                         assert cell == final
+
+
+def oracle_sums(values):
+    """The exact accumulator's integers from rational arithmetic, column by
+    column: (sum(v) * 2**1074, sum(v*v) * 2**2148)."""
+    pairs = []
+    for col in np.asarray(values).T.tolist():
+        s = sum(Fraction(v) for v in col) * 2**1074
+        s2 = sum(Fraction(v) ** 2 for v in col) * 2**2148
+        assert s.denominator == 1 and s2.denominator == 1
+        pairs.append((int(s), int(s2)))
+    return pairs
+
+
+EDGE_VALUES = (
+    0.0,
+    1.0,
+    5e-324,                    # smallest subnormal
+    2.225073858507201e-308,    # largest subnormal
+    2.2250738585072014e-308,   # smallest normal
+    float(np.nextafter(1.0, 0.0)),
+)
+
+
+class TestExactSums:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_matches_rational_oracle(self, values):
+        assert montecarlo._exact_sums(values) == oracle_sums(values)
+
+    def test_edge_values(self):
+        values = np.array(EDGE_VALUES)
+        both = np.stack([values, -values[::-1]], axis=1)
+        assert montecarlo._exact_sums(both) == oracle_sums(both)
+
+    def test_fullest_bucket(self):
+        # one bucket of a full chunk, every limb and limb product at its largest
+        values = np.full((8192, 1), np.nextafter(1.0, 0.0))
+        assert montecarlo._exact_sums(values) == oracle_sums(values)
+
+    def test_wide_block(self):
+        values = np.random.Generator(np.random.PCG64(8)).random((50, 3000))
+        assert montecarlo._exact_sums(values) == oracle_sums(values)
+
+    def test_row_blocks(self, monkeypatch):
+        rng = np.random.Generator(np.random.PCG64(9))
+        values = rng.standard_normal((101, 3)) * 10.0 ** rng.integers(-310, 300, (101, 3))
+        whole = montecarlo._exact_sums(values)
+        monkeypatch.setattr(montecarlo, "_EXACT_ROWS", 7)
+        assert montecarlo._exact_sums(values) == whole == oracle_sums(values)
+
+    def test_add_values_equals_column_sums(self):
+        values = np.random.Generator(np.random.PCG64(10)).random((40, 2))
+        moments = RunningMoments()
+        moments.add_values(values[:, 1])
+        assert (moments.sum_scaled, moments.sumsq_scaled) == oracle_sums(values)[1]
+
+    @pytest.mark.parametrize("values, message", [
+        ([0.5, math.inf], "values must be finite"),
+        ([-math.inf], "values must be finite"),
+        ([0.5, math.nan], "values must be finite"),
+        (np.zeros((3, 2)), "values must be a 1-D array, got 2 dimensions"),
+        (0.5, "values must be a 1-D array, got 0 dimensions"),
+    ])
+    def test_add_values_rejects_bad_input(self, values, message):
+        moments = RunningMoments()
+        with pytest.raises(InvalidInput, match=message):
+            moments.add_values(values)
+        assert moments == RunningMoments()
+
+
+# sha256 of samples.csv and stats.csv, pinned from the release before the
+# vectorized accumulator; a change to these is a change to the output bytes
+GOLDEN = {
+    "frd": (
+        ExperimentConfig(initial_stakes=(50.0, 50.0), scheme="frd", reward_budget_K=200.0,
+                         steps_n=100, repetitions=200, base_seed=20240611,
+                         record=RecordPolicy(stride=10)),
+        "a72a3a2027985761f99db3a20772eea0442155c6fe6e4e16af8517cbcb27d177",
+        "cf1420f3de2f7bb5ba205e468a5259f4d1a10bd4445f493f7775af1c7001f080",
+    ),
+    "constant_zero_stake": (
+        ExperimentConfig(initial_stakes=(30.0, 20.0, 10.0, 0.0), scheme="constant",
+                         reward_budget_K=5.0, steps_n=60, repetitions=150, base_seed=777,
+                         record=RecordPolicy(stride=7, track_nodes=(3, 0))),
+        "5d666c49c6fdca97f000f19e594ced30f2260e25cfc34d8420785fbcaf49c6c4",
+        "efe505812bc3ee34bce157e1809372609e19b151dcb6bab42227434ca81a42ed",
+    ),
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_output_bytes_pinned(self, name, workers):
+        config, samples_sha, stats_sha = GOLDEN[name]
+        result = run_experiment(config, workers=workers)
+        assert hashlib.sha256(write_samples_csv(result)).hexdigest() == samples_sha
+        assert hashlib.sha256(write_stats_csv(result.time_series)).hexdigest() == stats_sha
 
 
 class TestConfigValidation:
