@@ -25,6 +25,7 @@ from .montecarlo import (
     ExperimentResult,
     RecordPolicy,
     TimeSeries,
+    check_workers,
     run_experiment,
 )
 
@@ -585,6 +586,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "workers" in args:
+            try:
+                check_workers(args.workers)
+            except InvalidInput as e:
+                raise SchemaError(args.command, str(e)) from None
         return args.func(args)
     except (ParseError, SchemaError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)

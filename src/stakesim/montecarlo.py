@@ -282,6 +282,12 @@ class ExperimentResult:
     time_series: TimeSeries | None
 
 
+def check_workers(workers: int) -> None:
+    """The worker-count rule: at least one process runs the chunks."""
+    if workers < 1:
+        raise InvalidInput(f"workers must be >= 1, got {workers}")
+
+
 def _chunk_bounds(start: int, stop: int, n: int, workers: int) -> list[tuple[int, int]]:
     """Split [start, stop) into near-equal chunks within the per-chunk
     limits: a multiple of `workers` chunks when there are at least that
@@ -290,7 +296,6 @@ def _chunk_bounds(start: int, stop: int, n: int, workers: int) -> list[tuple[int
     cap = _MAX_CHUNK
     if n > 0:
         cap = min(cap, max(1, _DRAW_BUDGET // n))
-    workers = max(workers, 1)
     reps = stop - start
     k = max(-(-reps // cap), workers)
     k = min(-(-k // workers) * workers, reps)  # a multiple of workers, none empty
@@ -348,6 +353,7 @@ def run_experiment(
     exactly the full-run result (see merge_results).  `workers` > 1 farms
     chunks to a process pool; the output is identical to the serial run.
     """
+    check_workers(workers)
     matrix = config.reward_matrix()
     m = matrix.num_nodes
     start, stop = rep_range if rep_range is not None else (0, config.repetitions)

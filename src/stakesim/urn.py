@@ -118,28 +118,44 @@ def run_slots(
     `proposers`, a (count, n) integer array, receives every proposer.
     Returns the per-node proposer counts summed over urns and slots, and
     the final total.
+
+    The urns are held node-major, one contiguous (count,) column per node.
+    The cumulative stakes are a running sum over the columns in ascending
+    node order, the same adds as np.cumsum, and as stakes are never negative
+    they never decrease: the proposer, the first g with draw * total < C_g,
+    is the number of C_0 .. C_{m-2} at or below draw * total.
     """
-    n = draws.shape[1]
+    count, n = draws.shape
     m = matrix.num_nodes
-    entries = matrix.entries
+    rewards = matrix.entries.T.copy()  # rewards[j][g]: node j's reward when g proposes
+    columns = stakes.T.copy()
+    threshold = np.empty(count)
+    prefix = np.empty(count)
+    below = np.empty(count, dtype=bool)
+    chosen = np.empty(count, dtype=np.intp)
     counts = np.zeros(m, dtype=np.int64)
     for step in range(n):
-        thresholds = draws[:, step] * total
-        cums = np.cumsum(stakes, axis=1)
-        mask = thresholds[:, None] < cums
-        chosen = mask.argmax(axis=1)
-        missed = ~mask[:, -1]
-        if missed.any():
+        np.multiply(draws[:, step], total, out=threshold)
+        chosen.fill(0)
+        np.copyto(prefix, columns[0])
+        for j in range(1, m):
+            np.less_equal(prefix, threshold, out=below)
+            chosen += below
+            prefix += columns[j]
+        np.less_equal(prefix, threshold, out=below)
+        if below.any():
             # float edge: the running sum of stakes can land a hair below
             # the analytic total; the draw then belongs to the last node
             # with positive stake
-            rev = stakes[missed, ::-1] > 0
-            chosen[missed] = m - 1 - rev.argmax(axis=1)
+            rev = columns[::-1, below] > 0
+            chosen[below] = m - 1 - rev.argmax(axis=0)
         counts += np.bincount(chosen, minlength=m)
         if proposers is not None:
             proposers[:, step] = chosen
-        stakes += entries[chosen]
+        for j in range(m):
+            columns[j] += rewards[j][chosen]
         total += matrix.row_sum
+    stakes[...] = columns.T
     return counts, total
 
 

@@ -422,6 +422,16 @@ class TestMainCommands:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_simulate_bad_workers_is_config_error(self, tmp_path, capsys, workers):
+        path = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(path), "--out", str(out), "--workers", workers])
+        assert code == 2
+        message = f"simulate: workers must be >= 1, got {workers}"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("rows,message", [
         (b"x,0,0.4\n", "samples: line 2: expected rep,node,final_fraction, got ['x', '0', '0.4']"),
         (b"0,0,0.5\n1,0\n", "samples: line 3: expected rep,node,final_fraction, got ['1', '0']"),
@@ -441,6 +451,8 @@ class TestMainCommands:
         (["--seed", "-1"], "table1: base_seed must be an unsigned 64-bit integer"),
         # config i is seeded with seed + i, so the last config overflows
         (["--seed", str(2**64 - 2)], "table1: base_seed must be an unsigned 64-bit integer"),
+        (["--workers", "0"], "table1: workers must be >= 1, got 0"),
+        (["--workers", "-1"], "table1: workers must be >= 1, got -1"),
     ])
     def test_table1_bad_flag_is_config_error(self, capsys, flags, message):
         assert main(["table1", *flags]) == 2

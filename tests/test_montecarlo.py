@@ -387,6 +387,24 @@ GOLDEN = {
         "5d666c49c6fdca97f000f19e594ced30f2260e25cfc34d8420785fbcaf49c6c4",
         "efe505812bc3ee34bce157e1809372609e19b151dcb6bab42227434ca81a42ed",
     ),
+    # table1's widest kernel, and a custom matrix recorded at every step;
+    # pinned from the release before the node-major slot kernel
+    "frd_ten_nodes": (
+        ExperimentConfig(initial_stakes=(10.0,) * 10, scheme="frd", reward_budget_K=200.0,
+                         steps_n=200, repetitions=300, base_seed=20261018,
+                         record=RecordPolicy(stride=25)),
+        "fed8e930b94407440a6b8fa5cbaac0d4415be5d948ce1cb7a30db8ddecd58cd2",
+        "7cab4d3c134d8f03f09b1c09c6ac4a7a39cd890578ba034179a0462e1898a2f0",
+    ),
+    "custom_zero_stake": (
+        ExperimentConfig(initial_stakes=(25.0, 0.0, 75.0), scheme="custom",
+                         reward_budget_K=200.0, steps_n=80, repetitions=150, base_seed=4242,
+                         record=RecordPolicy(stride=1),
+                         custom_entries=((120.0, 50.0, 30.0), (40.0, 140.0, 20.0),
+                                         (10.0, 60.0, 130.0))),
+        "3105a0738ec709e36d6de235a50757069474611b2da0481e5e8ccb6cebcc9094",
+        "b6e0b1aca2512e9421bc2481018fc1a2b7a5e187947164ea1c0c58ec6cc2043b",
+    ),
 }
 
 
@@ -426,6 +444,11 @@ class TestConfigValidation:
             make_config(base_seed=-1)
         with pytest.raises(ValueError):
             make_config(record=RecordPolicy(track_nodes=(2,)))
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(InvalidInput, match=f"workers must be >= 1, got {workers}"):
+            run_experiment(make_config(), workers=workers)
 
     def test_custom_matrix_dimension_checked(self):
         with pytest.raises(InvalidInput, match="custom matrix is 2x2, config has 3 nodes"):

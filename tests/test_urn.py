@@ -13,6 +13,7 @@ from stakesim import (
     recorded_steps,
     simulate_trajectory,
 )
+from stakesim.schemes import custom_matrix
 from stakesim.urn import run_slots
 from stakesim.errors import InvalidInput
 
@@ -241,3 +242,94 @@ class TestProcessInvariants:
             new_state(stakes), frd_matrix(stakes, 200.0), 32, seed=seed
         )
         assert abs(fractional_stakes(final).sum() - 1.0) < 1e-12
+
+
+def reference_slots(stakes, total, matrix, draws):
+    """The slot rule one urn and one step at a time: the proposer is the
+    first node whose np.cumsum prefix exceeds u * total, or the last node
+    with positive stake when none does.  Returns (stakes, proposers, total)."""
+    stakes = np.array(stakes, dtype=np.float64)
+    proposers = np.empty(draws.shape, dtype=np.int64)
+    end_total = total
+    for c in range(draws.shape[0]):
+        urn_total = total
+        for k in range(draws.shape[1]):
+            above = np.flatnonzero(draws[c, k] * urn_total < np.cumsum(stakes[c]))
+            g = above[0] if above.size else np.flatnonzero(stakes[c] > 0)[-1]
+            proposers[c, k] = g
+            stakes[c] = stakes[c] + matrix.entries[g]
+            urn_total += matrix.row_sum
+        end_total = urn_total
+    return stakes, proposers, end_total
+
+
+EDGE_STAKES = [523.43472739492, 88.93564024627199, 981.9426931267062,
+               571.3956004557745, 6.408882664310167, 772.6492012253887,
+               978.2657138401457, 589.8700283209505, 0.0]
+LARGEST_DRAW = 1.0 - 2.0**-53
+
+
+def some_matrix(scheme, stakes, budget, weights):
+    m = len(stakes)
+    if scheme == "frd":
+        return frd_matrix(stakes, budget)
+    if scheme == "constant":
+        return constant_matrix(m, budget)
+    rows = np.reshape(weights, (m, m)) + np.eye(m)
+    return custom_matrix(rows * (budget / rows.sum(axis=1, keepdims=True)))
+
+
+def check_against_reference(stakes, matrix, draws):
+    state = new_state(stakes)
+    urns = np.tile(state.stakes, (draws.shape[0], 1))
+    ref_stakes, ref_proposers, ref_total = reference_slots(urns, state.total, matrix, draws)
+    proposers = np.empty(draws.shape, dtype=np.int64)
+    counts, total = run_slots(urns, state.total, matrix, draws, proposers=proposers)
+    assert urns.tobytes() == ref_stakes.tobytes()
+    assert proposers.tobytes() == ref_proposers.tobytes()
+    assert counts.tolist() == np.bincount(ref_proposers.ravel(), minlength=len(stakes)).tolist()
+    assert total == ref_total
+
+
+class TestSlotRuleReference:
+    """run_slots against the scalar rule, bit for bit, at every width."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_reference(self, data):
+        m = data.draw(st.integers(1, 10))
+        stake = st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.integers(0, 64).map(float))
+        stakes = data.draw(st.lists(stake, min_size=m, max_size=m).filter(lambda s: sum(s) > 0))
+        scheme = data.draw(st.sampled_from(["frd", "constant", "custom"]))
+        budget = data.draw(st.sampled_from([200.0, 1e-9, 3.0, 0.7]))
+        weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=m * m, max_size=m * m))
+        matrix = some_matrix(scheme, stakes, budget, weights)
+        state = new_state(stakes)
+        # u * total lands on a prefix of the first slot when u = C_j / S is exact
+        boundaries = [float(c) / state.total for c in np.cumsum(state.stakes)]
+        special = [0.0, LARGEST_DRAW, *(u for u in boundaries if u < 1.0)]
+        draw = st.one_of(st.sampled_from(special), st.floats(0.0, 1.0, exclude_max=True))
+        count, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        draws = data.draw(st.lists(draw, min_size=count * n, max_size=count * n))
+        check_against_reference(stakes, matrix, np.reshape(draws, (count, n)))
+
+    @pytest.mark.parametrize("scheme", ["frd", "constant", "custom"])
+    def test_float_edge_matches_scalar_reference(self, scheme):
+        # the largest draw puts u * total past every prefix in the first
+        # slot, and near the last prefix in later ones
+        weights = np.linspace(0.0, 1.0, len(EDGE_STAKES) ** 2)
+        matrix = some_matrix(scheme, EDGE_STAKES, 1e-9, weights)
+        draws = np.full((3, 5), LARGEST_DRAW)
+        draws[1, ::2] = 0.0
+        check_against_reference(EDGE_STAKES, matrix, draws)
+
+    def test_exact_prefix_boundaries(self):
+        # dyadic stakes: u * total equals each prefix exactly, and the draw
+        # goes to the next node with positive stake
+        stakes = [1.0, 0.0, 2.0, 0.0, 1.0]
+        draws = np.array([[0.0, 0.25, 0.75, LARGEST_DRAW]]).T
+        assert [0.25 * 4.0, 0.75 * 4.0] == list(np.cumsum(stakes)[[0, 3]])
+        assert select(stakes, draws).tolist() == [0, 2, 4, 4]
+        for scheme in ("frd", "constant", "custom"):
+            matrix = some_matrix(scheme, stakes, 4.0, np.ones(25))
+            check_against_reference(stakes, matrix, np.repeat(draws.T, 3, axis=0))
