@@ -28,6 +28,7 @@ from .montecarlo import (
     check_workers,
     run_experiment,
 )
+from .urn import STREAM_VERSION
 
 DEFAULT_TABLE_SEED = 1009
 DEFAULT_TABLE_REPS = 20_000
@@ -441,7 +442,8 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "samples.csv").write_bytes(write_samples_csv(result))
     (out / "stats.csv").write_bytes(write_stats_csv(result.time_series))
-    run_doc = {"base_seed": config.base_seed, "config": serialize_config(config)}
+    run_doc = {"base_seed": config.base_seed, "config": serialize_config(config),
+               "stream_version": STREAM_VERSION}
     (out / "run.json").write_text(json.dumps(run_doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote samples.csv, stats.csv, run.json to {out}")
     return 0

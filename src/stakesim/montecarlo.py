@@ -1,11 +1,12 @@
 """Deterministic, repetition-parallel experiment runner.
 
-Reproducibility contract: repetition r draws its proposer sequence from its
-own PCG64 stream seeded with base_seed XOR r, and all cross-repetition
-aggregates are either per-repetition rows (final fractions), integer counts,
-or exact integer moment sums.  Nothing depends on chunk boundaries, worker
-count, or merge order, so a run is reproducible bit for bit and partial runs
-over repetition ranges concatenate into exactly the single-shot result.
+Reproducibility contract: with n = steps_n, repetition r reads draws
+r*n .. (r+1)*n - 1 of the one random stream seeded with base_seed
+(urn.repetition_draws), one per slot, and all cross-repetition aggregates
+are either per-repetition rows (final fractions), integer counts, or exact
+integer moment sums.  Nothing depends on chunk boundaries, worker count, or
+merge order, so a run is reproducible bit for bit and partial runs over
+repetition ranges concatenate into exactly the single-shot result.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .errors import InvalidInput, StakeSimError
 from .schemes import (
     ROW_SUM_RTOL, RewardMatrix, check_budget, constant_matrix, custom_matrix, frd_matrix,
 )
-from .urn import recorded_steps, run_slots, stake_vector
+from .urn import recorded_steps, repetition_draws, run_slots, stake_vector
 
 SCHEMES = ("constant", "frd", "custom")
 
@@ -305,15 +306,13 @@ def _chunk_bounds(start: int, stop: int, n: int, workers: int) -> list[tuple[int
 def _chunk_task(
     config: ExperimentConfig, matrix: RewardMatrix, bounds: tuple[int, int]
 ) -> ExperimentResult:
-    """Simulate repetitions [a, b) of `config`, one PCG64 stream each, in
-    one segment of draws per recorded step."""
+    """Simulate repetitions [a, b) of `config` on their block of the run's
+    one stream (urn.repetition_draws), in one segment of draws per recorded
+    step."""
     a, b = bounds
     count = b - a
     n = config.steps_n
-    draws = np.empty((count, n))
-    for i in range(count):
-        bitgen = np.random.PCG64(config.base_seed ^ (a + i))
-        np.random.Generator(bitgen).random(n, out=draws[i])
+    draws = repetition_draws(config.base_seed, a, count, n)
     initial = np.asarray(config.initial_stakes, dtype=np.float64)
     stakes = np.tile(initial, (count, 1))
     record = config.record.stride > 0
@@ -374,7 +373,8 @@ def run_experiment(
     bounds = _chunk_bounds(start, stop, n, workers)
     task = partial(_chunk_task, config, matrix)
     if workers > 1 and len(bounds) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts every worker at once: no more than there are chunks
+        with ProcessPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
             outputs = list(pool.map(task, bounds))
     else:
         outputs = [task(b) for b in bounds]

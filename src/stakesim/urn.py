@@ -95,6 +95,23 @@ def recorded_steps(n: int, stride: int) -> list[int]:
     return steps
 
 
+# the seed-to-stream rule's version in run.json; version 1 seeded repetition
+# r with base_seed XOR r, so seeds differing in their low bits shared streams
+STREAM_VERSION = 2
+
+
+def repetition_draws(seed: int, first: int, count: int, n: int) -> np.ndarray:
+    """The (count, n) uniform draws of repetitions [first, first + count).
+
+    Repetition r reads values r*n .. (r+1)*n - 1 of the one stream seeded
+    with `seed`, as a serial loop over repetitions would, so its draws do
+    not depend on chunking.  This is the only place a seed becomes draws.
+    """
+    bitgen = np.random.PCG64(seed)
+    bitgen.advance(first * n)  # one 64-bit output per double
+    return np.random.Generator(bitgen).random((count, n))
+
+
 def run_slots(
     stakes: np.ndarray,
     total: float,
@@ -166,10 +183,11 @@ def simulate_trajectory(
     seed: int,
     record_stride: int = 0,
 ) -> tuple[Trajectory, UrnState]:
-    """Run n slots of one urn from a PCG64 stream initialized with `seed`.
+    """Run n slots of one urn on the draws of repetition 0 of `seed`.
 
     One uniform draw is consumed per slot, so identical seeds reproduce the
-    trajectory bit for bit.
+    trajectory bit for bit, and the trajectory is repetition 0 of an
+    experiment with base_seed `seed` and steps_n `n`.
     """
     if n < 0:
         raise InvalidInput("n must be >= 0")
@@ -178,7 +196,7 @@ def simulate_trajectory(
             f"matrix is {matrix.num_nodes}x{matrix.num_nodes}, state has {initial.num_nodes} nodes"
         )
     steps = recorded_steps(n, record_stride)
-    draws = np.random.Generator(np.random.PCG64(seed)).random((1, n))
+    draws = repetition_draws(seed, 0, 1, n)
     stakes = np.array(initial.stakes, ndmin=2)
     proposers = np.empty((1, n), dtype=np.int64)
     snapshots = np.empty((len(steps), initial.num_nodes))

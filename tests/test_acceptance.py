@@ -106,11 +106,24 @@ def node0_stats(result):
     return float(samples.mean()), float(samples.var(ddof=1))
 
 
+def test_seeds_are_distinct():
+    # a run that reuses another's base seed reads the same stream, so the
+    # two runs' samples are not independent
+    bumped = [
+        SEEDS[("frd", "row3")] + 5,       # criterion 1
+        SEEDS[("frd", "row4")] + 2,       # criterion 5
+        SEEDS[("constant", "row3")] + 4,  # criterion 6
+        SEEDS[("constant", "row3")] + 3,  # test_empirical_stats_on_large_constant_run
+    ]
+    seeds = [*SEEDS.values(), *bumped, 730_001, 730_002, 740_001]  # criteria 7, 7b, 8
+    assert len(set(seeds)) == len(seeds), sorted(seeds)
+
+
 def test_criterion_1_two_nodes_equal_split():
     # timed fresh: this is the criterion's stated workload, single-threaded
     start = time.perf_counter()
     const_result = constant_20k("row3")
-    frd_result = _run("row3", "frd", 20_000, seed_bump=1)
+    frd_result = _run("row3", "frd", 20_000, seed_bump=5)
     elapsed = time.perf_counter() - start
     with criterion(1, "two nodes, share 1/2: constant and frd at n=1e3"):
         const_mean, const_var = node0_stats(const_result)

@@ -270,6 +270,17 @@ class TestReport:
         fields = data[1].split(",")
         assert float(fields[2]) == rows[0].mean_empirical
 
+    def test_share_one_tenth_rows_differ(self):
+        # the four- and ten-node setups track the same (w, l, v0), so only
+        # their seeds, 1009 and 1010, keep their rows apart
+        rows, _ = table1_report(builtin_benchmark_configs(repetitions=300)[:2])
+        by_key = {(r.label, r.scheme): r for r in rows}
+        for scheme in ("constant", "frd"):
+            four = by_key[("four nodes (share 1/10)", scheme)]
+            ten = by_key[("ten nodes (share 1/10)", scheme)]
+            assert four.mean_empirical != ten.mean_empirical, scheme
+            assert four.var_empirical != ten.var_empirical, scheme
+
     def test_builtin_configs(self):
         pairs = builtin_benchmark_configs(repetitions=10)
         assert len(pairs) == 4
@@ -293,6 +304,7 @@ class TestMainCommands:
             assert (tmp_path / "out" / name).exists()
         run_doc = json.loads((tmp_path / "out" / "run.json").read_text())
         assert run_doc["base_seed"] == 42
+        assert run_doc["stream_version"] == 2
 
     def test_simulate_is_reproducible(self, tmp_path):
         path = self.write_config(tmp_path)

@@ -24,6 +24,7 @@ from stakesim import (
 from stakesim import montecarlo
 from stakesim.cli import write_samples_csv, write_stats_csv
 from stakesim.errors import InvalidInput, StakeSimError
+from stakesim.urn import run_slots
 
 
 def make_config(**overrides):
@@ -37,6 +38,20 @@ def make_config(**overrides):
     )
     fields.update(overrides)
     return ExperimentConfig(**fields)
+
+
+def replay_final_fractions(config) -> np.ndarray:
+    """The stream rule written out: repetition r runs one urn on row r of
+    the (repetitions, steps_n) draws read serially from PCG64(base_seed)."""
+    draws = np.random.Generator(np.random.PCG64(config.base_seed)).random(
+        (config.repetitions, config.steps_n))
+    matrix = config.reward_matrix()
+    rows = []
+    for row in draws:
+        stakes = np.array(config.initial_stakes, ndmin=2)
+        _, total = run_slots(stakes, float(stakes.sum()), matrix, row[None, :])
+        rows.append(stakes[0] / total)
+    return np.array(rows)
 
 
 def results_equal(a, b) -> bool:
@@ -60,20 +75,22 @@ class TestRunExperiment:
         assert results_equal(run_experiment(config), run_experiment(config))
 
     def test_rows_are_per_repetition_streams(self):
-        # a run over [0, 20) is the prefix of a run over [0, 60)
+        # a run over any block of repetitions is that block of a run over
+        # [0, 60), also when the block starts past repetition 0
         config = make_config()
         full = run_experiment(config)
-        prefix = run_experiment(config, rep_range=(0, 20))
-        assert np.array_equal(prefix.final_fractions, full.final_fractions[:20])
+        for a, b in [(0, 20), (20, 60), (37, 38)]:
+            block = run_experiment(config, rep_range=(a, b))
+            assert np.array_equal(block.final_fractions, full.final_fractions[a:b]), (a, b)
 
     def test_matches_single_trajectory_path(self):
         config = make_config(repetitions=5)
         result = run_experiment(config)
-        matrix = config.reward_matrix()
+        assert np.array_equal(replay_final_fractions(config), result.final_fractions)
         state = new_state(config.initial_stakes)
-        for rep in range(5):
-            _, final = simulate_trajectory(state, matrix, config.steps_n, config.base_seed ^ rep)
-            assert np.array_equal(fractional_stakes(final), result.final_fractions[rep])
+        _, final = simulate_trajectory(
+            state, config.reward_matrix(), config.steps_n, config.base_seed)
+        assert np.array_equal(fractional_stakes(final), result.final_fractions[0])
 
     def test_parallel_equals_serial(self):
         config = make_config(record=RecordPolicy(stride=25), repetitions=40)
@@ -87,14 +104,17 @@ class TestRunExperiment:
             mc._MAX_CHUNK = old
         assert results_equal(serial, parallel)
 
-    @pytest.mark.parametrize("workers,reps", [(2, 5000), (3, 40), (2, 20000), (4, 3)])
+    @pytest.mark.parametrize("workers,reps",
+                             [(2, 5000), (3, 40), (2, 20000), (4, 3), (64, 5)])
     def test_every_worker_gets_a_chunk(self, monkeypatch, workers, reps):
-        # the pool stand-in runs serially and records the chunks it is given
+        # the pool stand-in runs serially and records its size and the
+        # chunks it is given; a real pool starts every worker at once
+        pools = []
         chunks = []
 
         class SerialPool:
             def __init__(self, max_workers):
-                assert max_workers == workers
+                pools.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -110,6 +130,7 @@ class TestRunExperiment:
         monkeypatch.setattr("stakesim.montecarlo.ProcessPoolExecutor", SerialPool)
         parallel = run_experiment(config, workers=workers)
         sizes = [b - a for a, b in chunks]
+        assert pools == [min(workers, reps)]
         assert chunks and len(chunks) % min(workers, reps) == 0
         assert max(sizes) - min(sizes) <= 1 and max(sizes) <= 8192
         assert results_equal(parallel, run_experiment(config, workers=1))
@@ -370,31 +391,32 @@ class TestExactSums:
         assert moments == RunningMoments()
 
 
-# sha256 of samples.csv and stats.csv, pinned from the release before the
-# vectorized accumulator; a change to these is a change to the output bytes
+# sha256 of samples.csv and stats.csv under stream version 2 (repetition r
+# reads draws r*n .. (r+1)*n - 1 of one stream per run), pinned after each
+# config's final fractions were checked against replay_final_fractions; a
+# change to these is a change to the output bytes
 GOLDEN = {
     "frd": (
         ExperimentConfig(initial_stakes=(50.0, 50.0), scheme="frd", reward_budget_K=200.0,
                          steps_n=100, repetitions=200, base_seed=20240611,
                          record=RecordPolicy(stride=10)),
-        "a72a3a2027985761f99db3a20772eea0442155c6fe6e4e16af8517cbcb27d177",
-        "cf1420f3de2f7bb5ba205e468a5259f4d1a10bd4445f493f7775af1c7001f080",
+        "4978404a997b303b28543e151de190f54198ee30e676ccd3d579e77d12d437aa",
+        "d2e490f139b542a304c3d97eab5148902dd32c784c422d137bfe7fa9b5ae471d",
     ),
     "constant_zero_stake": (
         ExperimentConfig(initial_stakes=(30.0, 20.0, 10.0, 0.0), scheme="constant",
                          reward_budget_K=5.0, steps_n=60, repetitions=150, base_seed=777,
                          record=RecordPolicy(stride=7, track_nodes=(3, 0))),
-        "5d666c49c6fdca97f000f19e594ced30f2260e25cfc34d8420785fbcaf49c6c4",
-        "efe505812bc3ee34bce157e1809372609e19b151dcb6bab42227434ca81a42ed",
+        "97ea1d907c56068aea30158697bd484a68bac19a88fe8385b713520f2dc7ae14",
+        "f67401c5e09bf1271540992116d5b2565df42c8b595607b77c37391fe7735aaa",
     ),
-    # table1's widest kernel, and a custom matrix recorded at every step;
-    # pinned from the release before the node-major slot kernel
+    # table1's widest kernel, and a custom matrix recorded at every step
     "frd_ten_nodes": (
         ExperimentConfig(initial_stakes=(10.0,) * 10, scheme="frd", reward_budget_K=200.0,
                          steps_n=200, repetitions=300, base_seed=20261018,
                          record=RecordPolicy(stride=25)),
-        "fed8e930b94407440a6b8fa5cbaac0d4415be5d948ce1cb7a30db8ddecd58cd2",
-        "7cab4d3c134d8f03f09b1c09c6ac4a7a39cd890578ba034179a0462e1898a2f0",
+        "01b55fabbb4f70e07a259935c6e6461af7ff4efd4099a1768fd89aefec8ac5e2",
+        "163131b62e0d8ffc3ce2a0b8c0b66082d0a8c415845a6c2480a3228258c924d2",
     ),
     "custom_zero_stake": (
         ExperimentConfig(initial_stakes=(25.0, 0.0, 75.0), scheme="custom",
@@ -402,8 +424,8 @@ GOLDEN = {
                          record=RecordPolicy(stride=1),
                          custom_entries=((120.0, 50.0, 30.0), (40.0, 140.0, 20.0),
                                          (10.0, 60.0, 130.0))),
-        "3105a0738ec709e36d6de235a50757069474611b2da0481e5e8ccb6cebcc9094",
-        "b6e0b1aca2512e9421bc2481018fc1a2b7a5e187947164ea1c0c58ec6cc2043b",
+        "276b4f8024f177a236589799a313028b3f1dbbd50052b47be093eb82e3630d92",
+        "7e8f82d1ab2c39082e88c764c4f499101a32e51bf3cf50bcbdcbd8c0155806a8",
     ),
 }
 
