@@ -317,7 +317,8 @@ class ReportRow:
 
     For the supercritical constant scheme the predicted columns carry the
     beta-limit implied mean/variance (there is no closed form at finite n);
-    nan when the beta limit is degenerate (single node).
+    nan when the beta limit is degenerate (single node).  var_empirical is
+    the unbiased sample variance, nan for a single repetition.
     """
 
     label: str
@@ -381,7 +382,7 @@ def table1_report(
             result = run_experiment(cfg, workers=workers)
             samples = result.final_fractions[:, node]
             emp_mean = float(samples.mean())
-            emp_var = float(samples.var(ddof=1)) if samples.size > 1 else 0.0
+            emp_var = float(samples.var(ddof=1)) if samples.size > 1 else float("nan")
             if scheme == "constant":
                 regime = "supercritical"
                 try:

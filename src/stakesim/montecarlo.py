@@ -42,7 +42,7 @@ class RecordPolicy:
 
     stride 0 keeps only the final state; stride >= 1 also records step 0,
     every multiple of the stride, and the final step.  track_nodes None
-    means all nodes.
+    means all nodes; an empty tuple is rejected.
     """
 
     stride: int = 0
@@ -53,6 +53,8 @@ class RecordPolicy:
             raise InvalidInput("stride must be >= 0")
         if self.track_nodes is not None:
             nodes = tuple(int(i) for i in self.track_nodes)
+            if not nodes:
+                raise InvalidInput("track_nodes must name at least one node")
             if len(set(nodes)) != len(nodes):
                 raise InvalidInput("track_nodes must not repeat")
             object.__setattr__(self, "track_nodes", nodes)

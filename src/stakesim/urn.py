@@ -112,6 +112,12 @@ def repetition_draws(seed: int, first: int, count: int, n: int) -> np.ndarray:
     return np.random.Generator(bitgen).random((count, n))
 
 
+# run_slots' block of slots and transpose tile of urns: fixed sizes that
+# keep a tile in cache; no result depends on them
+_BLOCK_STEPS = 64
+_BLOCK_URNS = 256
+
+
 def run_slots(
     stakes: np.ndarray,
     total: float,
@@ -137,43 +143,69 @@ def run_slots(
     the final total.
 
     The urns are held node-major, one contiguous (count,) column per node.
-    The cumulative stakes are a running sum over the columns in ascending
-    node order, the same adds as np.cumsum, and as stakes are never negative
-    they never decrease: the proposer, the first g with draw * total < C_g,
-    is the number of C_0 .. C_{m-2} at or below draw * total.
+    The slots run in blocks of _BLOCK_STEPS: a block's draws are copied
+    step-major into one (block, count) buffer, a tile of _BLOCK_URNS urns at
+    a time, and row k is scaled by slot k's analytic total, so each slot
+    reads one contiguous row of thresholds draw * total.  The cumulative
+    stakes are a running sum over the columns in ascending node order, the
+    same adds as np.cumsum, and as stakes are never negative they never
+    decrease: the prefix masks C_j <= draw * total are nested, and the
+    proposer, the first g with draw * total < C_g, is the number of masks
+    set among C_0 .. C_{m-2}.  Mask j's count is the number of slots whose
+    proposer is at least j + 1; the per-node counts are the differences of
+    these tallies.
     """
     count, n = draws.shape
     m = matrix.num_nodes
     rewards = matrix.entries.T.copy()  # rewards[j][g]: node j's reward when g proposes
     columns = stakes.T.copy()
-    threshold = np.empty(count)
+    thresholds = np.empty((min(n, _BLOCK_STEPS), count))
+    totals = np.empty((_BLOCK_STEPS, 1))
     prefix = np.empty(count)
     below = np.empty(count, dtype=bool)
-    chosen = np.empty(count, dtype=np.intp)
-    counts = np.zeros(m, dtype=np.int64)
-    for step in range(n):
-        np.multiply(draws[:, step], total, out=threshold)
-        chosen.fill(0)
-        np.copyto(prefix, columns[0])
-        for j in range(1, m):
-            np.less_equal(prefix, threshold, out=below)
-            chosen += below
-            prefix += columns[j]
-        np.less_equal(prefix, threshold, out=below)
-        if below.any():
-            # float edge: the running sum of stakes can land a hair below
-            # the analytic total; the draw then belongs to the last node
-            # with positive stake
-            rev = columns[::-1, below] > 0
-            chosen[below] = m - 1 - rev.argmax(axis=0)
-        counts += np.bincount(chosen, minlength=m)
-        if proposers is not None:
-            proposers[:, step] = chosen
-        for j in range(m):
-            columns[j] += rewards[j][chosen]
-        total += matrix.row_sum
+    chosen = np.zeros(count, dtype=np.intp)  # stays 0 when m == 1
+    gains = np.empty((m, count))
+    at_least = np.zeros(m, dtype=np.int64)  # at_least[g]: slots whose proposer is >= g
+    at_least[0] = count * n
+    for start in range(0, n, _BLOCK_STEPS):
+        width = min(_BLOCK_STEPS, n - start)
+        for k in range(width):
+            totals[k] = total
+            total += matrix.row_sum
+        block = thresholds[:width]
+        for first in range(0, count, _BLOCK_URNS):
+            tile = slice(first, first + _BLOCK_URNS)
+            np.copyto(block[:, tile], draws[tile, start:start + width].T)
+        block *= totals[:width]
+        for k in range(width):
+            threshold = block[k]
+            running = columns[0]
+            for j in range(1, m):
+                np.less_equal(running, threshold, out=below)
+                at_least[j] += np.count_nonzero(below)
+                if j == 1:
+                    np.copyto(chosen, below)
+                else:
+                    chosen += below
+                running = np.add(running, columns[j], out=prefix)
+            np.less_equal(running, threshold, out=below)
+            if below.any():
+                # float edge: the running sum of stakes can land a hair below
+                # the analytic total; the draw then belongs to the last node
+                # with positive stake, and every mask counted it as node m-1,
+                # so an urn that moves to node p leaves the tallies p+1 .. m-1
+                rev = columns[::-1, below] > 0
+                last = m - 1 - rev.argmax(axis=0)
+                chosen[below] = last
+                at_least[1:] -= np.cumsum(np.bincount(last, minlength=m))[:-1]
+            if proposers is not None:
+                proposers[:, start + k] = chosen
+            # chosen is in [0, m), so "wrap" never wraps; it only skips the
+            # bounds-checked copy "raise" makes of `out`
+            np.take(rewards, chosen, axis=1, out=gains, mode="wrap")
+            columns += gains
     stakes[...] = columns.T
-    return counts, total
+    return at_least - np.append(at_least[1:], 0), total
 
 
 def simulate_trajectory(

@@ -259,6 +259,18 @@ class TestReport:
         assert frd_row.var_empirical == 0.0
         assert math.isnan(rows[0].mean_predicted)
 
+    def test_one_repetition_has_no_variance(self):
+        config = ExperimentConfig(
+            initial_stakes=(50.0, 50.0), scheme="frd", reward_budget_K=200.0,
+            steps_n=50, repetitions=1, base_seed=6,
+        )
+        rows, text = table1_report([("one", config)])
+        assert [math.isnan(r.var_empirical) for r in rows] == [True, True]
+        assert all(0.0 < r.mean_empirical < 1.0 for r in rows)
+        assert "0.000e+00" not in text
+        fields = write_report_csv(rows).decode().splitlines()[1].split(",")
+        assert fields[3] == "nan"
+
     def test_report_csv_round_trip(self):
         config = ExperimentConfig(
             initial_stakes=(50.0, 50.0), scheme="frd", reward_budget_K=200.0,
@@ -431,6 +443,16 @@ class TestMainCommands:
         path = self.write_config(tmp_path, dict(MINIMAL, **patch))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "predict"])
+    def test_empty_track_nodes_is_config_error(self, tmp_path, capsys, command):
+        path = self.write_config(tmp_path, dict(MINIMAL, record={"stride": 25, "track_nodes": []}))
+        out = tmp_path / "out"
+        flags = [] if command == "predict" else ["--out", str(out)]
+        assert main([command, "--config", str(path), *flags]) == 2
+        message = "config: track_nodes must name at least one node"
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 

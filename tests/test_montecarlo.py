@@ -467,6 +467,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(record=RecordPolicy(track_nodes=(2,)))
 
+    def test_empty_track_nodes_rejected(self):
+        with pytest.raises(InvalidInput, match="track_nodes must name at least one node"):
+            RecordPolicy(track_nodes=())
+        with pytest.raises(InvalidInput, match="track_nodes must name at least one node"):
+            RecordPolicy(stride=5, track_nodes=[])
+        assert RecordPolicy(track_nodes=None).track_nodes is None
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(InvalidInput, match=f"workers must be >= 1, got {workers}"):

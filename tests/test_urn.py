@@ -14,7 +14,7 @@ from stakesim import (
     simulate_trajectory,
 )
 from stakesim.schemes import custom_matrix
-from stakesim.urn import run_slots
+from stakesim.urn import _BLOCK_STEPS, _BLOCK_URNS, repetition_draws, run_slots
 from stakesim.errors import InvalidInput
 
 
@@ -333,3 +333,43 @@ class TestSlotRuleReference:
         for scheme in ("frd", "constant", "custom"):
             matrix = some_matrix(scheme, stakes, 4.0, np.ones(25))
             check_against_reference(stakes, matrix, np.repeat(draws.T, 3, axis=0))
+
+    @pytest.mark.parametrize("scheme", ["frd", "constant", "custom"])
+    def test_blocks_and_tiles_match_scalar_reference(self, scheme):
+        # more urns than one tile and more slots than two blocks; the largest
+        # draw hits the float edge in the first, a middle and the last block
+        # (under constant, node 8 keeps zero stake, so the edge rule decides
+        # the proposer in all three)
+        count, n = _BLOCK_URNS + 3, 2 * _BLOCK_STEPS + 5
+        draws = np.random.default_rng(11).random((count, n))
+        for step in (0, _BLOCK_STEPS + 7, n - 1):
+            draws[::2, step] = LARGEST_DRAW
+        weights = np.linspace(0.0, 1.0, len(EDGE_STAKES) ** 2)
+        matrix = some_matrix(scheme, EDGE_STAKES, 1e-9, weights)
+        check_against_reference(EDGE_STAKES, matrix, draws)
+
+    def test_segments_off_the_block_grid_match_one_call(self):
+        count, n = _BLOCK_URNS + 3, 200
+        cuts = [0, 1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 130, n]
+        draws = repetition_draws(17, 0, count, n)
+        draws[::3, [0, _BLOCK_STEPS, n - 1]] = LARGEST_DRAW
+        weights = np.linspace(0.0, 1.0, len(EDGE_STAKES) ** 2)
+        for scheme in ("frd", "constant", "custom"):
+            matrix = some_matrix(scheme, EDGE_STAKES, 1e-9, weights)
+            state = new_state(EDGE_STAKES)
+            whole = np.tile(state.stakes, (count, 1))
+            whole_proposers = np.empty((count, n), dtype=np.int64)
+            counts, total = run_slots(whole, state.total, matrix, draws, proposers=whole_proposers)
+            parts = np.tile(state.stakes, (count, 1))
+            part_proposers = np.empty((count, n), dtype=np.int64)
+            summed = np.zeros(len(EDGE_STAKES), dtype=np.int64)
+            part_total = state.total
+            for a, b in zip(cuts, cuts[1:]):
+                part_counts, part_total = run_slots(
+                    parts, part_total, matrix, draws[:, a:b], proposers=part_proposers[:, a:b]
+                )
+                summed += part_counts
+            assert parts.tobytes() == whole.tobytes(), scheme
+            assert part_proposers.tobytes() == whole_proposers.tobytes(), scheme
+            assert part_total == total, scheme
+            assert summed.tolist() == counts.tolist(), scheme
