@@ -31,15 +31,7 @@ from .schemes import (
     custom_matrix,
     frd_matrix,
 )
-from .urn import (
-    Trajectory,
-    UrnState,
-    fractional_stakes,
-    new_state,
-    recorded_steps,
-    simulate_trajectory,
-    stake_vector,
-)
+from .urn import recorded_steps, stake_vector
 
 __version__ = "0.1.0"
 
@@ -55,25 +47,20 @@ __all__ = [
     "RunningMoments",
     "SampleStats",
     "TimeSeries",
-    "Trajectory",
-    "UrnState",
     "beta_limit_params",
     "classify_regime",
     "constant_matrix",
     "custom_matrix",
     "empirical_stats",
     "exact_stake_moments",
-    "fractional_stakes",
     "frd_matrix",
     "ks_distance",
     "limiting_mean_fraction",
     "merge_results",
-    "new_state",
     "predict",
     "predict_mean_stake",
     "predict_var_stake",
     "recorded_steps",
     "run_experiment",
-    "simulate_trajectory",
     "stake_vector",
 ]

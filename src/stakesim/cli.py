@@ -369,6 +369,7 @@ def table1_report(
 ) -> tuple[list[ReportRow], str]:
     """Run both the constant and frd schemes on each config's initial stakes
     and report empirical vs predicted statistics of the first tracked node.
+    Only final fractions are read, so the runs record nothing (stride 0).
 
     Returns one ReportRow per (config, scheme) and a rendered text table
     with one line per config, mirroring the benchmark table layout.
@@ -378,7 +379,8 @@ def table1_report(
         node = config.tracked_nodes()[0]
         initial_total = sum(config.initial_stakes)
         for scheme in ("constant", "frd"):
-            cfg = replace(config, scheme=scheme, custom_entries=None)
+            cfg = replace(config, scheme=scheme, custom_entries=None,
+                          record=replace(config.record, stride=0))
             result = run_experiment(cfg, workers=workers)
             samples = result.final_fractions[:, node]
             emp_mean = float(samples.mean())

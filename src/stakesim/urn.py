@@ -1,12 +1,13 @@
-"""The stake-evolution process: state, proposer sampling, reward application.
+"""The stake urn: stake vectors, the seed-to-stream rule, the slot kernel.
 
 One slot: a proposer is elected with probability equal to its fractional
 stake, then row g of the reward matrix is added to all stakes.  The total
-stake therefore grows by exactly the row sum K each slot.
+stake therefore grows by exactly the row sum K each slot.  One trajectory
+is run_slots on a (1, m) stake array fed repetition_draws(seed, 0, 1, n),
+which is repetition 0 of any run with that seed and horizon.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -36,47 +37,6 @@ def stake_vector(values: Sequence[float]) -> np.ndarray:
         raise InvalidInput("stakes must sum to a finite total")
     stakes.setflags(write=False)
     return stakes
-
-
-@dataclass(frozen=True)
-class UrnState:
-    """Per-node absolute stakes after `step` slots.
-
-    `total` is tracked analytically (one add of the row sum per slot, never
-    re-summed from the stake vector), so the selection denominator does not
-    accumulate summation error over long horizons.
-    """
-
-    stakes: np.ndarray
-    step: int
-    initial_total: float
-    total: float
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.stakes.shape[0])
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One realized path: the proposer chosen at every step, plus stake
-    snapshots at the recording steps (always including the final step)."""
-
-    proposers: np.ndarray        # (n,) int64
-    snapshot_steps: np.ndarray   # strictly increasing, int64
-    snapshot_stakes: np.ndarray  # (len(snapshot_steps), m)
-
-
-def new_state(initial_stakes: Sequence[float]) -> UrnState:
-    """Build the step-0 state from initial stake amounts."""
-    stakes = stake_vector(initial_stakes)
-    total = float(stakes.sum())
-    return UrnState(stakes=stakes, step=0, initial_total=total, total=total)
-
-
-def fractional_stakes(state: UrnState) -> np.ndarray:
-    """Fractions stake_i / total; they sum to 1 up to float rounding."""
-    return state.stakes / state.total
 
 
 def recorded_steps(n: int, stride: int) -> list[int]:
@@ -208,46 +168,20 @@ def run_slots(
     return at_least - np.append(at_least[1:], 0), total
 
 
-def simulate_trajectory(
-    initial: UrnState,
-    matrix: "RewardMatrix",
-    n: int,
-    seed: int,
-    record_stride: int = 0,
-) -> tuple[Trajectory, UrnState]:
-    """Run n slots of one urn on the draws of repetition 0 of `seed`.
+# the two names perfbench/worker.py's urn.simulate_trajectory.ns_per_slot probe calls
+new_state = stake_vector
 
-    One uniform draw is consumed per slot, so identical seeds reproduce the
-    trajectory bit for bit, and the trajectory is repetition 0 of an
-    experiment with base_seed `seed` and steps_n `n`.
-    """
+
+def simulate_trajectory(
+    stakes: np.ndarray, matrix: "RewardMatrix", n: int, seed: int
+) -> tuple[np.ndarray, float]:
+    """Run n slots of one urn on repetition 0's draws of `seed`; return its
+    final stakes and total."""
     if n < 0:
         raise InvalidInput("n must be >= 0")
-    if matrix.num_nodes != initial.num_nodes:
-        raise InvalidInput(
-            f"matrix is {matrix.num_nodes}x{matrix.num_nodes}, state has {initial.num_nodes} nodes"
-        )
-    steps = recorded_steps(n, record_stride)
-    draws = repetition_draws(seed, 0, 1, n)
-    stakes = np.array(initial.stakes, ndmin=2)
-    proposers = np.empty((1, n), dtype=np.int64)
-    snapshots = np.empty((len(steps), initial.num_nodes))
-    total = initial.total
-    done = 0
-    for i, step in enumerate(steps):
-        _, total = run_slots(
-            stakes, total, matrix, draws[:, done:step], proposers=proposers[:, done:step]
-        )
-        snapshots[i] = stakes[0]
-        done = step
-    final = stakes[0]
-    final.setflags(write=False)
-    trajectory = Trajectory(
-        proposers=proposers[0],
-        snapshot_steps=np.array(steps, dtype=np.int64),
-        snapshot_stakes=snapshots,
-    )
-    state = UrnState(
-        stakes=final, step=initial.step + n, initial_total=initial.initial_total, total=total
-    )
-    return trajectory, state
+    urn = np.array(stakes, dtype=np.float64, ndmin=2)
+    m = matrix.num_nodes
+    if urn.shape[1] != m:
+        raise InvalidInput(f"matrix is {m}x{m}, state has {urn.shape[1]} nodes")
+    _, total = run_slots(urn, float(urn.sum()), matrix, repetition_draws(seed, 0, 1, n))
+    return urn[0], total

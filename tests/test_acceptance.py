@@ -35,16 +35,15 @@ from stakesim import (
     beta_limit_params,
     classify_regime,
     exact_stake_moments,
-    fractional_stakes,
     frd_matrix,
     ks_distance,
-    new_state,
     predict_mean_stake,
     predict_var_stake,
     run_experiment,
-    simulate_trajectory,
+    stake_vector,
 )
 from stakesim.cli import main
+from stakesim.urn import repetition_draws, run_slots
 
 BUDGET = 200.0
 HORIZON = 1000
@@ -337,11 +336,14 @@ class TestCriterion9StructuralInvariants:
            seed=st.integers(0, 2**32))
     @settings(max_examples=1000, deadline=None)
     def test_stake_totals_track_budget(self, stakes, budget, n, seed):
-        state = new_state(stakes)
-        _, final = simulate_trajectory(state, frd_matrix(stakes, budget), n, seed)
-        assert final.total == pytest.approx(state.initial_total + n * budget, rel=1e-12)
-        assert float(final.stakes.sum()) == pytest.approx(final.total, rel=1e-9)
-        assert abs(fractional_stakes(final).sum() - 1.0) <= 1e-9
+        initial = stake_vector(stakes)
+        initial_total = float(initial.sum())
+        final = np.array(initial, ndmin=2)
+        draws = repetition_draws(seed, 0, 1, n)
+        _, total = run_slots(final, initial_total, frd_matrix(stakes, budget), draws)
+        assert total == pytest.approx(initial_total + n * budget, rel=1e-12)
+        assert float(final.sum()) == pytest.approx(total, rel=1e-9)
+        assert abs((final[0] / total).sum() - 1.0) <= 1e-9
 
     @given(
         l_values=st.lists(st.floats(0.01, 5.0), min_size=1, max_size=8),

@@ -350,6 +350,25 @@ class TestMainCommands:
         assert "mean frd" in capsys.readouterr().out
         assert (out / "report.csv").exists()
 
+    def test_compare_records_nothing(self, tmp_path, monkeypatch):
+        # compare reads only final fractions: both schemes run at stride 0
+        # with the config's track_nodes, and the report is the stride-0 one
+        seen = []
+
+        def spy(config, **kwargs):
+            seen.append(config)
+            return run_experiment(config, **kwargs)
+
+        monkeypatch.setattr(stakesim.cli, "run_experiment", spy)
+        for name, stride in (("recorded", 1), ("final", 0)):
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(as_json(dict(MINIMAL, repetitions=50, steps_n=100,
+                                          record={"stride": stride, "track_nodes": [1]})))
+            assert main(["compare", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        assert [c.record for c in seen] == [RecordPolicy(stride=0, track_nodes=(1,))] * 4
+        report = (tmp_path / "final" / "report.csv").read_bytes()
+        assert (tmp_path / "recorded" / "report.csv").read_bytes() == report
+
     def test_hist_renders_svg(self, tmp_path):
         path = self.write_config(tmp_path)
         main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])

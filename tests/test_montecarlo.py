@@ -14,17 +14,14 @@ from stakesim import (
     ExperimentConfig,
     RecordPolicy,
     RunningMoments,
-    fractional_stakes,
     merge_results,
-    new_state,
     predict,
     run_experiment,
-    simulate_trajectory,
 )
 from stakesim import montecarlo
 from stakesim.cli import write_samples_csv, write_stats_csv
 from stakesim.errors import InvalidInput, StakeSimError
-from stakesim.urn import run_slots
+from stakesim.urn import repetition_draws, run_slots
 
 
 def make_config(**overrides):
@@ -87,10 +84,11 @@ class TestRunExperiment:
         config = make_config(repetitions=5)
         result = run_experiment(config)
         assert np.array_equal(replay_final_fractions(config), result.final_fractions)
-        state = new_state(config.initial_stakes)
-        _, final = simulate_trajectory(
-            state, config.reward_matrix(), config.steps_n, config.base_seed)
-        assert np.array_equal(fractional_stakes(final), result.final_fractions[0])
+        # one urn on repetition 0's draws is row 0 of the run
+        stakes = np.array(config.initial_stakes, ndmin=2)
+        draws = repetition_draws(config.base_seed, 0, 1, config.steps_n)
+        _, total = run_slots(stakes, float(stakes.sum()), config.reward_matrix(), draws)
+        assert np.array_equal(stakes[0] / total, result.final_fractions[0])
 
     def test_parallel_equals_serial(self):
         config = make_config(record=RecordPolicy(stride=25), repetitions=40)

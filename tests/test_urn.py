@@ -1,93 +1,126 @@
-"""Tests for the core urn process: state, the slot kernel, trajectories."""
+"""Tests for the core urn process: stake vectors, the slot kernel, trajectories."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stakesim
 from stakesim import (
+    ExperimentConfig,
     constant_matrix,
-    fractional_stakes,
     frd_matrix,
-    new_state,
     recorded_steps,
-    simulate_trajectory,
+    run_experiment,
+    stake_vector,
 )
+from stakesim import urn
 from stakesim.schemes import custom_matrix
 from stakesim.urn import _BLOCK_STEPS, _BLOCK_URNS, repetition_draws, run_slots
 from stakesim.errors import InvalidInput
 
 
+def start(stakes):
+    """A validated stake vector and its total, as every run starts."""
+    vector = stake_vector(stakes)
+    return vector, float(vector.sum())
+
+
+def start_fractions(stakes):
+    """The fractions a run reports after 0 slots."""
+    config = ExperimentConfig(initial_stakes=tuple(stakes), scheme="constant",
+                              reward_budget_K=200.0, steps_n=0, repetitions=1, base_seed=0)
+    return run_experiment(config).final_fractions[0]
+
+
+def trajectory(stakes, matrix, n, seed, steps=None):
+    """One urn run for n slots on the draws of repetition 0 of `seed`: run_slots
+    on a (1, m) array, one call per segment ending at each of `steps`
+    (default: n alone).  Returns the (n,) proposers, the stakes after each
+    segment and the final total."""
+    stakes, total = start(stakes)
+    row = np.array(stakes, ndmin=2)
+    draws = repetition_draws(seed, 0, 1, n)
+    proposers = np.empty((1, n), dtype=np.int64)
+    steps = [n] if steps is None else steps
+    snapshots = np.empty((len(steps), row.shape[1]))
+    done = 0
+    for i, step in enumerate(steps):
+        _, total = run_slots(
+            row, total, matrix, draws[:, done:step], proposers=proposers[:, done:step]
+        )
+        snapshots[i] = row[0]
+        done = step
+    return proposers[0], snapshots, total
+
+
 class TestNewState:
     def test_equal_two_node_start(self):
-        state = new_state([50, 50])
-        assert state.total == 100.0
-        assert state.initial_total == 100.0
-        assert state.step == 0
+        stakes, total = start([50, 50])
+        assert stakes.tolist() == [50.0, 50.0]
+        assert total == 100.0
 
     def test_single_node(self):
-        state = new_state([100])
-        assert fractional_stakes(state).tolist() == [1.0]
+        assert start_fractions([100]).tolist() == [1.0]
 
     def test_zero_stake_node_is_valid(self):
-        state = new_state([0, 100])
-        assert fractional_stakes(state)[0] == 0.0
+        assert start_fractions([0, 100])[0] == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput, match="need a non-empty 1-D stake vector"):
-            new_state([])
+            stake_vector([])
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidInput, match="stakes must be finite and >= 0"):
-            new_state([-1.0, 5.0])
+            stake_vector([-1.0, 5.0])
 
     def test_all_zero_rejected(self):
         with pytest.raises(InvalidInput, match="at least one stake must be positive"):
-            new_state([0.0, 0.0])
+            stake_vector([0.0, 0.0])
 
     def test_total_overflow_rejected(self):
         # each stake is finite, but their sum is inf
         with pytest.raises(InvalidInput, match="stakes must sum to a finite total"):
-            new_state([1e308, 1e308])
+            stake_vector([1e308, 1e308])
 
 
 class TestFractionalStakes:
     def test_symmetric(self):
-        assert fractional_stakes(new_state([50, 50])).tolist() == [0.5, 0.5]
+        assert start_fractions([50, 50]).tolist() == [0.5, 0.5]
 
     def test_one_third_split(self):
-        fractions = fractional_stakes(new_state([33.33, 66.67]))
+        fractions = start_fractions([33.33, 66.67])
         assert fractions[0] == pytest.approx(0.3333, abs=1e-4)
         assert fractions[1] == pytest.approx(0.6667, abs=1e-4)
 
     def test_proportional(self):
-        fractions = fractional_stakes(new_state([10, 20, 30, 40]))
+        fractions = start_fractions([10, 20, 30, 40])
         np.testing.assert_allclose(fractions, [0.1, 0.2, 0.3, 0.4], rtol=1e-15)
 
     def test_sums_to_one(self):
-        fractions = fractional_stakes(new_state([3.7, 11.1, 0.04, 295.0]))
+        fractions = start_fractions([3.7, 11.1, 0.04, 295.0])
         assert abs(fractions.sum() - 1.0) < 1e-12
 
 
 def select(stakes, draws):
     """Proposers of one slot run on len(draws) copies of the urn `stakes`,
     copy c taking draws[c]."""
-    state = new_state(stakes)
+    stakes, total = start(stakes)
     draws = np.asarray(draws, dtype=np.float64).reshape(-1, 1)
-    urns = np.tile(state.stakes, (len(draws), 1))
+    urns = np.tile(stakes, (len(draws), 1))
     proposers = np.empty(draws.shape, dtype=np.int64)
-    matrix = constant_matrix(state.num_nodes, 200.0)
-    run_slots(urns, state.total, matrix, draws, proposers=proposers)
+    matrix = constant_matrix(len(stakes), 200.0)
+    run_slots(urns, total, matrix, draws, proposers=proposers)
     return proposers[:, 0]
 
 
 def one_slot(stakes, matrix, draw):
     """(proposer, stakes, total) after one slot of the urn `stakes`."""
-    state = new_state(stakes)
-    urn = np.array(state.stakes, ndmin=2)
+    stakes, total = start(stakes)
+    row = np.array(stakes, ndmin=2)
     proposers = np.empty((1, 1), dtype=np.int64)
-    _, total = run_slots(urn, state.total, matrix, np.array([[draw]]), proposers=proposers)
-    return int(proposers[0, 0]), urn[0], total
+    _, total = run_slots(row, total, matrix, np.array([[draw]]), proposers=proposers)
+    return int(proposers[0, 0]), row[0], total
 
 
 class TestSelectProposer:
@@ -114,7 +147,7 @@ class TestSelectProposer:
                   978.2657138401457, 589.8700283209505, 0.0]
         u = np.nextafter(1.0, 0.0)
         assert u == 1.0 - 2.0**-53
-        assert u * new_state(stakes).total == np.cumsum(stakes)[-1]
+        assert u * start(stakes)[1] == np.cumsum(stakes)[-1]
         assert select(stakes, [u]).tolist() == [7]
 
     def test_frequency_matches_fraction(self):
@@ -146,59 +179,95 @@ class TestApplyReward:
 
 
 class TestSimulateTrajectory:
+    """One urn: run_slots on a (1, m) array fed repetition_draws(seed, 0, 1, n)."""
+
     def test_zero_steps_is_identity(self):
-        state = new_state([50, 50])
-        trajectory, final = simulate_trajectory(state, frd_matrix([50, 50], 200), 0, seed=1)
-        assert final.stakes.tolist() == [50.0, 50.0]
-        assert final.step == 0
-        assert trajectory.proposers.size == 0
+        proposers, stakes, total = trajectory([50, 50], frd_matrix([50, 50], 200), 0, seed=1)
+        assert stakes[-1].tolist() == [50.0, 50.0]
+        assert total == 100.0
+        assert proposers.size == 0
 
     def test_zero_stake_node_absorbs_under_shared_reward(self):
         # l_0 = 0 and selection probability 0: node 0 stays at 0 forever
         matrix = frd_matrix([0, 100], 200)
-        _, final = simulate_trajectory(new_state([0, 100]), matrix, 500, seed=9)
-        assert final.stakes[0] == 0.0
-        assert final.total == 100.0 + 500 * 200.0
+        _, stakes, total = trajectory([0, 100], matrix, 500, seed=9)
+        assert stakes[-1][0] == 0.0
+        assert total == 100.0 + 500 * 200.0
 
     def test_same_seed_same_path(self):
-        state = new_state([30, 70])
         matrix = frd_matrix([30, 70], 200)
-        t1, f1 = simulate_trajectory(state, matrix, 300, seed=77)
-        t2, f2 = simulate_trajectory(state, matrix, 300, seed=77)
-        assert np.array_equal(t1.proposers, t2.proposers)
-        assert np.array_equal(f1.stakes, f2.stakes)
+        p1, s1, _ = trajectory([30, 70], matrix, 300, seed=77)
+        p2, s2, _ = trajectory([30, 70], matrix, 300, seed=77)
+        assert np.array_equal(p1, p2)
+        assert np.array_equal(s1, s2)
 
     def test_proposer_count_and_snapshots(self):
-        state = new_state([30, 70])
         matrix = constant_matrix(2, 200)
-        trajectory, final = simulate_trajectory(state, matrix, 95, seed=5, record_stride=20)
-        assert trajectory.proposers.shape == (95,)
-        assert final.step == 95
-        assert trajectory.snapshot_steps.tolist() == [0, 20, 40, 60, 80, 95]
-        assert np.all(np.diff(trajectory.snapshot_steps) > 0)
-        assert np.array_equal(trajectory.snapshot_stakes[-1], final.stakes)
+        steps = recorded_steps(95, 20)
+        proposers, snapshots, _ = trajectory([30, 70], matrix, 95, seed=5, steps=steps)
+        _, final, _ = trajectory([30, 70], matrix, 95, seed=5)
+        assert proposers.shape == (95,)
+        assert steps == [0, 20, 40, 60, 80, 95]
+        assert np.all(np.diff(steps) > 0)
+        assert np.array_equal(snapshots[-1], final[-1])
 
     def test_snapshots_equal_shorter_runs(self):
         # draws are consumed in order, so the snapshot at step s is the final
         # state of an s-step run from the same seed
-        state = new_state([30, 70])
         matrix = frd_matrix([30, 70], 200)
-        trajectory, _ = simulate_trajectory(state, matrix, 95, seed=5, record_stride=20)
-        for step, snapshot in zip(trajectory.snapshot_steps, trajectory.snapshot_stakes):
-            shorter, final = simulate_trajectory(state, matrix, int(step), seed=5)
-            assert snapshot.tobytes() == final.stakes.tobytes()
-            assert np.array_equal(trajectory.proposers[:step], shorter.proposers)
+        steps = recorded_steps(95, 20)
+        proposers, snapshots, _ = trajectory([30, 70], matrix, 95, seed=5, steps=steps)
+        for step, snapshot in zip(steps, snapshots):
+            shorter, final, _ = trajectory([30, 70], matrix, step, seed=5)
+            assert snapshot.tobytes() == final[-1].tobytes()
+            assert np.array_equal(proposers[:step], shorter)
 
     def test_stride_zero_records_final_only(self):
-        trajectory, final = simulate_trajectory(
-            new_state([30, 70]), constant_matrix(2, 200), 12, seed=5, record_stride=0
-        )
-        assert trajectory.snapshot_steps.tolist() == [12]
-        assert np.array_equal(trajectory.snapshot_stakes[0], final.stakes)
+        matrix = constant_matrix(2, 200)
+        steps = recorded_steps(12, 0)
+        _, snapshots, _ = trajectory([30, 70], matrix, 12, seed=5, steps=steps)
+        _, final, _ = trajectory([30, 70], matrix, 12, seed=5)
+        assert steps == [12]
+        assert np.array_equal(snapshots[0], final[-1])
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput, match="matrix is 2x2, state has 3 nodes"):
-            simulate_trajectory(new_state([1, 2, 3]), constant_matrix(2, 200), 0, seed=1)
+            urn.simulate_trajectory(urn.new_state([1, 2, 3]), constant_matrix(2, 200), 0, seed=1)
+
+
+class TestProbeEntry:
+    """urn.new_state and urn.simulate_trajectory stay for the benchmark's
+    per-slot probe, which calls them in exactly this shape."""
+
+    @pytest.mark.parametrize("scheme", ["frd", "constant", "custom"])
+    def test_final_stakes_are_repetition_zero(self, scheme):
+        stakes = (10.0, 30.0, 60.0)
+        custom = ((120.0, 50.0, 30.0), (20.0, 160.0, 20.0), (40.0, 40.0, 120.0))
+        config = ExperimentConfig(
+            initial_stakes=stakes, scheme=scheme, reward_budget_K=200.0, steps_n=300,
+            repetitions=4, base_seed=8_121,
+            custom_entries=custom if scheme == "custom" else None,
+        )
+        matrix = config.reward_matrix()
+        final, total = urn.simulate_trajectory(
+            urn.new_state(config.initial_stakes), matrix, config.steps_n, config.base_seed
+        )
+        fractions = run_experiment(config).final_fractions[0]
+        assert (final / total).tobytes() == fractions.tobytes()
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(InvalidInput, match="n must be >= 0"):
+            urn.simulate_trajectory(urn.new_state([1, 2]), constant_matrix(2, 200), -1, seed=1)
+
+
+def test_package_surface():
+    names = stakesim.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert getattr(stakesim, name) is not None, name
+    removed = {"Trajectory", "UrnState", "fractional_stakes", "new_state", "simulate_trajectory"}
+    assert not removed & set(names)
+    assert not [name for name in removed if hasattr(stakesim, name)]
 
 
 def test_recorded_steps_policy():
@@ -220,28 +289,25 @@ class TestProcessInvariants:
     @given(stakes=stake_lists, n=st.integers(0, 64), budget=st.floats(0.5, 500.0))
     @settings(max_examples=200, deadline=None)
     def test_conservation_and_nonnegativity(self, stakes, n, budget):
-        state = new_state(stakes)
+        initial, initial_total = start(stakes)
         matrix = frd_matrix(stakes, budget)
-        _, final = simulate_trajectory(state, matrix, n, seed=0)
-        expected_total = state.initial_total + n * budget
-        assert final.total == pytest.approx(expected_total, rel=1e-12)
+        _, final, total = trajectory(stakes, matrix, n, seed=0)
+        expected_total = initial_total + n * budget
+        assert total == pytest.approx(expected_total, rel=1e-12)
         # recomputed sum agrees with the tracked total
-        assert float(final.stakes.sum()) == pytest.approx(final.total, rel=1e-9)
-        assert np.all(final.stakes >= state.stakes)
+        assert float(final[-1].sum()) == pytest.approx(total, rel=1e-9)
+        assert np.all(final[-1] >= initial)
 
     def test_total_is_exact_for_representable_budget(self):
         # integer-valued budget: the tracked total is exactly S(0) + n*K
-        state = new_state([50.0, 50.0])
-        _, final = simulate_trajectory(state, constant_matrix(2, 200), 1000, seed=3)
-        assert final.total == 100.0 + 1000 * 200.0
+        _, _, total = trajectory([50.0, 50.0], constant_matrix(2, 200), 1000, seed=3)
+        assert total == 100.0 + 1000 * 200.0
 
     @given(stakes=stake_lists, seed=st.integers(0, 2**32))
     @settings(max_examples=100, deadline=None)
     def test_fractions_sum_to_one(self, stakes, seed):
-        _, final = simulate_trajectory(
-            new_state(stakes), frd_matrix(stakes, 200.0), 32, seed=seed
-        )
-        assert abs(fractional_stakes(final).sum() - 1.0) < 1e-12
+        _, final, total = trajectory(stakes, frd_matrix(stakes, 200.0), 32, seed=seed)
+        assert abs((final[-1] / total).sum() - 1.0) < 1e-12
 
 
 def reference_slots(stakes, total, matrix, draws):
@@ -280,11 +346,11 @@ def some_matrix(scheme, stakes, budget, weights):
 
 
 def check_against_reference(stakes, matrix, draws):
-    state = new_state(stakes)
-    urns = np.tile(state.stakes, (draws.shape[0], 1))
-    ref_stakes, ref_proposers, ref_total = reference_slots(urns, state.total, matrix, draws)
+    stakes, initial_total = start(stakes)
+    urns = np.tile(stakes, (draws.shape[0], 1))
+    ref_stakes, ref_proposers, ref_total = reference_slots(urns, initial_total, matrix, draws)
     proposers = np.empty(draws.shape, dtype=np.int64)
-    counts, total = run_slots(urns, state.total, matrix, draws, proposers=proposers)
+    counts, total = run_slots(urns, initial_total, matrix, draws, proposers=proposers)
     assert urns.tobytes() == ref_stakes.tobytes()
     assert proposers.tobytes() == ref_proposers.tobytes()
     assert counts.tolist() == np.bincount(ref_proposers.ravel(), minlength=len(stakes)).tolist()
@@ -304,9 +370,9 @@ class TestSlotRuleReference:
         budget = data.draw(st.sampled_from([200.0, 1e-9, 3.0, 0.7]))
         weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=m * m, max_size=m * m))
         matrix = some_matrix(scheme, stakes, budget, weights)
-        state = new_state(stakes)
+        vector, total = start(stakes)
         # u * total lands on a prefix of the first slot when u = C_j / S is exact
-        boundaries = [float(c) / state.total for c in np.cumsum(state.stakes)]
+        boundaries = [float(c) / total for c in np.cumsum(vector)]
         special = [0.0, LARGEST_DRAW, *(u for u in boundaries if u < 1.0)]
         draw = st.one_of(st.sampled_from(special), st.floats(0.0, 1.0, exclude_max=True))
         count, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
@@ -356,14 +422,14 @@ class TestSlotRuleReference:
         weights = np.linspace(0.0, 1.0, len(EDGE_STAKES) ** 2)
         for scheme in ("frd", "constant", "custom"):
             matrix = some_matrix(scheme, EDGE_STAKES, 1e-9, weights)
-            state = new_state(EDGE_STAKES)
-            whole = np.tile(state.stakes, (count, 1))
+            stakes, initial_total = start(EDGE_STAKES)
+            whole = np.tile(stakes, (count, 1))
             whole_proposers = np.empty((count, n), dtype=np.int64)
-            counts, total = run_slots(whole, state.total, matrix, draws, proposers=whole_proposers)
-            parts = np.tile(state.stakes, (count, 1))
+            counts, total = run_slots(whole, initial_total, matrix, draws, proposers=whole_proposers)
+            parts = np.tile(stakes, (count, 1))
             part_proposers = np.empty((count, n), dtype=np.int64)
             summed = np.zeros(len(EDGE_STAKES), dtype=np.int64)
-            part_total = state.total
+            part_total = initial_total
             for a, b in zip(cuts, cuts[1:]):
                 part_counts, part_total = run_slots(
                     parts, part_total, matrix, draws[:, a:b], proposers=part_proposers[:, a:b]
