@@ -28,6 +28,7 @@ from .montecarlo import (
     check_workers,
     run_experiment,
 )
+from .schemes import RewardMatrix
 from .urn import STREAM_VERSION
 
 DEFAULT_TABLE_SEED = 1009
@@ -43,18 +44,14 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def load_config(data: bytes | str) -> ExperimentConfig:
     """Parse a JSON experiment config.  Unknown keys are rejected; `record`
     is optional (defaults: stride 0, track all nodes).
 
-    Only the JSON layer is checked here: syntax, keys and value types.  The
-    value rules are ExperimentConfig's and RecordPolicy's; their
-    InvalidInput, and the OverflowError of a number too large for a float,
-    come out as SchemaError("config", ...).
+    Only the JSON layer is checked here: syntax, keys and JSON shapes.  The
+    value rules, integrality included, are ExperimentConfig's and
+    RecordPolicy's; their InvalidInput, and the OverflowError of a number
+    too large for a float, come out as SchemaError("config", ...).
     """
     if isinstance(data, bytes):
         try:
@@ -97,9 +94,6 @@ def load_config(data: bytes | str) -> ExperimentConfig:
 
     if not _is_number(doc["reward_budget_K"]):
         raise SchemaError("reward_budget_K", "must be a number")
-    for key in ("steps_n", "repetitions", "base_seed"):
-        if not _is_int(doc[key]):
-            raise SchemaError(key, "must be an integer")
 
     rec = doc.get("record", {})
     if not isinstance(rec, dict):
@@ -107,12 +101,9 @@ def load_config(data: bytes | str) -> ExperimentConfig:
     for key in rec:
         if key not in _RECORD_KEYS:
             raise SchemaError(f"record.{key}", "unknown key")
-    stride = rec.get("stride", 0)
     track = rec.get("track_nodes")
-    if not _is_int(stride):
-        raise SchemaError("record.stride", "must be an integer")
-    if track is not None and not (isinstance(track, list) and all(_is_int(i) for i in track)):
-        raise SchemaError("record.track_nodes", "must be an array of integers")
+    if track is not None and not isinstance(track, list):
+        raise SchemaError("record.track_nodes", "must be an array")
 
     try:
         config = ExperimentConfig(
@@ -122,7 +113,7 @@ def load_config(data: bytes | str) -> ExperimentConfig:
             steps_n=doc["steps_n"],
             repetitions=doc["repetitions"],
             base_seed=doc["base_seed"],
-            record=RecordPolicy(stride=stride, track_nodes=track),
+            record=RecordPolicy(stride=rec.get("stride", 0), track_nodes=track),
             custom_entries=custom_entries,
         )
     except (ValueError, OverflowError) as e:
@@ -377,7 +368,6 @@ def table1_report(
     rows: list[ReportRow] = []
     for label, config in configs:
         node = config.tracked_nodes()[0]
-        initial_total = sum(config.initial_stakes)
         for scheme in ("constant", "frd"):
             cfg = replace(config, scheme=scheme, custom_entries=None,
                           record=replace(config.record, stride=0))
@@ -385,31 +375,23 @@ def table1_report(
             samples = result.final_fractions[:, node]
             emp_mean = float(samples.mean())
             emp_var = float(samples.var(ddof=1)) if samples.size > 1 else float("nan")
-            if scheme == "constant":
-                regime = "supercritical"
-                try:
-                    bp = beta_limit_params(cfg.initial_stakes, cfg.reward_budget_K, node)
-                    pred_mean, pred_var = bp.mean, bp.variance
-                except DegenerateBeta:
-                    pred_mean = pred_var = float("nan")
-            else:
-                prediction = predict(cfg.reward_matrix(), node, initial_total, cfg.steps_n)
-                pred_mean, pred_var = prediction.mean_fraction, prediction.var_fraction
-                regime = prediction.regime.value
-            rows.append(ReportRow(label, scheme, emp_mean, emp_var, pred_mean, pred_var, regime))
+            try:
+                law = _predicted_law(cfg, node)
+            except DegenerateBeta:
+                law = {"mean_fraction": math.nan, "var_fraction": math.nan,
+                       "regime": "supercritical"}
+            rows.append(ReportRow(label, scheme, emp_mean, emp_var, law["mean_fraction"],
+                                  law["var_fraction"], law["regime"]))
     return rows, _render_report_table(rows)
 
 
 def _render_report_table(rows: Sequence[ReportRow]) -> str:
-    by_label: dict[str, dict[str, ReportRow]] = {}
-    for row in rows:
-        by_label.setdefault(row.label, {})[row.scheme] = row
+    """One line per config, from its (constant, frd) pair of rows."""
     headers = ["initial values", "mean constant", "var constant", "mean frd", "var frd"]
     table = [headers]
-    for label, schemes in by_label.items():
-        cells = [label]
-        for scheme in ("constant", "frd"):
-            row = schemes[scheme]
+    for pair in zip(rows[::2], rows[1::2]):
+        cells = [pair[0].label]
+        for row in pair:
             cells.append(f"{row.mean_empirical:.4f} ({row.mean_predicted:.4f})")
             cells.append(f"{row.var_empirical:.3e} ({row.var_predicted:.3e})")
         table.append(cells)
@@ -452,42 +434,40 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _predicted_law(
+    config: ExperimentConfig, node: int, matrix: RewardMatrix | None = None
+) -> dict:
+    """One node's predicted law, as `predict` prints it.
+
+    Under the constant scheme the urn is a Polya urn, so the fraction's law
+    is its beta limit (DegenerateBeta when the node holds everything or
+    nothing); every other scheme gets the closed-form leading order.  Pass
+    `matrix` (config.reward_matrix()) when predicting many nodes, so the
+    O(m^2) matrix is built once.
+    """
+    if config.scheme == "constant":
+        bp = beta_limit_params(config.initial_stakes, config.reward_budget_K, node)
+        return {"node": node, "basis": "beta_limit", "regime": "supercritical",
+                "beta_a": bp.a, "beta_b": bp.b,
+                "mean_fraction": bp.mean, "var_fraction": bp.variance}
+    if matrix is None:
+        matrix = config.reward_matrix()
+    p = predict(matrix, node, sum(config.initial_stakes), config.steps_n)
+    return {"node": node, "basis": "closed_form", "regime": p.regime.value,
+            "horizon_n": p.horizon_n, "mean_stake": p.mean_stake, "var_stake": p.var_stake,
+            "mean_fraction": p.mean_fraction, "var_fraction": p.var_fraction,
+            "leading_order_only": p.leading_order_only}
+
+
 def _cmd_predict(args) -> int:
     config = load_config(Path(args.config).read_bytes())
     matrix = config.reward_matrix()
-    initial_total = sum(config.initial_stakes)
-    nodes = []
-    for node in config.tracked_nodes():
-        if config.scheme == "constant":
-            bp = beta_limit_params(config.initial_stakes, config.reward_budget_K, node)
-            nodes.append({
-                "node": node,
-                "basis": "beta_limit",
-                "regime": "supercritical",
-                "beta_a": bp.a,
-                "beta_b": bp.b,
-                "mean_fraction": bp.mean,
-                "var_fraction": bp.variance,
-            })
-        else:
-            p = predict(matrix, node, initial_total, config.steps_n)
-            nodes.append({
-                "node": node,
-                "basis": "closed_form",
-                "regime": p.regime.value,
-                "horizon_n": p.horizon_n,
-                "mean_stake": p.mean_stake,
-                "var_stake": p.var_stake,
-                "mean_fraction": p.mean_fraction,
-                "var_fraction": p.var_fraction,
-                "leading_order_only": p.leading_order_only,
-            })
     doc = {
         "scheme": config.scheme,
         "steps_n": config.steps_n,
         "reward_budget_K": config.reward_budget_K,
-        "initial_total": initial_total,
-        "nodes": nodes,
+        "initial_total": sum(config.initial_stakes),
+        "nodes": [_predicted_law(config, node, matrix) for node in config.tracked_nodes()],
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0

@@ -10,9 +10,9 @@ repetition ranges concatenate into exactly the single-shot result.
 """
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from typing import Sequence
 
@@ -36,6 +36,14 @@ _MAX_CHUNK = 8192
 _MAX_RESULT_ELEMENTS = 100_000_000
 
 
+def _integer(value, name: str) -> int:
+    """The integer rule for config fields: any integral number but a bool,
+    stored as a Python int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RecordPolicy:
     """What to record during a run.
@@ -49,10 +57,11 @@ class RecordPolicy:
     track_nodes: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "stride", _integer(self.stride, "stride"))
         if self.stride < 0:
             raise InvalidInput("stride must be >= 0")
         if self.track_nodes is not None:
-            nodes = tuple(int(i) for i in self.track_nodes)
+            nodes = tuple(_integer(i, "track_nodes entry") for i in self.track_nodes)
             if not nodes:
                 raise InvalidInput("track_nodes must name at least one node")
             if len(set(nodes)) != len(nodes):
@@ -87,6 +96,8 @@ class ExperimentConfig:
         object.__setattr__(
             self, "reward_budget_K", check_budget(self.reward_budget_K, "reward_budget_K")
         )
+        for name in ("steps_n", "repetitions", "base_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.steps_n < 0:
             raise InvalidInput("steps_n must be >= 0")
         try:
@@ -220,7 +231,7 @@ class RunningMoments:
     def mean(self) -> float:
         if self.count == 0:
             return float("nan")
-        return float(Fraction(self.sum_scaled, self.count * _SCALE))
+        return self.sum_scaled / (self.count * _SCALE)
 
     @property
     def variance(self) -> float:
@@ -228,7 +239,7 @@ class RunningMoments:
         if self.count < 2:
             return float("nan")
         numerator = self.count * self.sumsq_scaled - self.sum_scaled * self.sum_scaled
-        return float(Fraction(numerator, self.count * (self.count - 1) * _SQ_SCALE))
+        return numerator / (self.count * (self.count - 1) * _SQ_SCALE)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RunningMoments):

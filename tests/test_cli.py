@@ -1,5 +1,6 @@
 """Tests for config IO, CSV/SVG emission, the report table, and the CLI."""
 
+import hashlib
 import json
 import math
 import os
@@ -293,6 +294,22 @@ class TestReport:
             assert four.mean_empirical != ten.mean_empirical, scheme
             assert four.var_empirical != ten.var_empirical, scheme
 
+    def test_repeated_labels_each_get_a_line(self):
+        configs = [
+            ("same", ExperimentConfig(initial_stakes=stakes, scheme="frd", reward_budget_K=200.0,
+                                      steps_n=50, repetitions=20, base_seed=seed))
+            for stakes, seed in (((50.0, 50.0), 11), ((10.0, 90.0), 12))
+        ]
+        rows, text = table1_report(configs)
+        lines = text.splitlines()[3:]  # after the caption, the header and the rule
+        assert len(rows) == 4 and len(lines) == 2
+        for line, pair in zip(lines, zip(rows[::2], rows[1::2])):
+            cells = [cell.strip() for cell in line.split(" | ")]
+            assert cells[0] == "same"
+            for i, row in enumerate(pair):
+                assert cells[1 + 2 * i] == f"{row.mean_empirical:.4f} ({row.mean_predicted:.4f})"
+                assert cells[2 + 2 * i] == f"{row.var_empirical:.3e} ({row.var_predicted:.3e})"
+
     def test_builtin_configs(self):
         pairs = builtin_benchmark_configs(repetitions=10)
         assert len(pairs) == 4
@@ -465,6 +482,24 @@ class TestMainCommands:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("patch,message", [
+        ({"steps_n": 10.5}, "config: steps_n must be an integer, got 10.5"),
+        ({"repetitions": "5"}, "config: repetitions must be an integer, got '5'"),
+        ({"base_seed": True}, "config: base_seed must be an integer, got True"),
+        ({"record": {"stride": 2.5}}, "config: stride must be an integer, got 2.5"),
+        ({"record": {"track_nodes": [1.5]}}, "config: track_nodes entry must be an integer, got 1.5"),
+        ({"record": {"track_nodes": [True]}},
+         "config: track_nodes entry must be an integer, got True"),
+        ({"record": {"track_nodes": 1}}, "record.track_nodes: must be an array"),
+        ({"record": []}, "record: must be an object"),
+    ], ids=["steps_n-float", "repetitions-string", "base_seed-bool", "stride-float",
+            "track_nodes-float", "track_nodes-bool", "track_nodes-not-array",
+            "record-not-object"])
+    def test_non_integer_is_config_error(self, tmp_path, capsys, patch, message):
+        path = self.write_config(tmp_path, dict(MINIMAL, **patch))
+        assert main(["predict", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("command", ["simulate", "compare", "predict"])
     def test_empty_track_nodes_is_config_error(self, tmp_path, capsys, command):
         path = self.write_config(tmp_path, dict(MINIMAL, record={"stride": 25, "track_nodes": []}))
@@ -510,6 +545,66 @@ class TestMainCommands:
     def test_table1_bad_flag_is_config_error(self, capsys, flags, message):
         assert main(["table1", *flags]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+# sha256 of predict's stdout, pinned when the beta-limit and closed-form
+# branches were folded into one function; track_nodes [0, 2] puts two nodes
+# in each document
+PREDICT_GOLDEN = {
+    "frd": (
+        dict(MINIMAL, initial_stakes=[10, 30, 30, 30], record={"track_nodes": [0, 2]}),
+        "9282414d26763d3f9d336ce48e2c8d734f744e3fc523d5ef53c14ffc96882e30",
+    ),
+    "constant": (
+        dict(MINIMAL, initial_stakes=[10, 30, 30, 30], scheme="constant",
+             record={"track_nodes": [0, 2]}),
+        "424cbb9f0b9104758626e336383f466d97032f852cf9887d3542484be31a1509",
+    ),
+    "subcritical_custom": (
+        dict(MINIMAL, initial_stakes=[10, 20, 30],
+             scheme={"custom": [[120, 40, 40], [40, 120, 40], [40, 40, 120]]},
+             record={"track_nodes": [0, 2]}),
+        "768b36177956aec3155de97ee267ed80fdefa9ac1db47e44d5fcf822c68ff700",
+    ),
+}
+
+
+class TestPredictedLaw:
+    @pytest.mark.parametrize("name", sorted(PREDICT_GOLDEN))
+    def test_predict_stdout_pinned(self, tmp_path, capsys, name):
+        doc, sha = PREDICT_GOLDEN[name]
+        path = tmp_path / "config.json"
+        path.write_bytes(as_json(doc))
+        assert main(["predict", "--config", str(path)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+    def test_predict_one_node_constant_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(as_json(dict(MINIMAL, initial_stakes=[100], scheme="constant")))
+        assert main(["predict", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: beta parameters must be positive, got a=0.5 b=0.0\n"
+
+    def test_report_predictions_are_predicts(self, tmp_path, capsys):
+        # compare's report.csv and predict print the same law for the
+        # config's first tracked node, under both schemes, to 17 digits
+        doc = dict(MINIMAL, initial_stakes=[10, 30, 20, 40], repetitions=20, steps_n=200,
+                   record={"track_nodes": [2, 0]})
+        path = tmp_path / "config.json"
+        path.write_bytes(as_json(doc))
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "cmp")]) == 0
+        report = (tmp_path / "cmp" / "report.csv").read_text().splitlines()
+        rows = {fields[1]: fields for fields in (line.split(",") for line in report[1:])}
+        for scheme in ("constant", "frd"):
+            path.write_bytes(as_json(dict(doc, scheme=scheme)))
+            capsys.readouterr()
+            assert main(["predict", "--config", str(path)]) == 0
+            law = json.loads(capsys.readouterr().out)["nodes"][0]
+            assert law["node"] == 2
+            expected = [format(law["mean_fraction"], ".17g"),
+                        format(law["var_fraction"], ".17g"), law["regime"]]
+            assert rows[scheme][4:] == expected, scheme
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -497,3 +498,32 @@ class TestConfigValidation:
         assert make_config().reward_matrix().entries.tolist() == [[150.0, 50.0], [50.0, 150.0]]
         custom = make_config(scheme="custom", custom_entries=((150.0, 50.0), (50.0, 150.0)))
         assert custom.reward_matrix().entries.tolist() == [[150.0, 50.0], [50.0, 150.0]]
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: make_config(steps_n=10.0), "steps_n must be an integer, got 10.0"),
+        (lambda: make_config(repetitions=2.0), "repetitions must be an integer, got 2.0"),
+        (lambda: make_config(base_seed=1.0), "base_seed must be an integer, got 1.0"),
+        (lambda: make_config(steps_n=True), "steps_n must be an integer, got True"),
+        (lambda: RecordPolicy(stride=2.5), "stride must be an integer, got 2.5"),
+        (lambda: RecordPolicy(stride=True), "stride must be an integer, got True"),
+        (lambda: RecordPolicy(track_nodes=(1.5,)), "track_nodes entry must be an integer, got 1.5"),
+        (lambda: RecordPolicy(track_nodes=(True,)), "track_nodes entry must be an integer, got True"),
+    ], ids=["steps_n-float", "repetitions-float", "base_seed-float", "steps_n-bool",
+            "stride-float", "stride-bool", "track_nodes-float", "track_nodes-bool"])
+    def test_integer_fields_rejected(self, build, message):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        from_numpy = make_config(
+            steps_n=np.int64(50), repetitions=np.int32(7), base_seed=np.uint64(7),
+            record=RecordPolicy(stride=np.int64(10), track_nodes=(np.int8(1),)),
+        )
+        plain = make_config(steps_n=50, repetitions=7, base_seed=7,
+                            record=RecordPolicy(stride=10, track_nodes=(1,)))
+        assert from_numpy == plain
+        fields = (from_numpy.steps_n, from_numpy.repetitions, from_numpy.base_seed,
+                  from_numpy.record.stride, *from_numpy.record.track_nodes)
+        assert all(type(x) is int for x in fields)
+        assert (run_experiment(from_numpy).final_fractions.tobytes()
+                == run_experiment(plain).final_fractions.tobytes())
