@@ -11,10 +11,10 @@ repetition ranges concatenate into exactly the single-shot result.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 
@@ -61,6 +61,8 @@ class RecordPolicy:
         if self.stride < 0:
             raise InvalidInput("stride must be >= 0")
         if self.track_nodes is not None:
+            if not (isinstance(self.track_nodes, Sequence) or np.ndim(self.track_nodes) == 1):
+                raise InvalidInput("track_nodes must be a sequence of node indices")
             nodes = tuple(_integer(i, "track_nodes entry") for i in self.track_nodes)
             if not nodes:
                 raise InvalidInput("track_nodes must name at least one node")
@@ -147,22 +149,59 @@ class ExperimentConfig:
 
 # --- exact streaming moments -------------------------------------------------
 #
-# A finite float64 with biased exponent e and 52-bit fraction f is
-# M * 2**(sh - 1074), with M = f | 2**52 when e > 0 (M = f for subnormals)
-# and sh = max(e - 1, 0).  So v * 2**1074 = M << sh and v*v * 2**2148 =
-# M*M << 2*sh are integers.  _exact_sums splits M into four 14-bit limbs and
-# sums the limbs, and the limb products by degree, per (column, sh) bucket
-# with np.bincount.  Every weight is below 2**30, so the float64 bucket sums
-# are exact while a bucket holds at most 2**23 values; the buckets then fold
-# into Python ints.
+# Every finite float64 is v = f * 2**e (np.frexp) with 2**53 * f an integer,
+# and v * 2**1074 and v*v * 2**2148 are integers.  _exact_sums works on one
+# exponent window of a column at a time.  The window's top exponent a is the
+# top exponent of the column's values not yet summed, and it holds the
+# values with exponent a - _WINDOW .. a.  For those, x = v * 2**(53 +
+# _WINDOW - a) is an exact float integer with 2**52 <= |x| < 2**70, and
+# every value below the window scales to |x| < 2**52.  Rounding x at 2**54,
+# 2**36 and 2**18 splits it exactly into four signed limbs of magnitude at
+# most 2**17 (the top one 2**16).  So, over at most 2**16 rows, each limb
+# sum is at most 2**33, each entry of the limbs' 4x4 Gram matrix at most
+# 2**50, and each sum of four entries by limb degree at most 2**52: every
+# product and partial sum is an integer below 2**53, exact in any summation
+# order.  The limb sums give sum(x), the Gram matrix sum(x*x), and both
+# fold into Python ints shifted by a - 53 - _WINDOW + 1074 (twice that for
+# the squares).  A negative shift, for subnormal windows, divides exactly:
+# each term is an integer multiple of v * 2**1074.
+# The values below a window go on to the next one, compressed to that
+# column's remaining values, so a column whose values span many exponents
+# costs one pass per window present.
 
 _SCALE_BITS = 1074  # every finite float64 is an integer multiple of 2**-1074
 _SCALE = 1 << _SCALE_BITS
 _SQ_SCALE = 1 << (2 * _SCALE_BITS)
-_LIMB_BITS = 14
-_LIMB_SHIFTS = np.arange(0, 56, _LIMB_BITS, dtype=np.uint64)[:, None]  # 4 limbs hold 53 bits
-_SHIFTS = 2046  # sh runs over 0 .. 2045 for finite values
-_EXACT_ROWS = 1 << 23  # rows per block, so no bucket holds more than 2**23 values
+_WINDOW = 17  # a window holds exponents a - _WINDOW .. a, so |x| < 2**70
+_LIMB_BITS = 18  # four signed limbs hold |x| < 2**70
+_EXACT_ROWS = 1 << 16  # rows per block, so no Gram entry exceeds 2**50
+# _DEGREE[4*i + j, i + j] = 1: the Gram entries of x*x summed by limb degree
+_DEGREE = np.equal.outer(np.add.outer(range(4), range(4)).ravel(), range(7)).astype(float)
+
+
+def _window_sums(cols: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Exact sums over each row's top exponent window of a finite (k, rows)
+    float64 array, rows <= _EXACT_ROWS: one (sum(v) * 2**1074, sum(v*v) *
+    2**2148) pair per row, and the mask of nonzero values below the window."""
+    top = np.frexp(np.abs(cols).max(axis=1))[1]
+    x = np.ldexp(cols, (53 + _WINDOW - top)[:, None])
+    below = np.abs(x) < 2.0**52
+    x[below] = 0.0
+    limbs = np.empty((len(cols), 4, cols.shape[1]))
+    for i in (3, 2, 1):
+        scale = 2.0 ** (_LIMB_BITS * i)
+        np.rint(x * (1.0 / scale), out=limbs[:, i])
+        x -= limbs[:, i] * scale
+    limbs[:, 0] = x
+    gram = limbs @ limbs.transpose(0, 2, 1)
+    totals = np.concatenate([limbs.sum(axis=-1), gram.reshape(-1, 16) @ _DEGREE], axis=1)
+    pairs = []
+    for sh, t in zip((top - 53 - _WINDOW + _SCALE_BITS).tolist(),
+                     totals.astype(np.int64).tolist()):
+        s = sum(v << (_LIMB_BITS * d) for d, v in enumerate(t[:4]))
+        s2 = sum(v << (_LIMB_BITS * d) for d, v in enumerate(t[4:]))
+        pairs.append((s << sh, s2 << 2 * sh) if sh >= 0 else (s >> -sh, s2 >> -2 * sh))
+    return pairs, below & (cols != 0)
 
 
 def _exact_sums(values: np.ndarray) -> list[tuple[int, int]]:
@@ -172,25 +211,16 @@ def _exact_sums(values: np.ndarray) -> list[tuple[int, int]]:
     sums = [0] * k
     sumsqs = [0] * k
     for start in range(0, count, _EXACT_ROWS):
-        block = np.ascontiguousarray(values[start:start + _EXACT_ROWS], dtype=np.float64)
-        bits = block.view(np.uint64).ravel()
-        biased = (bits >> 52) & 0x7FF
-        mantissa = (bits & ((1 << 52) - 1)) | ((biased > 0).astype(np.uint64) << 52)
-        key = np.maximum(biased, 1) - 1 + np.tile(np.arange(k, dtype=np.uint64) * _SHIFTS,
-                                                  len(block))
-        buckets, inverse = np.unique(key, return_inverse=True)
-        limbs = ((mantissa >> _LIMB_SHIFTS) & ((1 << _LIMB_BITS) - 1)).astype(np.float64)
-        sign = np.where(bits >> 63, -1.0, 1.0)
-        totals = [np.bincount(inverse, limb * sign, len(buckets)) for limb in limbs]
-        for d in range(7):  # M*M's limb-pair products, by degree
-            pairs = range(max(d - 3, 0), min(d, 3) + 1)
-            weights = sum(limbs[a] * limbs[d - a] for a in pairs)
-            totals.append(np.bincount(inverse, weights, len(buckets)))
-        totals = np.array(totals, dtype=np.int64).T.tolist()
-        columns, shifts = np.divmod(buckets, _SHIFTS)
-        for j, sh, t in zip(columns.tolist(), shifts.tolist(), totals):
-            sums[j] += sum(x << (_LIMB_BITS * d) for d, x in enumerate(t[:4])) << sh
-            sumsqs[j] += sum(x << (_LIMB_BITS * d) for d, x in enumerate(t[4:])) << (2 * sh)
+        cols = np.ascontiguousarray(values[start:start + _EXACT_ROWS].T, dtype=np.float64)
+        todo = [(range(k), cols)]  # (column indices, their values not yet summed)
+        while todo:
+            columns, cols = todo.pop()
+            pairs, rest = _window_sums(cols)
+            for j, (s, s2) in zip(columns, pairs):
+                sums[j] += s
+                sumsqs[j] += s2
+            todo += [([columns[i]], cols[i, rest[i]][None])
+                     for i in np.flatnonzero(rest.any(axis=1)).tolist()]
     return list(zip(sums, sumsqs))
 
 

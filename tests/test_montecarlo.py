@@ -355,9 +355,35 @@ class TestExactSums:
         assert montecarlo._exact_sums(both) == oracle_sums(both)
 
     def test_fullest_bucket(self):
-        # one bucket of a full chunk, every limb and limb product at its largest
-        values = np.full((8192, 1), np.nextafter(1.0, 0.0))
+        # a full block of one window whose limbs all sit at their bounds: v
+        # scales to x = 2**70 - 2**53 + 2**35 - 2**17, which splits into
+        # limbs 2**16, -2**17, 2**17, -2**17, so the Gram entries reach 2**50
+        v = 1 - 2.0**-17 + 2.0**-35 - 2.0**-53
+        values = np.full((montecarlo._EXACT_ROWS, 1), v)
         assert montecarlo._exact_sums(values) == oracle_sums(values)
+
+    def test_many_windows_over_blocks(self):
+        # one column spanning every exponent in the last 6000 rows, which
+        # straddle the first block's end
+        rng = np.random.Generator(np.random.PCG64(11))
+        values = np.zeros((montecarlo._EXACT_ROWS + 3000, 1))
+        values[-6000:] = rng.standard_normal((6000, 1)) * 2.0 ** rng.integers(-1074, 1000, (6000, 1))
+        values[-6000::7] = np.nextafter(0.0, 1.0) * rng.integers(1, 2**52, (858, 1))
+        assert montecarlo._exact_sums(values) == oracle_sums(values)
+
+    def test_zero_column_beside_nonzero(self):
+        values = np.array([[0.0, 1.5], [-0.0, -2.25], [0.0, 3e-300], [-0.0, 7e300]])
+        assert montecarlo._exact_sums(values) == oracle_sums(values)
+
+    def test_subnormal_column(self):
+        rng = np.random.Generator(np.random.PCG64(12))
+        values = np.nextafter(0.0, 1.0) * rng.integers(-2**52, 2**52, (300, 2))
+        values[:, 1] = np.nextafter(0.0, 1.0) * rng.integers(-4, 5, 300)
+        assert montecarlo._exact_sums(values) == oracle_sums(values)
+
+    def test_no_rows(self):
+        assert montecarlo._exact_sums(np.empty((0, 3))) == [(0, 0)] * 3
+        assert montecarlo._exact_sums(np.empty((4, 0))) == []
 
     def test_wide_block(self):
         values = np.random.Generator(np.random.PCG64(8)).random((50, 3000))
@@ -465,6 +491,12 @@ class TestConfigValidation:
             make_config(base_seed=-1)
         with pytest.raises(ValueError):
             make_config(record=RecordPolicy(track_nodes=(2,)))
+
+    @pytest.mark.parametrize("track_nodes", [5, 1.5, {0, 1}, iter((0, 1)), np.array(1)],
+                             ids=["int", "float", "set", "iterator", "0-d-array"])
+    def test_track_nodes_not_a_sequence_rejected(self, track_nodes):
+        with pytest.raises(InvalidInput, match="^track_nodes must be a sequence of node indices$"):
+            RecordPolicy(track_nodes=track_nodes)
 
     def test_empty_track_nodes_rejected(self):
         with pytest.raises(InvalidInput, match="track_nodes must name at least one node"):
