@@ -146,26 +146,39 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _format_rows(header: str, row_format: str, columns: Sequence[list]) -> bytes:
+    """The header line, then one row_format line per row of the equal-length
+    columns, all formatted by one % call (%.17g is _fmt's text)."""
+    rows = len(columns[0])
+    cells = [None] * (len(columns) * rows)
+    for i, column in enumerate(columns):
+        cells[i::len(columns)] = column
+    return (header + "\n" + (row_format + "\n") * rows % tuple(cells)).encode()
+
+
 def write_samples_csv(result: ExperimentResult) -> bytes:
     """rep,node,final_fraction rows; rep is the absolute repetition index."""
-    lines = ["rep,node,final_fraction"]
+    reps, m = result.final_fractions.shape
     start = result.rep_range[0]
-    for i, row in enumerate(result.final_fractions):
-        for j, value in enumerate(row.tolist()):
-            lines.append(f"{start + i},{j},{_fmt(value)}")
-    return ("\n".join(lines) + "\n").encode()
+    return _format_rows("rep,node,final_fraction", "%d,%d,%.17g", [
+        np.repeat(np.arange(start, start + reps), m).tolist(),
+        list(range(m)) * reps,
+        result.final_fractions.ravel().tolist(),
+    ])
 
 
 def write_stats_csv(series: TimeSeries | None) -> bytes:
     """step,node,mean,variance rows; header only when nothing was recorded."""
-    lines = ["step,node,mean,variance"]
-    if series is not None:
-        means = series.mean()
-        variances = series.variance()
-        for t, step in enumerate(series.steps):
-            for j, node in enumerate(series.nodes):
-                lines.append(f"{step},{node},{_fmt(means[t, j])},{_fmt(variances[t, j])}")
-    return ("\n".join(lines) + "\n").encode()
+    header = "step,node,mean,variance"
+    if series is None:
+        return (header + "\n").encode()
+    k = len(series.nodes)
+    return _format_rows(header, "%d,%d,%.17g,%.17g", [
+        [step for step in series.steps for _ in range(k)],
+        list(series.nodes) * len(series.steps),
+        series.mean().ravel().tolist(),
+        series.variance().ravel().tolist(),
+    ])
 
 
 def load_samples_csv(data: bytes | str) -> dict[int, np.ndarray]:
@@ -191,10 +204,12 @@ def load_samples_csv(data: bytes | str) -> dict[int, np.ndarray]:
                 "samples", f"line {reader.line_num}: expected rep,node,final_fraction, got {row!r}"
             ) from None
         per_node.setdefault(node, []).append((rep, value))
-    return {
-        node: np.array([v for _, v in sorted(pairs)])
-        for node, pairs in per_node.items()
-    }
+    for node, pairs in per_node.items():
+        pairs.sort()
+        if len(dict(pairs)) != len(pairs):  # a rep given twice would count twice
+            rep = next(a for (a, _), (b, _) in zip(pairs, pairs[1:]) if a == b)
+            raise SchemaError("samples", f"rep {rep} appears more than once for node {node}")
+    return {node: np.array([v for _, v in pairs]) for node, pairs in per_node.items()}
 
 
 # --- SVG histogram --------------------------------------------------------------

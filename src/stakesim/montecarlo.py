@@ -347,15 +347,21 @@ def _chunk_bounds(start: int, stop: int, n: int, workers: int) -> list[tuple[int
 
 
 def _chunk_task(
-    config: ExperimentConfig, matrix: RewardMatrix, bounds: tuple[int, int]
+    config: ExperimentConfig,
+    matrix: RewardMatrix,
+    bounds: tuple[int, int],
+    buffer: np.ndarray | None = None,
 ) -> ExperimentResult:
     """Simulate repetitions [a, b) of `config` on their block of the run's
     one stream (urn.repetition_draws), in one segment of draws per recorded
-    step."""
+    step.  The draws go into the leading b - a rows of `buffer`, a
+    C-contiguous float64 array of steps_n columns, when one is given, and
+    into a new array otherwise."""
     a, b = bounds
     count = b - a
     n = config.steps_n
-    draws = repetition_draws(config.base_seed, a, count, n)
+    draws = repetition_draws(config.base_seed, a, count, n,
+                             out=None if buffer is None else buffer[:count])
     initial = np.asarray(config.initial_stakes, dtype=np.float64)
     stakes = np.tile(initial, (count, 1))
     record = config.record.stride > 0
@@ -414,13 +420,14 @@ def run_experiment(
             f"steps_n {n} exceeds the cap of {_MAX_RESULT_ELEMENTS} draws per repetition"
         )
     bounds = _chunk_bounds(start, stop, n, workers)
-    task = partial(_chunk_task, config, matrix)
     if workers > 1 and len(bounds) > 1:
         # a fork pool starts every worker at once: no more than there are chunks
         with ProcessPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
-            outputs = list(pool.map(task, bounds))
+            outputs = list(pool.map(partial(_chunk_task, config, matrix), bounds))
     else:
-        outputs = [task(b) for b in bounds]
+        # one draw buffer for every chunk, so its pages are touched once per run
+        buffer = np.empty((max(b - a for a, b in bounds), n))
+        outputs = [_chunk_task(config, matrix, b, buffer) for b in bounds]
     return merge_results(outputs)
 
 

@@ -60,16 +60,20 @@ def recorded_steps(n: int, stride: int) -> list[int]:
 STREAM_VERSION = 2
 
 
-def repetition_draws(seed: int, first: int, count: int, n: int) -> np.ndarray:
+def repetition_draws(
+    seed: int, first: int, count: int, n: int, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """The (count, n) uniform draws of repetitions [first, first + count).
 
     Repetition r reads values r*n .. (r+1)*n - 1 of the one stream seeded
     with `seed`, as a serial loop over repetitions would, so its draws do
     not depend on chunking.  This is the only place a seed becomes draws.
+    `out`, a C-contiguous (count, n) float64 array, receives the draws in
+    place of a new array; the values are the same.
     """
     bitgen = np.random.PCG64(seed)
     bitgen.advance(first * n)  # one 64-bit output per double
-    return np.random.Generator(bitgen).random((count, n))
+    return np.random.Generator(bitgen).random((count, n), out=out)
 
 
 # run_slots' block of slots and transpose tile of urns: fixed sizes that

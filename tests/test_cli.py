@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 
 import stakesim
-from stakesim import ExperimentConfig, RecordPolicy, empirical_stats, run_experiment
+from stakesim import (
+    ExperimentConfig,
+    ExperimentResult,
+    RecordPolicy,
+    RunningMoments,
+    TimeSeries,
+    empirical_stats,
+    run_experiment,
+)
 from stakesim.analytics import BetaParams, SampleStats
 from stakesim.cli import (
     builtin_benchmark_configs,
@@ -148,7 +156,60 @@ def small_result():
     return run_experiment(config)
 
 
+def reference_samples_csv(result) -> bytes:
+    """The per-value writer loop that write_samples_csv replaced."""
+    lines = ["rep,node,final_fraction"]
+    start = result.rep_range[0]
+    for i, row in enumerate(result.final_fractions):
+        for j, value in enumerate(row.tolist()):
+            lines.append(f"{start + i},{j},{format(value, '.17g')}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def reference_stats_csv(series) -> bytes:
+    """The per-cell writer loop that write_stats_csv replaced."""
+    lines = ["step,node,mean,variance"]
+    means = series.mean()
+    variances = series.variance()
+    for t, step in enumerate(series.steps):
+        for j, node in enumerate(series.nodes):
+            lines.append(f"{step},{node},{format(means[t, j], '.17g')},"
+                         f"{format(variances[t, j], '.17g')}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+# 0, 1, the smallest subnormal, the largest double below 1, and values whose
+# shortest round-trip text needs all 17 significant digits
+EDGE_VALUES = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0, 0.7,
+               2.0**-1022, 0.123456789012345678]
+
+
+def hand_built_result(first: int, reps: int, m: int, values) -> ExperimentResult:
+    config = ExperimentConfig(initial_stakes=(1.0,) * m, scheme="constant",
+                              reward_budget_K=1.0, steps_n=0, repetitions=first + reps,
+                              base_seed=0)
+    fractions = np.resize(np.array(values), (reps, m))
+    return ExperimentResult(config=config, rep_range=(first, first + reps),
+                            final_fractions=fractions,
+                            proposer_counts=np.zeros(m, dtype=np.int64), time_series=None)
+
+
 class TestCsv:
+    @pytest.mark.parametrize("first,reps,m", [(0, 10, 1), (7, 4, 1), (3, 5, 3), (1000, 7, 3)])
+    def test_samples_match_reference_writer(self, first, reps, m):
+        result = hand_built_result(first, reps, m, EDGE_VALUES)
+        assert write_samples_csv(result) == reference_samples_csv(result)
+
+    def test_stats_match_reference_writer(self):
+        # a cell of one value has a nan variance, an empty one a nan mean too
+        cells = []
+        for values in ([], [0.5], EDGE_VALUES[:4], EDGE_VALUES[4:]):
+            cell = RunningMoments()
+            cell.add_values(np.array(values, dtype=np.float64))
+            cells.append(cell)
+        series = TimeSeries(steps=(0, 40), nodes=(1, 4), cells=(tuple(cells[:2]), tuple(cells[2:])))
+        assert write_stats_csv(series) == reference_stats_csv(series)
+
     def test_samples_layout(self):
         config = ExperimentConfig(
             initial_stakes=(30.0, 70.0), scheme="frd", reward_budget_K=200.0,
@@ -525,6 +586,9 @@ class TestMainCommands:
         (b"0,0,0.5\n1,0\n", "samples: line 3: expected rep,node,final_fraction, got ['1', '0']"),
         (b"0,0,0.5\n1,0,nan\n2,0,0.3\n", "hist: samples must lie in [0, 1]"),
         (b"0,0,0.5\xff\n", "samples: not valid UTF-8"),
+        (b"0,0,0.5\n0,0,0.7\n", "samples: rep 0 appears more than once for node 0"),
+        (b"0,0,0.5\n0,1,0.5\n1,0,0.2\n1,1,0.8\n1,1,0.8\n",
+         "samples: rep 1 appears more than once for node 1"),
     ])
     def test_hist_bad_samples_is_config_error(self, tmp_path, capsys, rows, message):
         samples = tmp_path / "samples.csv"

@@ -464,6 +464,20 @@ class TestGoldenBytes:
         assert hashlib.sha256(write_samples_csv(result)).hexdigest() == samples_sha
         assert hashlib.sha256(write_stats_csv(result.time_series)).hexdigest() == stats_sha
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_small_chunks_reuse_the_draw_buffer(self, name, monkeypatch):
+        # a serial run draws every chunk into one buffer; with chunks of 8
+        # and 9 rows, some shorter chunk fills a leading slice of the buffer
+        # after a longer one filled all of it
+        config, samples_sha, stats_sha = GOLDEN[name]
+        monkeypatch.setattr(montecarlo, "_MAX_CHUNK", 9)
+        sizes = [b - a for a, b in montecarlo._chunk_bounds(0, config.repetitions,
+                                                            config.steps_n, 1)]
+        assert any(s < max(sizes[:i]) for i, s in enumerate(sizes) if i)
+        result = run_experiment(config, workers=1)
+        assert hashlib.sha256(write_samples_csv(result)).hexdigest() == samples_sha
+        assert hashlib.sha256(write_stats_csv(result.time_series)).hexdigest() == stats_sha
+
 
 class TestConfigValidation:
     def test_scheme_checked(self):
