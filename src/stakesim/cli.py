@@ -182,28 +182,77 @@ def write_stats_csv(series: TimeSeries | None) -> bytes:
 
 
 def load_samples_csv(data: bytes | str) -> dict[int, np.ndarray]:
-    """Parse a samples.csv back into per-node fraction arrays (rep order)."""
+    """Parse a samples.csv back into per-node fraction arrays, each in rep
+    order; the keys come in the order in which their node first appears.
+
+    Accepted: UTF-8 text whose first csv record is rep,node,final_fraction,
+    then rows of two Python-int cells and one Python-float cell (csv
+    quoting and the whitespace `int`/`float` strip allowed), blank lines
+    skipped, and no (rep, node) pair twice.  Anything else raises
+    SchemaError, naming the row's line where there is one.
+
+    np.loadtxt reads the rows first; a file it rejects, or cannot be
+    trusted to read as int()/float() do, or that repeats a pair or has no
+    rows, goes to the csv row loop, which decides it and words its error."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError:
             raise SchemaError("samples", "not valid UTF-8") from None
+    header, _, body = data.partition("\n")
+    if (header.removesuffix("\r") != "rep,node,final_fraction" or not body.strip("\r\n")
+            or not _loadtxt_reads_as_python(body)):
+        return _parse_samples_rows(data)
+    try:
+        rows = np.loadtxt(io.StringIO(body), dtype=[("rep", "i8"), ("node", "i8"), ("value", "f8")],
+                          delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return _parse_samples_rows(data)
+    rep, node = rows["rep"], rows["node"]
+    order = np.lexsort((rep, node))
+    rep, node = rep[order], node[order]
+    if ((rep[1:] == rep[:-1]) & (node[1:] == node[:-1])).any():
+        return _parse_samples_rows(data)
+    starts = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+    first_seen = np.minimum.reduceat(order, starts)
+    values = np.split(rows["value"][order], starts[1:])
+    return {int(node[starts[i]]): values[i] for i in np.argsort(first_seen)}
+
+
+def _loadtxt_reads_as_python(body: str) -> bool:
+    r"""Whether every cell np.loadtxt accepts in body, int() and float()
+    read the same.  Outside ASCII they may not (loadtxt reads "1\u01fe" as
+    the int 472); loadtxt strips \x1c-\x1f, which they refuse; and int()
+    refuses more digits than sys.get_int_max_str_digits() (0, or at least
+    640) and csv a field over csv.field_size_limit(), so every line, newline
+    included, must be shorter than 640 characters."""
+    if not body.isascii() or any(c in body for c in "\x1c\x1d\x1e\x1f"):
+        return False
+    raw = np.frombuffer(body.encode(), np.uint8)
+    return np.diff(np.flatnonzero(raw == 10), prepend=-1, append=raw.size).max() < 640
+
+
+def _parse_samples_rows(data: str) -> dict[int, np.ndarray]:
+    """load_samples_csv's csv row loop: the reference for what a samples.csv
+    may hold, and the source of every SchemaError it raises."""
     reader = csv.reader(io.StringIO(data))
-    header = next(reader, None)
-    if header != ["rep", "node", "final_fraction"]:
-        raise SchemaError("samples", "expected header rep,node,final_fraction")
     per_node: dict[int, list[tuple[int, float]]] = {}
-    for row in reader:
-        if not row:
-            continue
-        try:
-            rep, node, value = row
-            rep, node, value = int(rep), int(node), float(value)
-        except ValueError:
-            raise SchemaError(
-                "samples", f"line {reader.line_num}: expected rep,node,final_fraction, got {row!r}"
-            ) from None
-        per_node.setdefault(node, []).append((rep, value))
+    try:
+        header = next(reader, None)
+        if header != ["rep", "node", "final_fraction"]:
+            raise SchemaError("samples", "expected header rep,node,final_fraction")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                rep, node, value = row
+                rep, node, value = int(rep), int(node), float(value)
+            except ValueError:
+                raise SchemaError("samples", f"line {reader.line_num}: expected "
+                                  f"rep,node,final_fraction, got {row!r}") from None
+            per_node.setdefault(node, []).append((rep, value))
+    except csv.Error as e:
+        raise SchemaError("samples", f"line {reader.line_num}: {e}") from None
     for node, pairs in per_node.items():
         pairs.sort()
         if len(dict(pairs)) != len(pairs):  # a rep given twice would count twice

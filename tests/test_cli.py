@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stakesim
 from stakesim import (
@@ -22,6 +24,7 @@ from stakesim import (
     empirical_stats,
     run_experiment,
 )
+from stakesim import cli
 from stakesim.analytics import BetaParams, SampleStats
 from stakesim.cli import (
     builtin_benchmark_configs,
@@ -194,6 +197,56 @@ def hand_built_result(first: int, reps: int, m: int, values) -> ExperimentResult
                             proposer_counts=np.zeros(m, dtype=np.int64), time_series=None)
 
 
+# samples.csv cells that np.loadtxt and the csv row loop might read
+# differently: the padding int() and float() strip or refuse (loadtxt strips
+# \x1c-\x1f and reads "1\u01fe" as 472), "_" and Unicode digits,
+# quotes, a float or an exponent as an int, int64's edges and beyond, hex, a
+# comment, an int of more digits than int() converts and a field longer than
+# csv reads
+_PAD = st.sampled_from(["", "", "", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+                        "\u01fe", "\u2028", "\u3000", "\ufeff", "\x00"])
+_INT_CELL = st.one_of(st.integers(-1, 3).map(str), st.sampled_from([
+    "+1", "-0", "007", "1_0", "\u0663", "1.0", "1e3", str(2**63 - 1), str(2**63), str(-2**63),
+    str(-2**63 - 1), "0x10", '"4"', "", "0" * 4400 + "1"]))
+_FLOAT_CELL = st.one_of(st.floats().map(repr), st.sampled_from([
+    "nan", "-nan", "NaN", "inf", "-Infinity", "infinite", "-0.0", "1e-400", "1e400", ".5", "5.",
+    "1_0.5", "\u0663", "0x10", "0.5 # x", '"0.25"', "", "1e", "nan(1)", " " * 131_073 + "0.5"]))
+
+
+def _padded(cell):
+    return st.tuples(_PAD, cell, _PAD).map("".join)
+
+
+_PLAIN_ROW = st.builds("{},{},{!r}".format, st.integers(0, 20), st.integers(0, 2), st.floats())
+_ODD_ROW = st.one_of(
+    st.tuples(_padded(_INT_CELL), _padded(_INT_CELL), _padded(_FLOAT_CELL)).map(",".join),
+    st.lists(_padded(_FLOAT_CELL), min_size=1, max_size=4).map(",".join),  # short and long rows
+    st.sampled_from(["", "  ", "\t", "\r"]),  # blank and whitespace lines
+)
+
+
+def _samples_text(row, eol):
+    return st.builds(
+        lambda head_eol, rows: ("rep,node,final_fraction" + head_eol
+                                + "".join(text + end for text, end in rows)),
+        eol, st.lists(st.tuples(row, eol), max_size=8))
+
+
+# half the files hold only rows np.loadtxt reads, so its path is tried in full
+_SAMPLES_TEXT = st.one_of(
+    _samples_text(_PLAIN_ROW, st.sampled_from(["\n", "\r\n"])),
+    _samples_text(st.one_of(_PLAIN_ROW, _ODD_ROW),
+                  st.sampled_from(["\n", "\n", "\r\n", "\r", "\r\r\n", ""])),
+)
+
+
+def _samples_outcome(parse, text):
+    try:
+        return parse(text)
+    except SchemaError as e:
+        return str(e)
+
+
 class TestCsv:
     @pytest.mark.parametrize("first,reps,m", [(0, 10, 1), (7, 4, 1), (3, 5, 3), (1000, 7, 3)])
     def test_samples_match_reference_writer(self, first, reps, m):
@@ -231,6 +284,49 @@ class TestCsv:
         per_node = load_samples_csv(write_samples_csv(small_result))
         for node in (0, 1):
             assert np.array_equal(per_node[node], small_result.final_fractions[:, node])
+
+    @pytest.mark.parametrize("big_rep", [False, True], ids=["loadtxt", "row-loop"])
+    def test_samples_load_in_first_seen_node_order(self, monkeypatch, big_rep):
+        # nodes first appear as 2, 0, 1 and reps come shuffled; 2**63 does not
+        # fit int64, so only the csv row loop reads that file
+        reps = [3, 0, 2**63, 1] if big_rep else [3, 0, 1]
+        special = {(0, 2): "-0.0", (1, 0): "nan", (3, 1): "-nan"}
+
+        def cell(rep, node):
+            return special.get((rep, node), f"0.{rep}{node}")
+
+        text = "rep,node,final_fraction\n" + "".join(
+            f"{rep},{node},{cell(rep, node)}\n" for rep in reps for node in (2, 0, 1))
+        if not big_rep:
+            def no_fallback(data):
+                raise AssertionError("the csv row loop ran on a file np.loadtxt reads")
+            monkeypatch.setattr(cli, "_parse_samples_rows", no_fallback)
+        per_node = load_samples_csv(text.encode())
+        assert list(per_node) == [2, 0, 1]
+        for node, values in per_node.items():
+            expected = np.array([float(cell(rep, node)) for rep in sorted(reps)])
+            assert values.dtype == np.float64 and values.flags.c_contiguous
+            assert np.array_equal(values.view(np.int64), expected.view(np.int64))
+        assert np.signbit(per_node[2][0]) and not np.signbit(per_node[0][1])
+        assert np.isnan(per_node[1][2]) and np.signbit(per_node[1][2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_SAMPLES_TEXT)
+    @example(text="rep,node,final_fraction\r0,0,0.5\r1,0,0.25\r")
+    @example(text="rep,node,final_fraction\n1\u01fe,0,0.5\n")
+    @example(text="rep,node,final_fraction\n0,0,0.5\x1e\n")
+    @example(text="rep,node,final_fraction\n" + "0" * 4400 + "1,0,0.5\n")
+    @example(text="rep,node,final_fraction\n0,0," + " " * 131_073 + "0.5\n")
+    def test_samples_loader_matches_row_loop(self, text):
+        fast = _samples_outcome(load_samples_csv, text)
+        reference = _samples_outcome(cli._parse_samples_rows, text)
+        if isinstance(reference, str):
+            assert fast == reference
+            return
+        assert isinstance(fast, dict) and list(fast) == list(reference)
+        for node, values in reference.items():
+            assert fast[node].dtype == np.float64
+            assert np.array_equal(fast[node].view(np.int64), values.view(np.int64))
 
     def test_stats_round_trip_bit_exact(self, small_result):
         series = small_result.time_series
@@ -589,6 +685,14 @@ class TestMainCommands:
         (b"0,0,0.5\n0,0,0.7\n", "samples: rep 0 appears more than once for node 0"),
         (b"0,0,0.5\n0,1,0.5\n1,0,0.2\n1,1,0.8\n1,1,0.8\n",
          "samples: rep 1 appears more than once for node 1"),
+        (b"0,0,0.5\n  \n", "samples: line 3: expected rep,node,final_fraction, got ['  ']"),
+        (b"0,0,0.5 # x\n",
+         "samples: line 2: expected rep,node,final_fraction, got ['0', '0', '0.5 # x']"),
+        (b"0,0,0.5,\n",
+         "samples: line 2: expected rep,node,final_fraction, got ['0', '0', '0.5', '']"),
+        (b"", "node: node 0 not present in samples"),
+        (b"0,0,0.5\r1,0,0.25\r", "samples: line 2: new-line character seen in unquoted field - "
+                                "do you need to open the file in universal-newline mode?"),
     ])
     def test_hist_bad_samples_is_config_error(self, tmp_path, capsys, rows, message):
         samples = tmp_path / "samples.csv"
