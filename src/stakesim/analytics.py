@@ -25,7 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateBeta, InvalidInput
-from .schemes import Regime, RewardMatrix, check_budget, classify_regime, regime_of
+from .schemes import (
+    Regime, RewardMatrix, check_budget, check_integer, classify_regime, regime_of,
+)
 from .urn import stake_vector
 
 
@@ -33,6 +35,14 @@ def _check_wl(l: float, w: float, budget: float) -> None:
     check_budget(budget)
     if not (0.0 <= l <= w <= budget):
         raise InvalidInput(f"need 0 <= l <= w <= K, got l={l!r} w={w!r} K={budget!r}")
+
+
+def _check_horizon(n: int) -> int:
+    """The horizon rule: n an integer (config's rule) and >= 0."""
+    n = check_integer(n, "n")
+    if n < 0:
+        raise InvalidInput("n must be >= 0")
+    return n
 
 
 def predict_mean_stake(l: float, w: float, budget: float, n: int) -> float:
@@ -43,6 +53,7 @@ def predict_mean_stake(l: float, w: float, budget: float, n: int) -> float:
     limit for its fraction instead).
     """
     _check_wl(l, w, budget)
+    n = _check_horizon(n)
     if l == 0.0:
         return 0.0
     return limiting_mean_fraction(l, w, budget) * budget * n
@@ -55,12 +66,13 @@ def predict_var_stake(l: float, w: float, budget: float, n: int) -> tuple[float,
     Raises InvalidInput when w - l > K/2.
     """
     _check_wl(l, w, budget)
+    n = _check_horizon(n)
     regime = regime_of(l, w, budget)
     if regime is Regime.SUPERCRITICAL:
         raise InvalidInput(
             "no closed-form variance for w - l > K/2; use beta_limit_params"
         )
-    if n <= 0:
+    if n == 0:
         return 0.0, regime
     if regime is Regime.CRITICAL:
         return (budget - w) * l * n * math.log(n), regime
@@ -100,7 +112,10 @@ class AnalyticPrediction:
 
 
 def predict(matrix: RewardMatrix, node: int, initial_total: float, n: int) -> AnalyticPrediction:
-    """Assemble the full prediction for one node of a balanced matrix."""
+    """Assemble the full prediction for one node of a balanced matrix at
+    horizon n >= 0 from the initial total S(0) > 0."""
+    n = _check_horizon(n)
+    initial_total = check_budget(initial_total, "initial_total")
     regime = classify_regime(matrix, node)
     if regime is Regime.SUPERCRITICAL:
         raise InvalidInput(
@@ -138,11 +153,11 @@ def exact_stake_moments(
     independent check the leading-order predictors are tested against,
     valid in every regime.  O(n) time.
     """
-    if n < 0:
-        raise InvalidInput("n must be >= 0")
+    budget = check_budget(budget)
+    n = _check_horizon(n)
+    total = check_budget(initial_total, "initial_total")
     m1 = float(s_i0)
     m2 = m1 * m1
-    total = float(initial_total)
     for _ in range(n):
         m1_next = m1 * (1.0 + (w - l) / total) + l
         m2_next = (

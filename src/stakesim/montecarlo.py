@@ -10,7 +10,6 @@ repetition ranges concatenate into exactly the single-shot result.
 """
 from __future__ import annotations
 
-import numbers
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -20,7 +19,8 @@ import numpy as np
 
 from .errors import InvalidInput, StakeSimError
 from .schemes import (
-    ROW_SUM_RTOL, RewardMatrix, check_budget, constant_matrix, custom_matrix, frd_matrix,
+    ROW_SUM_RTOL, RewardMatrix, check_budget, check_integer, constant_matrix, custom_matrix,
+    frd_matrix,
 )
 from .urn import recorded_steps, repetition_draws, run_slots, stake_vector
 
@@ -36,14 +36,6 @@ _MAX_CHUNK = 8192
 _MAX_RESULT_ELEMENTS = 100_000_000
 
 
-def _integer(value, name: str) -> int:
-    """The integer rule for config fields: any integral number but a bool,
-    stored as a Python int."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class RecordPolicy:
     """What to record during a run.
@@ -57,13 +49,13 @@ class RecordPolicy:
     track_nodes: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "stride", _integer(self.stride, "stride"))
+        object.__setattr__(self, "stride", check_integer(self.stride, "stride"))
         if self.stride < 0:
             raise InvalidInput("stride must be >= 0")
         if self.track_nodes is not None:
             if not (isinstance(self.track_nodes, Sequence) or np.ndim(self.track_nodes) == 1):
                 raise InvalidInput("track_nodes must be a sequence of node indices")
-            nodes = tuple(_integer(i, "track_nodes entry") for i in self.track_nodes)
+            nodes = tuple(check_integer(i, "track_nodes entry") for i in self.track_nodes)
             if not nodes:
                 raise InvalidInput("track_nodes must name at least one node")
             if len(set(nodes)) != len(nodes):
@@ -99,7 +91,7 @@ class ExperimentConfig:
             self, "reward_budget_K", check_budget(self.reward_budget_K, "reward_budget_K")
         )
         for name in ("steps_n", "repetitions", "base_seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if self.steps_n < 0:
             raise InvalidInput("steps_n must be >= 0")
         try:

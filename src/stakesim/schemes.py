@@ -8,6 +8,7 @@ whenever someone else proposes and w_i when it proposes itself.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,10 +48,19 @@ class RewardMatrix:
 
 
 def check_budget(value: float, name: str = "budget") -> float:
-    """The per-slot budget rule, K finite and > 0; returns K as a float."""
+    """The per-slot budget rule, K finite and > 0, which the analytics
+    also apply to an initial total S(0); returns the value as a float."""
     if not 0 < value < np.inf:  # also rejects nan
         raise InvalidInput(f"{name} must be finite and > 0, got {value!r}")
     return float(value)
+
+
+def check_integer(value, name: str) -> int:
+    """The integer rule for counts, seeds and horizons: any integral number
+    but a bool, returned as a Python int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def regime_of(l: float, w: float, budget: float) -> Regime:

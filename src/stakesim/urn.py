@@ -97,8 +97,10 @@ def run_slots(
     in [0, 1), row c feeding urn c.  In each slot urn c's proposer is the
     node g whose half-open interval [C_{g-1}, C_g) of the cumulative stakes,
     built in ascending node order, holds draws[c, k] * total, so zero-stake
-    nodes (empty intervals) are never selected.  Row g of the reward matrix
-    is then added to the urn's stakes and the total grows by the row sum.
+    nodes (empty intervals) are never selected.  A draw past the float sum
+    C_{m-1}, which can land a hair below the analytic total, goes to the
+    last node with positive stake.  Row g of the reward matrix is then
+    added to the urn's stakes and the total grows by the row sum.
 
     Draws are consumed in column order, so calls over consecutive column
     slices of `draws` end in the same state as one call over all of them.
@@ -117,7 +119,11 @@ def run_slots(
     proposer, the first g with draw * total < C_g, is the number of masks
     set among C_0 .. C_{m-2}.  Mask j's count is the number of slots whose
     proposer is at least j + 1; the per-node counts are the differences of
-    these tallies.
+    these tallies.  The float edge is checked only in blocks that start
+    with some urn's node m-1 at zero stake.  Where node m-1 holds stake,
+    it keeps it, and every mask already counts a draw past C_{m-1} as node
+    m-1's, which is where the edge rule sends it; so the bytes do not
+    depend on the check.
     """
     count, n = draws.shape
     m = matrix.num_nodes
@@ -141,6 +147,10 @@ def run_slots(
             tile = slice(first, first + _BLOCK_URNS)
             np.copyto(block[:, tile], draws[tile, start:start + width].T)
         block *= totals[:width]
+        # stakes never fall, so a node m-1 positive in every urn now stays so,
+        # and the edge rule would give it the urns every mask already counted
+        # as its own: skip C_{m-1} and the edge check for the block
+        edge = not columns[m - 1].all()
         for k in range(width):
             threshold = block[k]
             running = columns[0]
@@ -151,9 +161,9 @@ def run_slots(
                     np.copyto(chosen, below)
                 else:
                     chosen += below
-                running = np.add(running, columns[j], out=prefix)
-            np.less_equal(running, threshold, out=below)
-            if below.any():
+                if j < m - 1 or edge:
+                    running = np.add(running, columns[j], out=prefix)
+            if edge and np.less_equal(running, threshold, out=below).any():
                 # float edge: the running sum of stakes can land a hair below
                 # the analytic total; the draw then belongs to the last node
                 # with positive stake, and every mask counted it as node m-1,
@@ -166,7 +176,7 @@ def run_slots(
                 proposers[:, start + k] = chosen
             # chosen is in [0, m), so "wrap" never wraps; it only skips the
             # bounds-checked copy "raise" makes of `out`
-            np.take(rewards, chosen, axis=1, out=gains, mode="wrap")
+            rewards.take(chosen, axis=1, out=gains, mode="wrap")
             columns += gains
     stakes[...] = columns.T
     return at_least - np.append(at_least[1:], 0), total

@@ -8,6 +8,7 @@ n/(n+a+b), itself cross-checked against the recurrence).
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -208,6 +209,53 @@ class TestMeanFractionsSumToOne:
             predict_mean_stake(l, budget - L + l, budget, n) for l in l_values
         )
         assert total == pytest.approx(budget * n, rel=1e-9)
+
+
+# every analytic function that takes a horizon, called with node 0 of
+# frd [50, 50] at K = 200 (l = 50, w = 150, S(0) = 100)
+HORIZON_CONSUMERS = {
+    "predict_mean_stake": lambda n: predict_mean_stake(50, 150, 200, n),
+    "predict_var_stake": lambda n: predict_var_stake(50, 150, 200, n),
+    "predict": lambda n: predict(frd_matrix([50, 50], 200), 0, 100.0, n),
+    "exact_stake_moments": lambda n: exact_stake_moments(50, 100, 150, 50, 200, n),
+}
+# and every one that takes the initial total S(0)
+TOTAL_CONSUMERS = {
+    "predict": lambda total: predict(frd_matrix([50, 50], 200), 0, total, 0),
+    "exact_stake_moments": lambda total: exact_stake_moments(10, total, 150, 50, 200, 3),
+}
+
+
+class TestHorizonAndTotalRules:
+    """n follows the config integer rule (any integral number but a bool)
+    and is >= 0; S(0) is finite and > 0."""
+
+    @pytest.mark.parametrize("consumer", sorted(HORIZON_CONSUMERS))
+    def test_negative_horizon_rejected(self, consumer):
+        with pytest.raises(InvalidInput, match=r"n must be >= 0"):
+            HORIZON_CONSUMERS[consumer](-5)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", np.float64(3.0)])
+    @pytest.mark.parametrize("consumer", sorted(HORIZON_CONSUMERS))
+    def test_non_integer_horizon_rejected(self, consumer, n):
+        with pytest.raises(InvalidInput, match=re.escape(f"n must be an integer, got {n!r}")):
+            HORIZON_CONSUMERS[consumer](n)
+
+    @pytest.mark.parametrize("consumer", sorted(HORIZON_CONSUMERS))
+    def test_numpy_integer_horizon_is_an_int(self, consumer):
+        assert HORIZON_CONSUMERS[consumer](np.int64(7)) == HORIZON_CONSUMERS[consumer](7)
+
+    @pytest.mark.parametrize("total", [0.0, -100.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("consumer", sorted(TOTAL_CONSUMERS))
+    def test_bad_initial_total_rejected(self, consumer, total):
+        message = re.escape(f"initial_total must be finite and > 0, got {total!r}")
+        with pytest.raises(InvalidInput, match=message):
+            TOTAL_CONSUMERS[consumer](total)
+
+    def test_zero_horizon_is_valid(self):
+        p = predict(frd_matrix([50, 50], 200), 0, 100.0, 0)
+        assert (p.mean_stake, p.var_stake, p.mean_fraction) == (0.0, 0.0, 0.0)
+        assert exact_stake_moments(50, 100, 150, 50, 200, 0) == (50.0, 0.0)
 
 
 class TestBetaLimit:

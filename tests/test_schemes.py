@@ -14,6 +14,7 @@ from stakesim import (
     classify_regime,
     constant_matrix,
     custom_matrix,
+    exact_stake_moments,
     frd_matrix,
     predict_var_stake,
 )
@@ -183,6 +184,7 @@ BUDGET_CONSUMERS = {
     "frd_matrix": lambda k: frd_matrix([50, 50], k),
     "beta_limit_params": lambda k: beta_limit_params([50, 50], k, 0),
     "predict_var_stake": lambda k: predict_var_stake(1, 2, k, 10),
+    "exact_stake_moments": lambda k: exact_stake_moments(10, 100, 2, 1, k, 10),
 }
 
 

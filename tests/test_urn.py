@@ -347,14 +347,20 @@ def some_matrix(scheme, stakes, budget, weights):
 
 def check_against_reference(stakes, matrix, draws):
     stakes, initial_total = start(stakes)
-    urns = np.tile(stakes, (draws.shape[0], 1))
+    check_urns_against_reference(np.tile(stakes, (draws.shape[0], 1)), initial_total, matrix, draws)
+
+
+def check_urns_against_reference(urns, initial_total, matrix, draws):
+    """run_slots on (count, m) `urns` equals reference_slots bit for bit;
+    returns the reference proposers."""
     ref_stakes, ref_proposers, ref_total = reference_slots(urns, initial_total, matrix, draws)
     proposers = np.empty(draws.shape, dtype=np.int64)
     counts, total = run_slots(urns, initial_total, matrix, draws, proposers=proposers)
     assert urns.tobytes() == ref_stakes.tobytes()
     assert proposers.tobytes() == ref_proposers.tobytes()
-    assert counts.tolist() == np.bincount(ref_proposers.ravel(), minlength=len(stakes)).tolist()
+    assert counts.tolist() == np.bincount(ref_proposers.ravel(), minlength=urns.shape[1]).tolist()
     assert total == ref_total
+    return ref_proposers
 
 
 class TestSlotRuleReference:
@@ -413,6 +419,34 @@ class TestSlotRuleReference:
         weights = np.linspace(0.0, 1.0, len(EDGE_STAKES) ** 2)
         matrix = some_matrix(scheme, EDGE_STAKES, 1e-9, weights)
         check_against_reference(EDGE_STAKES, matrix, draws)
+
+    @pytest.mark.parametrize("scheme", ["constant", "custom"])
+    def test_edge_check_is_per_block_and_covers_every_urn(self, scheme):
+        # urns with an empty node 8 beside urns that moved 5.0 of node 0's
+        # stake to node 8, at the same float total: the largest draws on the
+        # empty-node-8 urns, in the first block and a later one, go to node 7
+        # by the edge rule however much the other urns' node 8 holds.  Under
+        # custom, node 8 gains only when node 3 proposes, partway through the
+        # first block, so no urn's node 8 is empty from the second block on
+        edge, initial_total = start(EDGE_STAKES)
+        moved = edge.copy()
+        moved[0] -= 5.0
+        moved[8] = 5.0
+        assert float(moved.sum()) == initial_total
+        count, n = 8, 2 * _BLOCK_STEPS + 5
+        urns = np.array([edge, moved] * (count // 2))
+        draws = np.random.default_rng(23).random((count, n))
+        for step in (0, 3, _BLOCK_STEPS + 7, n - 1):
+            draws[::2, step] = LARGEST_DRAW
+        weights = np.reshape(np.linspace(0.0, 1.0, len(EDGE_STAKES) ** 2), (9, 9))
+        weights[:, 8] = 0.0
+        weights[3, 8] = 1.0
+        matrix = some_matrix(scheme, EDGE_STAKES, 1e-9, weights)
+        proposers = check_urns_against_reference(urns, initial_total, matrix, draws)
+        assert (proposers[::2, 0] == 7).all()
+        if scheme == "custom":
+            first_gain = (proposers[::2] == 3).argmax(axis=1)
+            assert (0 < first_gain).all() and (first_gain < _BLOCK_STEPS - 1).all()
 
     def test_segments_off_the_block_grid_match_one_call(self):
         count, n = _BLOCK_URNS + 3, 200
