@@ -21,6 +21,7 @@ from .montecarlo import (
     TimeSeries,
     merge_results,
     run_experiment,
+    run_experiments,
 )
 from .schemes import (
     BalancedParams,
@@ -62,5 +63,6 @@ __all__ = [
     "predict_var_stake",
     "recorded_steps",
     "run_experiment",
+    "run_experiments",
     "stake_vector",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateBeta, InvalidInput
 from .schemes import (
-    Regime, RewardMatrix, check_budget, check_integer, classify_regime, regime_of,
+    Regime, RewardMatrix, check_budget, check_integer, check_node, classify_regime, regime_of,
 )
 from .urn import stake_vector
 
@@ -114,6 +114,7 @@ class AnalyticPrediction:
 def predict(matrix: RewardMatrix, node: int, initial_total: float, n: int) -> AnalyticPrediction:
     """Assemble the full prediction for one node of a balanced matrix at
     horizon n >= 0 from the initial total S(0) > 0."""
+    node = check_node(node, matrix.num_nodes)
     n = _check_horizon(n)
     initial_total = check_budget(initial_total, "initial_total")
     regime = classify_regime(matrix, node)
@@ -151,11 +152,16 @@ def exact_stake_moments(
 
     with T = S(0) + step*K.  No asymptotic truncation: this is the
     independent check the leading-order predictors are tested against,
-    valid in every regime.  O(n) time.
+    valid in every regime.  O(n) time.  Raises InvalidInput unless
+    0 <= l <= w <= K and 0 <= s_i0 <= S(0).
     """
-    budget = check_budget(budget)
+    _check_wl(l, w, budget)
     n = _check_horizon(n)
     total = check_budget(initial_total, "initial_total")
+    if not 0.0 <= s_i0 <= total:  # also rejects nan
+        raise InvalidInput(
+            f"need 0 <= s_i0 <= initial_total, got s_i0={s_i0!r} initial_total={total!r}"
+        )
     m1 = float(s_i0)
     m2 = m1 * m1
     for _ in range(n):
@@ -196,8 +202,7 @@ def beta_limit_params(initial_stakes: Sequence[float], budget: float, node: int)
     """
     stakes = stake_vector(initial_stakes)
     budget = check_budget(budget)
-    if not 0 <= node < stakes.shape[0]:
-        raise IndexError(f"node index {node} out of range")
+    node = check_node(node, stakes.shape[0])
     a = float(stakes[node]) / budget
     b = (float(stakes.sum()) - float(stakes[node])) / budget
     if a <= 0.0 or b <= 0.0:

@@ -6,13 +6,15 @@ r*n .. (r+1)*n - 1 of the one random stream seeded with base_seed
 are either per-repetition rows (final fractions), integer counts, or exact
 integer moment sums.  Nothing depends on chunk boundaries, worker count, or
 merge order, so a run is reproducible bit for bit and partial runs over
-repetition ranges concatenate into exactly the single-shot result.
+repetition ranges concatenate into exactly the single-shot result.  Configs
+that differ only in their reward scheme read the same draws, so
+run_experiments runs them as one batch over one draw of the stream.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -339,54 +341,76 @@ def _chunk_bounds(start: int, stop: int, n: int, workers: int) -> list[tuple[int
 
 
 def _chunk_task(
-    config: ExperimentConfig,
-    matrix: RewardMatrix,
+    configs: Sequence[ExperimentConfig],
+    matrices: Sequence[RewardMatrix],
     bounds: tuple[int, int],
     buffer: np.ndarray | None = None,
-) -> ExperimentResult:
-    """Simulate repetitions [a, b) of `config` on their block of the run's
-    one stream (urn.repetition_draws), in one segment of draws per recorded
-    step.  The draws go into the leading b - a rows of `buffer`, a
-    C-contiguous float64 array of steps_n columns, when one is given, and
-    into a new array otherwise."""
+) -> list[ExperimentResult]:
+    """Simulate repetitions [a, b) of every config on their block of the
+    run's one stream (urn.repetition_draws), drawn once: one group of urns
+    per config, all advanced by one run_slots call per recorded step.  The
+    draws go into the leading b - a rows of `buffer`, a C-contiguous float64
+    array of steps_n columns, when one is given, and into a new array
+    otherwise."""
+    config = configs[0]
     a, b = bounds
     count = b - a
     n = config.steps_n
     draws = repetition_draws(config.base_seed, a, count, n,
                              out=None if buffer is None else buffer[:count])
     initial = np.asarray(config.initial_stakes, dtype=np.float64)
-    stakes = np.tile(initial, (count, 1))
+    stakes = np.tile(initial, (len(configs) * count, 1))
+    group_rows = [slice(g * count, (g + 1) * count) for g in range(len(configs))]
     record = config.record.stride > 0
     steps = tuple(recorded_steps(n, config.record.stride))
     track = config.tracked_nodes()
     total = float(initial.sum())
-    counts = np.zeros(config.num_nodes, dtype=np.int64)
-    cells = []
+    counts = np.zeros((len(configs), config.num_nodes), dtype=np.int64)
+    cells: list[list] = [[] for _ in configs]
     done = 0
     for step in steps:
-        segment_counts, total = run_slots(stakes, total, matrix, draws[:, done:step])
+        segment_counts, total = run_slots(stakes, total, matrices, draws[:, done:step])
         counts += segment_counts
         done = step
         if record:
-            sums = _exact_sums(stakes[:, track] / total)
-            cells.append(tuple(RunningMoments(count, s, s2) for s, s2 in sums))
-    series = TimeSeries(steps=steps, nodes=track, cells=tuple(cells)) if record else None
-    return ExperimentResult(
-        config=config,
-        rep_range=(a, b),
-        final_fractions=stakes / total,
-        proposer_counts=counts,
-        time_series=series,
-    )
+            for rows, group_cells in zip(group_rows, cells):
+                sums = _exact_sums(stakes[rows, track] / total)
+                group_cells.append(tuple(RunningMoments(count, s, s2) for s, s2 in sums))
+    fractions = stakes / total
+    return [
+        ExperimentResult(
+            config=c,
+            rep_range=(a, b),
+            final_fractions=fractions[rows],
+            proposer_counts=group_counts,
+            time_series=TimeSeries(steps=steps, nodes=track, cells=tuple(group_cells))
+            if record else None,
+        )
+        for c, rows, group_counts, group_cells in zip(configs, group_rows, counts, cells)
+    ]
 
 
-def run_experiment(
-    config: ExperimentConfig,
+# what configs run together share: every field but the reward scheme
+_SHARED_FIELDS = tuple(f.name for f in fields(ExperimentConfig)
+                       if f.name not in ("scheme", "custom_entries"))
+
+
+def run_experiments(
+    configs: Sequence[ExperimentConfig],
     *,
     workers: int = 1,
     rep_range: tuple[int, int] | None = None,
-) -> ExperimentResult:
-    """Run the configured experiment over a range of repetitions.
+) -> list[ExperimentResult]:
+    """Run configs that differ only in their reward scheme over one set of
+    draws, and return one result per config, in order.
+
+    The configs must agree on every field but `scheme` and
+    `custom_entries`, and their reward matrices must share one row sum, so
+    their urns read the same draws at the same analytic totals; otherwise
+    InvalidInput.  Each chunk of repetitions is drawn once and all the
+    configs' urns go through one slot-kernel pass, and the results equal
+    [run_experiment(c, workers=workers, rep_range=rep_range) for c in
+    configs] bit for bit.
 
     `rep_range` (default: all repetitions) selects a half-open block of
     repetition indices; partial results over adjacent blocks merge into
@@ -394,8 +418,17 @@ def run_experiment(
     chunks to a process pool; the output is identical to the serial run.
     """
     check_workers(workers)
-    matrix = config.reward_matrix()
-    m = matrix.num_nodes
+    if not configs:
+        raise InvalidInput("need at least one config")
+    config = configs[0]
+    for other in configs[1:]:
+        for name in _SHARED_FIELDS:
+            if getattr(other, name) != getattr(config, name):
+                raise InvalidInput(f"configs run together must share {name}")
+    matrices = [c.reward_matrix() for c in configs]
+    if any(matrix.row_sum != matrices[0].row_sum for matrix in matrices):
+        raise InvalidInput("configs run together must share one reward matrix row sum")
+    m = config.num_nodes
     start, stop = rep_range if rep_range is not None else (0, config.repetitions)
     if not 0 <= start < stop <= config.repetitions:
         raise InvalidInput(
@@ -412,15 +445,27 @@ def run_experiment(
             f"steps_n {n} exceeds the cap of {_MAX_RESULT_ELEMENTS} draws per repetition"
         )
     bounds = _chunk_bounds(start, stop, n, workers)
+    task = partial(_chunk_task, configs, matrices)
     if workers > 1 and len(bounds) > 1:
         # a fork pool starts every worker at once: no more than there are chunks
         with ProcessPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
-            outputs = list(pool.map(partial(_chunk_task, config, matrix), bounds))
+            outputs = list(pool.map(task, bounds))
     else:
         # one draw buffer for every chunk, so its pages are touched once per run
         buffer = np.empty((max(b - a for a, b in bounds), n))
-        outputs = [_chunk_task(config, matrix, b, buffer) for b in bounds]
-    return merge_results(outputs)
+        outputs = [task(b, buffer) for b in bounds]
+    return [merge_results(parts) for parts in zip(*outputs)]
+
+
+def run_experiment(
+    config: ExperimentConfig,
+    *,
+    workers: int = 1,
+    rep_range: tuple[int, int] | None = None,
+) -> ExperimentResult:
+    """Run the configured experiment over a range of repetitions: the one
+    config of run_experiments, which documents `workers` and `rep_range`."""
+    return run_experiments([config], workers=workers, rep_range=rep_range)[0]
 
 
 def merge_results(partials: Sequence[ExperimentResult]) -> ExperimentResult:

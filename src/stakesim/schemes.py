@@ -63,6 +63,14 @@ def check_integer(value, name: str) -> int:
     return int(value)
 
 
+def check_node(node, m: int) -> int:
+    """The node-index rule: an integer by check_integer's rule, in [0, m)."""
+    node = check_integer(node, "node")
+    if not 0 <= node < m:
+        raise InvalidInput(f"node index {node} out of range for {m} nodes")
+    return node
+
+
 def regime_of(l: float, w: float, budget: float) -> Regime:
     """The regime split itself: w - l against K/2, equal within
     ROW_SUM_RTOL * K."""
@@ -162,10 +170,9 @@ def classify_regime(matrix: RewardMatrix, node: int) -> Regime:
     Only defined for balanced matrices; the closed-form theory does not
     cover arbitrary reward structures.
     """
+    node = check_node(node, matrix.num_nodes)
     if matrix.balanced is None:
         raise InvalidInput("regime classification needs a balanced matrix")
-    if not 0 <= node < matrix.num_nodes:
-        raise IndexError(f"node index {node} out of range")
     return regime_of(
         float(matrix.balanced.l[node]), float(matrix.balanced.w[node]), matrix.row_sum
     )

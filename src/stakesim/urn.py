@@ -8,7 +8,8 @@ which is repetition 0 of any run with that seed and horizon.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -85,7 +86,7 @@ _BLOCK_URNS = 256
 def run_slots(
     stakes: np.ndarray,
     total: float,
-    matrix: "RewardMatrix",
+    matrix: "RewardMatrix | Sequence[RewardMatrix]",
     draws: np.ndarray,
     *,
     proposers: np.ndarray | None = None,
@@ -102,51 +103,82 @@ def run_slots(
     last node with positive stake.  Row g of the reward matrix is then
     added to the urn's stakes and the total grows by the row sum.
 
+    `matrix` may also be a sequence of G matrices with one row sum: then
+    `stakes` is (G * count, m), group-major, and urn g * count + c runs
+    under matrix g on draws row c, so every group reads the same draws and
+    ends as one call per matrix would.
+
     Draws are consumed in column order, so calls over consecutive column
     slices of `draws` end in the same state as one call over all of them.
-    `proposers`, a (count, n) integer array, receives every proposer.
-    Returns the per-node proposer counts summed over urns and slots, and
-    the final total.
+    `proposers`, an integer array shaped like `stakes`' rows by n, receives
+    every proposer.  Returns the per-node proposer counts summed over urns
+    and slots, (G, m) for a sequence of matrices, and the final total.
 
-    The urns are held node-major, one contiguous (count,) column per node.
-    The slots run in blocks of _BLOCK_STEPS: a block's draws are copied
-    step-major into one (block, count) buffer, a tile of _BLOCK_URNS urns at
-    a time, and row k is scaled by slot k's analytic total, so each slot
+    The urns are held node-major, one contiguous column per node, groups
+    laid end to end.  The slots run in blocks of _BLOCK_STEPS: a block's
+    draws are copied step-major into one (block, count) buffer, a tile of
+    _BLOCK_URNS urns at a time, row k is scaled by slot k's analytic total,
+    and the result is copied into each further group's slice, so each slot
     reads one contiguous row of thresholds draw * total.  The cumulative
     stakes are a running sum over the columns in ascending node order, the
     same adds as np.cumsum, and as stakes are never negative they never
     decrease: the prefix masks C_j <= draw * total are nested, and the
     proposer, the first g with draw * total < C_g, is the number of masks
-    set among C_0 .. C_{m-2}.  Mask j's count is the number of slots whose
-    proposer is at least j + 1; the per-node counts are the differences of
-    these tallies.  The float edge is checked only in blocks that start
+    set among C_0 .. C_{m-2}.  Mask j's count in a group is the number of
+    its slots whose proposer is at least j + 1; the per-node counts are the
+    differences of these tallies.  The masks are summed in the smallest
+    unsigned type that holds m - 1 and copied to an intp index once per
+    slot (at m == 2 the one mask is copied in directly); the rewards are
+    one table of G blocks of m columns, indexed by the proposer plus its
+    group's offset.  The float edge is checked only in blocks that start
     with some urn's node m-1 at zero stake.  Where node m-1 holds stake,
     it keeps it, and every mask already counts a draw past C_{m-1} as node
     m-1's, which is where the edge rule sends it; so the bytes do not
     depend on the check.
     """
+    grouped = isinstance(matrix, Sequence)
+    matrices = list(matrix) if grouped else [matrix]
+    groups = len(matrices)
+    row_sum = matrices[0].row_sum
+    if any(mat.row_sum != row_sum for mat in matrices):
+        raise InvalidInput("the reward matrices must share one row sum")
     count, n = draws.shape
-    m = matrix.num_nodes
-    rewards = matrix.entries.T.copy()  # rewards[j][g]: node j's reward when g proposes
+    urns, m = stakes.shape
+    if urns != groups * count:
+        raise InvalidInput(f"{urns} urns for {groups} groups of {count} draws rows")
+    # rewards[j][g * m + p]: node j's reward in group g when p proposes
+    rewards = np.concatenate([mat.entries for mat in matrices]).T.copy()
     columns = stakes.T.copy()
-    thresholds = np.empty((min(n, _BLOCK_STEPS), count))
+    thresholds = np.empty((min(n, _BLOCK_STEPS), urns))
     totals = np.empty((_BLOCK_STEPS, 1))
-    prefix = np.empty(count)
-    below = np.empty(count, dtype=bool)
-    chosen = np.zeros(count, dtype=np.intp)  # stays 0 when m == 1
-    gains = np.empty((m, count))
-    at_least = np.zeros(m, dtype=np.int64)  # at_least[g]: slots whose proposer is >= g
-    at_least[0] = count * n
+    prefix = np.empty(urns)
+    below = np.empty(urns, dtype=bool)
+    mask = below.view(np.uint8)  # so a mask adds into chosen without a cast
+    # the proposer, then plus its group's offset into rewards
+    index = np.empty(urns, dtype=np.intp)
+    # the sum of the masks, copied to index each slot; at m == 2 the one mask
+    # goes straight into index, and at m == 1 chosen stays 0
+    chosen = index if m == 2 else np.zeros(urns, dtype=np.min_scalar_type(m - 1))
+    offsets = np.repeat(np.arange(groups, dtype=np.intp) * m, count) if groups > 1 else None
+    parts = [slice(g * count, (g + 1) * count) for g in range(groups)]
+    gains = np.empty((m, urns))
+    # at_least[h, g]: slots of group h whose proposer is >= g
+    at_least = np.zeros((groups, m), dtype=np.int64)
+    at_least[:, 0] = count * n
+    tallies = [(at_least[g], below[part]) for g, part in enumerate(parts)]
     for start in range(0, n, _BLOCK_STEPS):
         width = min(_BLOCK_STEPS, n - start)
         for k in range(width):
             totals[k] = total
-            total += matrix.row_sum
+            total += row_sum
         block = thresholds[:width]
+        head = block[:, parts[0]]
         for first in range(0, count, _BLOCK_URNS):
             tile = slice(first, first + _BLOCK_URNS)
-            np.copyto(block[:, tile], draws[tile, start:start + width].T)
-        block *= totals[:width]
+            np.copyto(head[:, tile], draws[tile, start:start + width].T)
+        head *= totals[:width]
+        for part in parts[1:]:
+            np.copyto(block[:, part], head)
         # stakes never fall, so a node m-1 positive in every urn now stays so,
         # and the edge rule would give it the urns every mask already counted
         # as its own: skip C_{m-1} and the edge check for the block
@@ -156,30 +188,37 @@ def run_slots(
             running = columns[0]
             for j in range(1, m):
                 np.less_equal(running, threshold, out=below)
-                at_least[j] += np.count_nonzero(below)
+                for tally, part in tallies:
+                    tally[j] += np.count_nonzero(part)
                 if j == 1:
                     np.copyto(chosen, below)
                 else:
-                    chosen += below
+                    np.add(chosen, mask, out=chosen)
                 if j < m - 1 or edge:
                     running = np.add(running, columns[j], out=prefix)
+            if chosen is not index:
+                np.copyto(index, chosen)
             if edge and np.less_equal(running, threshold, out=below).any():
                 # float edge: the running sum of stakes can land a hair below
                 # the analytic total; the draw then belongs to the last node
                 # with positive stake, and every mask counted it as node m-1,
                 # so an urn that moves to node p leaves the tallies p+1 .. m-1
-                rev = columns[::-1, below] > 0
-                last = m - 1 - rev.argmax(axis=0)
-                chosen[below] = last
-                at_least[1:] -= np.cumsum(np.bincount(last, minlength=m))[:-1]
+                fixed = np.flatnonzero(below)
+                last = m - 1 - (columns[::-1, fixed] > 0).argmax(axis=0)
+                index[fixed] = last
+                moved = np.bincount(fixed // count * m + last, minlength=groups * m)
+                at_least[:, 1:] -= np.cumsum(moved.reshape(groups, m), axis=1)[:, :-1]
             if proposers is not None:
-                proposers[:, start + k] = chosen
-            # chosen is in [0, m), so "wrap" never wraps; it only skips the
+                proposers[:, start + k] = index
+            if groups > 1:
+                index += offsets
+            # index is in [0, G * m), so "wrap" never wraps; it only skips the
             # bounds-checked copy "raise" makes of `out`
-            rewards.take(chosen, axis=1, out=gains, mode="wrap")
+            rewards.take(index, axis=1, out=gains, mode="wrap")
             columns += gains
     stakes[...] = columns.T
-    return at_least - np.append(at_least[1:], 0), total
+    at_least[:, :-1] -= at_least[:, 1:]  # now the per-node counts
+    return (at_least if grouped else at_least[0]), total
 
 
 # the two names perfbench/worker.py's urn.simulate_trajectory.ns_per_slot probe calls

@@ -21,6 +21,7 @@ from stakesim import (
     ExperimentConfig,
     Regime,
     beta_limit_params,
+    classify_regime,
     constant_matrix,
     custom_matrix,
     empirical_stats,
@@ -256,6 +257,62 @@ class TestHorizonAndTotalRules:
         p = predict(frd_matrix([50, 50], 200), 0, 100.0, 0)
         assert (p.mean_stake, p.var_stake, p.mean_fraction) == (0.0, 0.0, 0.0)
         assert exact_stake_moments(50, 100, 150, 50, 200, 0) == (50.0, 0.0)
+
+
+class TestExactStakeMomentsInputs:
+    def test_stake_above_the_total_rejected(self):
+        # a node holding 500 of a 100 total once gave a variance of -644,266.7
+        message = "need 0 <= s_i0 <= initial_total, got s_i0=500 initial_total=100.0"
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            exact_stake_moments(500, 100, 150, 50, 200, 3)
+        with pytest.raises(InvalidInput, match="need 0 <= s_i0"):
+            exact_stake_moments(-1, 100, 150, 50, 200, 3)
+        with pytest.raises(InvalidInput, match="need 0 <= s_i0"):
+            exact_stake_moments(float("nan"), 100, 150, 50, 200, 3)
+
+    def test_negative_w_rejected(self):
+        # w < 0 < l once gave (134.1, 949.0)
+        message = "need 0 <= l <= w <= K, got l=50 w=-5 K=200"
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            exact_stake_moments(10, 100, -5, 50, 200, 3)
+
+    def test_whole_total_is_valid(self):
+        # one node holding everything under proposer-takes-all keeps it all
+        mean, var = exact_stake_moments(100, 100, 200, 0, 200, 3)
+        assert mean == pytest.approx(700.0, rel=1e-15)
+        assert var == pytest.approx(0.0, abs=1e-9)
+
+
+# every analytic function that takes a node index, called on frd [10, 90]
+# at K = 200
+NODE_CONSUMERS = {
+    "predict": lambda i: predict(frd_matrix([10, 90], 200), i, 100.0, 10),
+    "beta_limit_params": lambda i: beta_limit_params([10, 90], 200, i),
+    "classify_regime": lambda i: classify_regime(frd_matrix([10, 90], 200), i),
+}
+
+
+class TestNodeIndexRule:
+    """A node index follows the integer rule and lies in [0, m)."""
+
+    @pytest.mark.parametrize("node", [True, np.array([1]), np.array(1), 1.0],
+                             ids=["bool", "array", "0-d-array", "float"])
+    @pytest.mark.parametrize("consumer", sorted(NODE_CONSUMERS))
+    def test_non_integer_node_rejected(self, consumer, node):
+        with pytest.raises(InvalidInput, match=re.escape(f"node must be an integer, got {node!r}")):
+            NODE_CONSUMERS[consumer](node)
+
+    @pytest.mark.parametrize("node", [2, -1])
+    @pytest.mark.parametrize("consumer", sorted(NODE_CONSUMERS))
+    def test_out_of_range_node_rejected(self, consumer, node):
+        with pytest.raises(InvalidInput, match=f"^node index {node} out of range for 2 nodes$"):
+            NODE_CONSUMERS[consumer](node)
+
+    @pytest.mark.parametrize("consumer", sorted(NODE_CONSUMERS))
+    def test_numpy_integer_node_is_an_int(self, consumer):
+        assert NODE_CONSUMERS[consumer](np.int64(1)) == NODE_CONSUMERS[consumer](1)
+        if consumer == "predict":
+            assert type(NODE_CONSUMERS[consumer](np.int64(1)).node) is int
 
 
 class TestBetaLimit:

@@ -23,6 +23,7 @@ from stakesim import (
     TimeSeries,
     empirical_stats,
     run_experiment,
+    run_experiments,
 )
 from stakesim import cli
 from stakesim.analytics import BetaParams, SampleStats
@@ -529,11 +530,11 @@ class TestMainCommands:
         # with the config's track_nodes, and the report is the stride-0 one
         seen = []
 
-        def spy(config, **kwargs):
-            seen.append(config)
-            return run_experiment(config, **kwargs)
+        def spy(configs, **kwargs):
+            seen.extend(configs)
+            return run_experiments(configs, **kwargs)
 
-        monkeypatch.setattr(stakesim.cli, "run_experiment", spy)
+        monkeypatch.setattr(stakesim.cli, "run_experiments", spy)
         for name, stride in (("recorded", 1), ("final", 0)):
             path = tmp_path / f"{name}.json"
             path.write_bytes(as_json(dict(MINIMAL, repetitions=50, steps_n=100,

@@ -18,6 +18,7 @@ from stakesim import (
     merge_results,
     predict,
     run_experiment,
+    run_experiments,
 )
 from stakesim import montecarlo
 from stakesim.cli import write_samples_csv, write_stats_csv
@@ -222,6 +223,64 @@ class TestMergeResults:
         message = r"ranges \(0, 20\) and \(30, 60\) overlap or leave a gap"
         with pytest.raises(InvalidInput, match=message):
             merge_results(parts)
+
+
+def scheme_batch(**overrides):
+    """The constant, frd and a custom config on the same set-up."""
+    custom = ((120.0, 30.0, 50.0), (10.0, 170.0, 20.0), (60.0, 60.0, 80.0))
+    base = dict(initial_stakes=(20.0, 0.0, 80.0), record=RecordPolicy(stride=30), **overrides)
+    return [make_config(scheme="constant", **base), make_config(scheme="frd", **base),
+            make_config(scheme="custom", custom_entries=custom, **base)]
+
+
+class TestRunExperiments:
+    """Configs that differ only in their reward scheme run over one set of
+    draws, and each result equals the config's own run."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_one_run_per_config(self, workers, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MAX_CHUNK", 16)  # several chunks for the pool
+        configs = scheme_batch(repetitions=40)
+        batch = run_experiments(configs, workers=workers)
+        assert len(batch) == len(configs)
+        for config, result in zip(configs, batch):
+            assert results_equal(result, run_experiment(config))
+
+    def test_rep_range_halves_merge_into_the_batch(self):
+        configs = scheme_batch()
+        halves = [run_experiments(configs, rep_range=r) for r in [(0, 25), (25, 60)]]
+        for config, first, second in zip(configs, *halves):
+            assert results_equal(merge_results([first, second]), run_experiment(config))
+
+    def test_one_config_is_run_experiment(self):
+        config = make_config(record=RecordPolicy(stride=10))
+        [result] = run_experiments([config])
+        assert results_equal(result, run_experiment(config))
+
+    @pytest.mark.parametrize("field,value", [
+        ("base_seed", 102), ("initial_stakes", (20.0, 1.0, 79.0)),
+        ("record", RecordPolicy(stride=0)), ("steps_n", 99), ("repetitions", 61),
+        ("reward_budget_K", 100.0),
+    ])
+    def test_configs_must_share_all_but_the_scheme(self, field, value):
+        configs = scheme_batch()
+        other = dict(initial_stakes=configs[1].initial_stakes, record=configs[1].record)
+        other[field] = value
+        with pytest.raises(InvalidInput, match=f"configs run together must share {field}"):
+            run_experiments([configs[0], make_config(**other)])
+
+    def test_row_sums_must_match(self):
+        # within the config's row-sum tolerance of K, but not the same float
+        custom = ((150.0, 50.0 + 1e-8), (50.0, 150.0))
+        configs = [make_config(), make_config(scheme="custom", custom_entries=custom)]
+        assert configs[1].reward_matrix().row_sum != 200.0
+        message = "configs run together must share one reward matrix row sum"
+        with pytest.raises(InvalidInput, match=message):
+            run_experiments(configs)
+
+    def test_no_configs_rejected(self):
+        with pytest.raises(InvalidInput, match="need at least one config"):
+            run_experiments([])
 
 
 class TestTimeSeries:

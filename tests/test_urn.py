@@ -473,3 +473,121 @@ class TestSlotRuleReference:
             assert part_proposers.tobytes() == whole_proposers.tobytes(), scheme
             assert part_total == total, scheme
             assert summed.tolist() == counts.tolist(), scheme
+
+
+def integer_custom(weights, scale):
+    """A custom matrix of small integers times a power of two: every row sums
+    exactly to the same budget, so it can share a row sum with frd and
+    constant matrices at that budget."""
+    rows = np.array(weights, dtype=np.float64)
+    np.fill_diagonal(rows, 0.0)
+    rows[np.diag_indices(len(rows))] = rows.sum(axis=1).max() + 1.0 - rows.sum(axis=1)
+    return custom_matrix(rows * scale)
+
+
+def grouped_matrices(schemes, stakes, custom):
+    """One matrix per scheme, all at the custom matrix's row sum."""
+    budget = custom.row_sum
+    return [custom if s == "custom" else some_matrix(s, stakes, budget, None) for s in schemes]
+
+
+def check_groups_against_single_calls(stakes, matrices, draws, cuts=None):
+    """run_slots over len(matrices) groups of urns, in one call per column
+    slice between `cuts`, equals one whole call per matrix, bit for bit:
+    stakes, proposers, counts and total."""
+    vector, initial_total = start(stakes)
+    count, n = draws.shape
+    groups = len(matrices)
+    cuts = [0, n] if cuts is None else cuts
+    urns = np.tile(vector, (groups * count, 1))
+    proposers = np.empty((groups * count, n), dtype=np.int64)
+    counts = np.zeros((groups, len(vector)), dtype=np.int64)
+    total = initial_total
+    for a, b in zip(cuts, cuts[1:]):
+        part_counts, total = run_slots(urns, total, matrices, draws[:, a:b],
+                                       proposers=proposers[:, a:b])
+        counts += part_counts
+    for g, matrix in enumerate(matrices):
+        single = np.tile(vector, (count, 1))
+        single_proposers = np.empty((count, n), dtype=np.int64)
+        single_counts, single_total = run_slots(single, initial_total, matrix, draws,
+                                                proposers=single_proposers)
+        rows = slice(g * count, (g + 1) * count)
+        assert urns[rows].tobytes() == single.tobytes(), g
+        assert proposers[rows].tobytes() == single_proposers.tobytes(), g
+        assert counts[g].tolist() == single_counts.tolist(), g
+        assert total == single_total, g
+    return proposers
+
+
+class TestGroupedSlots:
+    """run_slots on G groups of urns, one per matrix, over one set of draws."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_one_call_per_matrix(self, data):
+        m = data.draw(st.sampled_from([1, 2, 3, 10]))
+        groups = data.draw(st.integers(1, 3))
+        stake = st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.integers(0, 64).map(float))
+        stakes = data.draw(st.lists(stake, min_size=m, max_size=m).filter(lambda s: sum(s) > 0))
+        weights = data.draw(st.lists(st.integers(0, 5), min_size=m * m, max_size=m * m))
+        scale = data.draw(st.sampled_from([2.0**-30, 0.25, 1.0, 8.0]))
+        custom = integer_custom(np.reshape(weights, (m, m)), scale)
+        schemes = data.draw(st.lists(st.sampled_from(["frd", "constant", "custom"]),
+                                     min_size=groups, max_size=groups))
+        vector, total = start(stakes)
+        boundaries = [float(c) / total for c in np.cumsum(vector)]
+        special = [0.0, LARGEST_DRAW, *(u for u in boundaries if u < 1.0)]
+        draw = st.one_of(st.sampled_from(special), st.floats(0.0, 1.0, exclude_max=True))
+        count, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+        draws = data.draw(st.lists(draw, min_size=count * n, max_size=count * n))
+        check_groups_against_single_calls(stakes, grouped_matrices(schemes, stakes, custom),
+                                          np.reshape(draws, (count, n)))
+
+    def test_zero_stake_last_node_across_blocks_and_slices(self):
+        # EDGE_STAKES' node 8 is empty: the largest draws go to node 7 by the
+        # edge rule, in the first, a middle and the last block, in every
+        # group; the grouped calls stop off the block grid
+        count, n = _BLOCK_URNS + 3, 2 * _BLOCK_STEPS + 5
+        draws = np.random.default_rng(31).random((count, n))
+        for step in (0, _BLOCK_STEPS + 7, n - 1):
+            draws[::2, step] = LARGEST_DRAW
+        weights = np.zeros((9, 9))
+        weights[3, :8] = 1.0  # under custom, node 8 gains nothing
+        custom = integer_custom(weights, 2.0**-30)
+        matrices = grouped_matrices(["constant", "frd", "custom"], EDGE_STAKES, custom)
+        cuts = [0, 1, _BLOCK_STEPS - 1, _BLOCK_STEPS + 1, 130, n]
+        proposers = check_groups_against_single_calls(EDGE_STAKES, matrices, draws, cuts)
+        assert (proposers.reshape(3, count, n)[:, ::2, 0] == 7).all()
+
+    def test_one_node_two_groups(self):
+        # no mask runs at m = 1, so the group offset must not pile up
+        custom = integer_custom([[0]], 1.0)
+        matrices = [custom, constant_matrix(1, custom.row_sum)]
+        draws = np.random.default_rng(5).random((3, _BLOCK_STEPS + 9))
+        proposers = check_groups_against_single_calls([7.0], matrices, draws)
+        assert (proposers == 0).all()
+
+    def test_more_nodes_than_a_byte_indexes(self):
+        # m = 300 needs a 16-bit proposer index
+        stakes = np.random.default_rng(8).random(300).tolist()
+        weights = np.random.default_rng(9).integers(0, 3, (300, 300))
+        custom = integer_custom(weights, 1.0)
+        matrices = grouped_matrices(["frd", "custom", "constant"], stakes, custom)
+        draws = np.random.default_rng(10).random((4, _BLOCK_STEPS + 6))
+        draws[:, -1] = LARGEST_DRAW
+        proposers = check_groups_against_single_calls(stakes, matrices, draws)
+        assert proposers.max() > 255
+
+    def test_row_sums_must_match(self):
+        stakes, total = start([50.0, 50.0])
+        draws = np.zeros((2, 3))
+        matrices = [frd_matrix([50.0, 50.0], 200.0), constant_matrix(2, 100.0)]
+        with pytest.raises(InvalidInput, match="the reward matrices must share one row sum"):
+            run_slots(np.tile(stakes, (4, 1)), total, matrices, draws)
+
+    def test_urn_rows_must_fill_the_groups(self):
+        stakes, total = start([50.0, 50.0])
+        matrices = [frd_matrix([50.0, 50.0], 200.0), constant_matrix(2, 200.0)]
+        with pytest.raises(InvalidInput, match="3 urns for 2 groups of 2 draws rows"):
+            run_slots(np.tile(stakes, (3, 1)), total, matrices, np.zeros((2, 3)))
