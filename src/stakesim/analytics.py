@@ -24,10 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateBeta, InvalidInput
-from .schemes import (
-    Regime, RewardMatrix, check_budget, check_integer, check_node, classify_regime, regime_of,
-)
+from .errors import DegenerateBeta, InvalidInput, check_budget, check_integer, check_node
+from .schemes import Regime, RewardMatrix, classify_regime, regime_of
 from .urn import stake_vector
 
 
@@ -35,14 +33,6 @@ def _check_wl(l: float, w: float, budget: float) -> None:
     check_budget(budget)
     if not (0.0 <= l <= w <= budget):
         raise InvalidInput(f"need 0 <= l <= w <= K, got l={l!r} w={w!r} K={budget!r}")
-
-
-def _check_horizon(n: int) -> int:
-    """The horizon rule: n an integer (config's rule) and >= 0."""
-    n = check_integer(n, "n")
-    if n < 0:
-        raise InvalidInput("n must be >= 0")
-    return n
 
 
 def predict_mean_stake(l: float, w: float, budget: float, n: int) -> float:
@@ -53,7 +43,7 @@ def predict_mean_stake(l: float, w: float, budget: float, n: int) -> float:
     limit for its fraction instead).
     """
     _check_wl(l, w, budget)
-    n = _check_horizon(n)
+    n = check_integer(n, "n", 0)
     if l == 0.0:
         return 0.0
     return limiting_mean_fraction(l, w, budget) * budget * n
@@ -66,7 +56,7 @@ def predict_var_stake(l: float, w: float, budget: float, n: int) -> tuple[float,
     Raises InvalidInput when w - l > K/2.
     """
     _check_wl(l, w, budget)
-    n = _check_horizon(n)
+    n = check_integer(n, "n", 0)
     regime = regime_of(l, w, budget)
     if regime is Regime.SUPERCRITICAL:
         raise InvalidInput(
@@ -115,7 +105,7 @@ def predict(matrix: RewardMatrix, node: int, initial_total: float, n: int) -> An
     """Assemble the full prediction for one node of a balanced matrix at
     horizon n >= 0 from the initial total S(0) > 0."""
     node = check_node(node, matrix.num_nodes)
-    n = _check_horizon(n)
+    n = check_integer(n, "n", 0)
     initial_total = check_budget(initial_total, "initial_total")
     regime = classify_regime(matrix, node)
     if regime is Regime.SUPERCRITICAL:
@@ -156,7 +146,7 @@ def exact_stake_moments(
     0 <= l <= w <= K and 0 <= s_i0 <= S(0).
     """
     _check_wl(l, w, budget)
-    n = _check_horizon(n)
+    n = check_integer(n, "n", 0)
     total = check_budget(initial_total, "initial_total")
     if not 0.0 <= s_i0 <= total:  # also rejects nan
         raise InvalidInput(
@@ -225,8 +215,7 @@ def empirical_stats(samples: Sequence[float], bins: int = 100) -> SampleStats:
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise InvalidInput("need at least 2 samples")
-    if bins < 1:
-        raise InvalidInput("bins must be >= 1")
+    bins = check_integer(bins, "bins", 1)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also rejects nan
         raise InvalidInput("samples must lie in [0, 1]")
     counts, edges = np.histogram(arr, bins=bins, range=(0.0, 1.0))

@@ -19,13 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from .analytics import BetaParams, SampleStats, beta_limit_params, empirical_stats, predict
-from .errors import DegenerateBeta, InvalidInput, ParseError, SchemaError, StakeSimError
+from .errors import (
+    DegenerateBeta, InvalidInput, ParseError, SchemaError, StakeSimError, check_integer,
+)
 from .montecarlo import (
     ExperimentConfig,
     ExperimentResult,
     RecordPolicy,
     TimeSeries,
-    check_workers,
     run_experiment,
     run_experiments,
 )
@@ -640,7 +641,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if "workers" in args:
             try:
-                check_workers(args.workers)
+                check_integer(args.workers, "workers", 1)
             except InvalidInput as e:
                 raise SchemaError(args.command, str(e)) from None
         return args.func(args)

@@ -19,11 +19,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidInput, StakeSimError
-from .schemes import (
-    ROW_SUM_RTOL, RewardMatrix, check_budget, check_integer, constant_matrix, custom_matrix,
-    frd_matrix,
-)
+from .errors import InvalidInput, StakeSimError, check_budget, check_integer, check_node
+from .schemes import ROW_SUM_RTOL, RewardMatrix, constant_matrix, custom_matrix, frd_matrix
 from .urn import recorded_steps, repetition_draws, run_slots, stake_vector
 
 SCHEMES = ("constant", "frd", "custom")
@@ -51,9 +48,7 @@ class RecordPolicy:
     track_nodes: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "stride", check_integer(self.stride, "stride"))
-        if self.stride < 0:
-            raise InvalidInput("stride must be >= 0")
+        object.__setattr__(self, "stride", check_integer(self.stride, "stride", 0))
         if self.track_nodes is not None:
             if not (isinstance(self.track_nodes, Sequence) or np.ndim(self.track_nodes) == 1):
                 raise InvalidInput("track_nodes must be a sequence of node indices")
@@ -92,25 +87,18 @@ class ExperimentConfig:
         object.__setattr__(
             self, "reward_budget_K", check_budget(self.reward_budget_K, "reward_budget_K")
         )
-        for name in ("steps_n", "repetitions", "base_seed"):
-            object.__setattr__(self, name, check_integer(getattr(self, name), name))
-        if self.steps_n < 0:
-            raise InvalidInput("steps_n must be >= 0")
+        for name, minimum in (("steps_n", 0), ("repetitions", 1), ("base_seed", None)):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, minimum))
         try:
             final_total = sum(self.initial_stakes) + self.steps_n * self.reward_budget_K
         except OverflowError:  # steps_n too large for a float
             final_total = np.inf
         if not np.isfinite(final_total):
             raise InvalidInput("total stake after steps_n slots must be finite")
-        if self.repetitions < 1:
-            raise InvalidInput("repetitions must be >= 1")
         if not 0 <= self.base_seed < 2**64:
             raise InvalidInput("base_seed must be an unsigned 64-bit integer")
-        m = len(self.initial_stakes)
-        if self.record.track_nodes is not None:
-            for i in self.record.track_nodes:
-                if not 0 <= i < m:
-                    raise InvalidInput(f"track_nodes entry {i} out of range for {m} nodes")
+        for i in self.record.track_nodes or ():
+            check_node(i, self.num_nodes, "track_nodes entry")
         self.reward_matrix()  # custom size and row-sum rules apply here, not at first use
 
     @property
@@ -320,12 +308,6 @@ class ExperimentResult:
     time_series: TimeSeries | None
 
 
-def check_workers(workers: int) -> None:
-    """The worker-count rule: at least one process runs the chunks."""
-    if workers < 1:
-        raise InvalidInput(f"workers must be >= 1, got {workers}")
-
-
 def _chunk_bounds(start: int, stop: int, n: int, workers: int) -> list[tuple[int, int]]:
     """Split [start, stop) into near-equal chunks within the per-chunk
     limits: a multiple of `workers` chunks when there are at least that
@@ -417,7 +399,7 @@ def run_experiments(
     exactly the full-run result (see merge_results).  `workers` > 1 farms
     chunks to a process pool; the output is identical to the serial run.
     """
-    check_workers(workers)
+    workers = check_integer(workers, "workers", 1)
     if not configs:
         raise InvalidInput("need at least one config")
     config = configs[0]
@@ -430,6 +412,7 @@ def run_experiments(
         raise InvalidInput("configs run together must share one reward matrix row sum")
     m = config.num_nodes
     start, stop = rep_range if rep_range is not None else (0, config.repetitions)
+    start, stop = check_integer(start, "rep_range start"), check_integer(stop, "rep_range stop")
     if not 0 <= start < stop <= config.repetitions:
         raise InvalidInput(
             f"rep_range {(start, stop)} invalid for {config.repetitions} repetitions"

@@ -8,13 +8,12 @@ whenever someone else proposes and w_i when it proposes itself.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_budget, check_integer, check_node
 from .urn import stake_vector
 
 # row sums (and the critical-regime equality) are checked to 1e-9 * K:
@@ -47,30 +46,6 @@ class RewardMatrix:
         return int(self.entries.shape[0])
 
 
-def check_budget(value: float, name: str = "budget") -> float:
-    """The per-slot budget rule, K finite and > 0, which the analytics
-    also apply to an initial total S(0); returns the value as a float."""
-    if not 0 < value < np.inf:  # also rejects nan
-        raise InvalidInput(f"{name} must be finite and > 0, got {value!r}")
-    return float(value)
-
-
-def check_integer(value, name: str) -> int:
-    """The integer rule for counts, seeds and horizons: any integral number
-    but a bool, returned as a Python int."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def check_node(node, m: int) -> int:
-    """The node-index rule: an integer by check_integer's rule, in [0, m)."""
-    node = check_integer(node, "node")
-    if not 0 <= node < m:
-        raise InvalidInput(f"node index {node} out of range for {m} nodes")
-    return node
-
-
 def regime_of(l: float, w: float, budget: float) -> Regime:
     """The regime split itself: w - l against K/2, equal within
     ROW_SUM_RTOL * K."""
@@ -88,8 +63,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def constant_matrix(m: int, budget: float) -> RewardMatrix:
     """Proposer-takes-all baseline: K on the diagonal, zero elsewhere."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidInput(f"node count must be a positive integer, got {m!r}")
+    m = check_integer(m, "node count", 1)
     budget = check_budget(budget)
     entries = np.eye(m, dtype=np.float64) * budget
     params = BalancedParams(

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_integer
 
 if TYPE_CHECKING:  # pragma: no cover
     from .schemes import RewardMatrix
@@ -46,8 +46,8 @@ def recorded_steps(n: int, stride: int) -> list[int]:
     stride == 0 records only the final step; stride >= 1 records step 0,
     every multiple of the stride, and always the final step.
     """
-    if n < 0 or stride < 0:
-        raise InvalidInput("n and stride must be >= 0")
+    n = check_integer(n, "n", 0)
+    stride = check_integer(stride, "stride", 0)
     if stride == 0:
         return [n]
     steps = list(range(0, n + 1, stride))
@@ -230,8 +230,7 @@ def simulate_trajectory(
 ) -> tuple[np.ndarray, float]:
     """Run n slots of one urn on repetition 0's draws of `seed`; return its
     final stakes and total."""
-    if n < 0:
-        raise InvalidInput("n must be >= 0")
+    n = check_integer(n, "n", 0)
     urn = np.array(stakes, dtype=np.float64, ndmin=2)
     m = matrix.num_nodes
     if urn.shape[1] != m:

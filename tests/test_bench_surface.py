@@ -41,6 +41,9 @@ def test_worker_names_exist():
     assert moments.count == 3
     m1, var = analytics.exact_stake_moments(10.0, 100.0, 150.0, 50.0, 200.0, 10)
     assert np.isfinite([m1, var]).all()
+    config = montecarlo.ExperimentConfig(stakes, "frd", 200.0, 25, 2, 5,
+                                         record=montecarlo.RecordPolicy(stride=10))
+    assert urn.recorded_steps(config.steps_n, config.record.stride) == [0, 10, 20, 25]
 
 
 def test_table1_report_calls_predictors_by_cli_names(monkeypatch):

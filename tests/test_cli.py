@@ -610,7 +610,7 @@ class TestMainCommands:
         assert code == 2
 
     @pytest.mark.parametrize("flags,message", [
-        (["--bins", "0"], "hist: bins must be >= 1"),
+        (["--bins", "0"], "hist: bins must be >= 1, got 0"),
         (["--beta", "0,1"], "beta: both parameters must be finite and > 0"),
         (["--beta=-1,2"], "beta: both parameters must be finite and > 0"),
         (["--mean-marker", "nan"], "hist: mean marker must be in [0, 1], got nan"),
@@ -704,7 +704,7 @@ class TestMainCommands:
         assert not svg.exists()
 
     @pytest.mark.parametrize("flags,message", [
-        (["--reps", "0"], "table1: repetitions must be >= 1"),
+        (["--reps", "0"], "table1: repetitions must be >= 1, got 0"),
         (["--seed", "-1"], "table1: base_seed must be an unsigned 64-bit integer"),
         # config i is seeded with seed + i, so the last config overflows
         (["--seed", str(2**64 - 2)], "table1: base_seed must be an unsigned 64-bit integer"),

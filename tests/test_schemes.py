@@ -43,7 +43,7 @@ class TestConstantMatrix:
         np.testing.assert_allclose(matrix.entries.sum(axis=1), budget, rtol=1e-9)
 
     def test_invalid_dimension(self):
-        with pytest.raises(InvalidInput, match="node count must be a positive integer, got 0"):
+        with pytest.raises(InvalidInput, match="node count must be >= 1, got 0"):
             constant_matrix(0, 200)
 
     def test_nonpositive_budget(self):
