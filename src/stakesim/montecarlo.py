@@ -13,7 +13,6 @@ run_experiments runs them as one batch over one draw of the stream.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInput, StakeSimError, check_budget, check_integer, check_node
 from .schemes import ROW_SUM_RTOL, RewardMatrix, constant_matrix, custom_matrix, frd_matrix
-from .urn import recorded_steps, repetition_draws, run_slots, stake_vector
+from .urn import recorded_steps, repetition_draws, slot_snapshots, stake_vector
 
 SCHEMES = ("constant", "frd", "custom")
 
@@ -133,8 +132,8 @@ class ExperimentConfig:
 #
 # Every finite float64 is v = f * 2**e (np.frexp) with 2**53 * f an integer,
 # and v * 2**1074 and v*v * 2**2148 are integers.  _exact_sums works on one
-# exponent window of a column at a time.  The window's top exponent a is the
-# top exponent of the column's values not yet summed, and it holds the
+# exponent window of a row at a time.  The window's top exponent a is the
+# top exponent of the row's values not yet summed, and it holds the
 # values with exponent a - _WINDOW .. a.  For those, x = v * 2**(53 +
 # _WINDOW - a) is an exact float integer with 2**52 <= |x| < 2**70, and
 # every value below the window scales to |x| < 2**52.  Rounding x at 2**54,
@@ -148,7 +147,7 @@ class ExperimentConfig:
 # the squares).  A negative shift, for subnormal windows, divides exactly:
 # each term is an integer multiple of v * 2**1074.
 # The values below a window go on to the next one, compressed to that
-# column's remaining values, so a column whose values span many exponents
+# row's remaining values, so a row whose values span many exponents
 # costs one pass per window present.
 
 _SCALE_BITS = 1074  # every finite float64 is an integer multiple of 2**-1074
@@ -187,21 +186,21 @@ def _window_sums(cols: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
 
 
 def _exact_sums(values: np.ndarray) -> list[tuple[int, int]]:
-    """Exact sums of each column of a finite (count, k) float64 array: one
-    (sum(v) * 2**1074, sum(v*v) * 2**2148) integer pair per column."""
-    count, k = values.shape
+    """Exact sums of each row of a finite (k, count) float64 array: one
+    (sum(v) * 2**1074, sum(v*v) * 2**2148) integer pair per row."""
+    k, count = values.shape
     sums = [0] * k
     sumsqs = [0] * k
     for start in range(0, count, _EXACT_ROWS):
-        cols = np.ascontiguousarray(values[start:start + _EXACT_ROWS].T, dtype=np.float64)
-        todo = [(range(k), cols)]  # (column indices, their values not yet summed)
+        cols = values[:, start:start + _EXACT_ROWS]
+        todo = [(range(k), cols)]  # (row indices, their values not yet summed)
         while todo:
-            columns, cols = todo.pop()
+            indices, cols = todo.pop()
             pairs, rest = _window_sums(cols)
-            for j, (s, s2) in zip(columns, pairs):
+            for j, (s, s2) in zip(indices, pairs):
                 sums[j] += s
                 sumsqs[j] += s2
-            todo += [([columns[i]], cols[i, rest[i]][None])
+            todo += [([indices[i]], cols[i, rest[i]][None])
                      for i in np.flatnonzero(rest.any(axis=1)).tolist()]
     return list(zip(sums, sumsqs))
 
@@ -227,7 +226,7 @@ class RunningMoments:
             raise InvalidInput(f"values must be a 1-D array, got {values.ndim} dimensions")
         if not np.isfinite(values).all():
             raise InvalidInput("values must be finite")
-        [(s, s2)] = _exact_sums(values[:, None])
+        [(s, s2)] = _exact_sums(values[None])
         self.count += len(values)
         self.sum_scaled += s
         self.sumsq_scaled += s2
@@ -330,10 +329,12 @@ def _chunk_task(
 ) -> list[ExperimentResult]:
     """Simulate repetitions [a, b) of every config on their block of the
     run's one stream (urn.repetition_draws), drawn once: one group of urns
-    per config, all advanced by one run_slots call per recorded step.  The
-    draws go into the leading b - a rows of `buffer`, a C-contiguous float64
-    array of steps_n columns, when one is given, and into a new array
-    otherwise."""
+    per config, all advanced by one slot-kernel pass (urn.slot_snapshots).
+    When recording, the pass stops at each recorded step, and the tracked
+    nodes' fractions are read from its node-major stake columns into the
+    exact moment sums.  The draws go into the leading b - a rows of
+    `buffer`, a C-contiguous float64 array of steps_n columns, when one is
+    given, and into a new array otherwise."""
     config = configs[0]
     a, b = bounds
     count = b - a
@@ -346,18 +347,21 @@ def _chunk_task(
     record = config.record.stride > 0
     steps = tuple(recorded_steps(n, config.record.stride))
     track = config.tracked_nodes()
-    total = float(initial.sum())
-    counts = np.zeros((len(configs), config.num_nodes), dtype=np.int64)
+    nodes = list(track)
     cells: list[list] = [[] for _ in configs]
-    done = 0
-    for step in steps:
-        segment_counts, total = run_slots(stakes, total, matrices, draws[:, done:step])
-        counts += segment_counts
-        done = step
-        if record:
-            for rows, group_cells in zip(group_rows, cells):
-                sums = _exact_sums(stakes[rows, track] / total)
-                group_cells.append(tuple(RunningMoments(count, s, s2) for s, s2 in sums))
+    kernel = slot_snapshots(stakes, float(initial.sum()), matrices, draws,
+                            steps if record else ())
+    while True:
+        try:
+            _, at, columns = next(kernel)
+        except StopIteration as end:
+            counts, total = end.value
+            break
+        for rows, group_cells in zip(group_rows, cells):
+            values = columns[nodes, rows]  # (tracked nodes, count), a copy
+            values /= at
+            group_cells.append(tuple(RunningMoments(count, s, s2)
+                                     for s, s2 in _exact_sums(values)))
     fractions = stakes / total
     return [
         ExperimentResult(
@@ -411,7 +415,10 @@ def run_experiments(
     if any(matrix.row_sum != matrices[0].row_sum for matrix in matrices):
         raise InvalidInput("configs run together must share one reward matrix row sum")
     m = config.num_nodes
-    start, stop = rep_range if rep_range is not None else (0, config.repetitions)
+    try:
+        start, stop = rep_range if rep_range is not None else (0, config.repetitions)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"rep_range must be a (start, stop) pair, got {rep_range!r}") from None
     start, stop = check_integer(start, "rep_range start"), check_integer(stop, "rep_range stop")
     if not 0 <= start < stop <= config.repetitions:
         raise InvalidInput(
@@ -430,6 +437,9 @@ def run_experiments(
     bounds = _chunk_bounds(start, stop, n, workers)
     task = partial(_chunk_task, configs, matrices)
     if workers > 1 and len(bounds) > 1:
+        # imported here, so a serial run never loads the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         # a fork pool starts every worker at once: no more than there are chunks
         with ProcessPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
             outputs = list(pool.map(task, bounds))

@@ -8,7 +8,7 @@ which is repetition 0 of any run with that seed and horizon.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Generator, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -114,27 +114,57 @@ def run_slots(
     every proposer.  Returns the per-node proposer counts summed over urns
     and slots, (G, m) for a sequence of matrices, and the final total.
 
+    This is slot_snapshots with no stops: one pass of the one kernel.
+    """
+    try:
+        next(slot_snapshots(stakes, total, matrix, draws, (), proposers=proposers))
+    except StopIteration as end:  # with no stops, the first next() runs every slot
+        return end.value
+    raise AssertionError("slot_snapshots stopped with no stops")  # pragma: no cover
+
+
+def slot_snapshots(
+    stakes: np.ndarray,
+    total: float,
+    matrix: "RewardMatrix | Sequence[RewardMatrix]",
+    draws: np.ndarray,
+    stops: Sequence[int],
+    *,
+    proposers: np.ndarray | None = None,
+) -> Generator[tuple[int, float, np.ndarray], None, tuple[np.ndarray, float]]:
+    """run_slots' kernel, pausing after the slots named by `stops`.
+
+    `stops`, increasing steps in [0, n], are slot counts: at stop s the
+    generator yields (s, total after s slots, columns), where `columns` is
+    the kernel's node-major (m, urns) stake array, urn u's node j at
+    columns[j, u], valid until the generator resumes and not to be written.
+    `stakes` is written only when the last slot has run; the generator then
+    returns run_slots' (counts, total).  The state at each stop, and the
+    end state, equal those of run_slots calls over the column slices
+    between the stops.
+
     The urns are held node-major, one contiguous column per node, groups
-    laid end to end.  The slots run in blocks of _BLOCK_STEPS: a block's
-    draws are copied step-major into one (block, count) buffer, a tile of
-    _BLOCK_URNS urns at a time, row k is scaled by slot k's analytic total,
-    and the result is copied into each further group's slice, so each slot
-    reads one contiguous row of thresholds draw * total.  The cumulative
-    stakes are a running sum over the columns in ascending node order, the
-    same adds as np.cumsum, and as stakes are never negative they never
-    decrease: the prefix masks C_j <= draw * total are nested, and the
-    proposer, the first g with draw * total < C_g, is the number of masks
-    set among C_0 .. C_{m-2}.  Mask j's count in a group is the number of
-    its slots whose proposer is at least j + 1; the per-node counts are the
-    differences of these tallies.  The masks are summed in the smallest
-    unsigned type that holds m - 1 and copied to an intp index once per
-    slot (at m == 2 the one mask is copied in directly); the rewards are
-    one table of G blocks of m columns, indexed by the proposer plus its
-    group's offset.  The float edge is checked only in blocks that start
-    with some urn's node m-1 at zero stake.  Where node m-1 holds stake,
-    it keeps it, and every mask already counts a draw past C_{m-1} as node
-    m-1's, which is where the edge rule sends it; so the bytes do not
-    depend on the check.
+    laid end to end.  The slots run in blocks of _BLOCK_STEPS, whatever the
+    stops: a block's draws are copied step-major into one (block, count)
+    buffer, a tile of _BLOCK_URNS urns at a time, row k is scaled by slot
+    k's analytic total, and the result is copied into each further group's
+    slice, so each slot reads one contiguous row of thresholds draw * total.
+    A stop's total is slot k's total plus the row sum, the add that makes
+    the next slot's total.  The cumulative stakes are a running sum over the
+    columns in ascending node order, the same adds as np.cumsum, and as
+    stakes are never negative they never decrease: the prefix masks C_j <=
+    draw * total are nested, and the proposer, the first g with draw * total
+    < C_g, is the number of masks set among C_0 .. C_{m-2}.  Mask j's count
+    in a group is the number of its slots whose proposer is at least j + 1;
+    the per-node counts are the differences of these tallies.  The masks are
+    summed in the smallest unsigned type that holds m - 1 and copied to an
+    intp index once per slot (at m == 2 the one mask is copied in directly);
+    the rewards are one table of G blocks of m columns, indexed by the
+    proposer plus its group's offset.  The float edge is checked only in
+    blocks that start with some urn's node m-1 at zero stake.  Where node
+    m-1 holds stake, it keeps it, and every mask already counts a draw past
+    C_{m-1} as node m-1's, which is where the edge rule sends it; so the
+    bytes do not depend on the check.
     """
     grouped = isinstance(matrix, Sequence)
     matrices = list(matrix) if grouped else [matrix]
@@ -146,6 +176,9 @@ def run_slots(
     urns, m = stakes.shape
     if urns != groups * count:
         raise InvalidInput(f"{urns} urns for {groups} groups of {count} draws rows")
+    stops = [check_integer(step, "stop") for step in stops]
+    if any(a >= b for a, b in zip([-1, *stops], [*stops, n + 1])):
+        raise InvalidInput(f"stops must increase within [0, {n}], got {stops}")
     # rewards[j][g * m + p]: node j's reward in group g when p proposes
     rewards = np.concatenate([mat.entries for mat in matrices]).T.copy()
     columns = stakes.T.copy()
@@ -166,6 +199,11 @@ def run_slots(
     at_least = np.zeros((groups, m), dtype=np.int64)
     at_least[:, 0] = count * n
     tallies = [(at_least[g], below[part]) for g, part in enumerate(parts)]
+    upcoming = iter([*stops, -1])  # -1 follows the last stop: no slot count matches it
+    stop = next(upcoming)
+    if stop == 0:
+        yield 0, total, columns
+        stop = next(upcoming)
     for start in range(0, n, _BLOCK_STEPS):
         width = min(_BLOCK_STEPS, n - start)
         for k in range(width):
@@ -216,6 +254,9 @@ def run_slots(
             # bounds-checked copy "raise" makes of `out`
             rewards.take(index, axis=1, out=gains, mode="wrap")
             columns += gains
+            if start + k + 1 == stop:
+                yield stop, totals.item(k) + row_sum, columns
+                stop = next(upcoming)
     stakes[...] = columns.T
     at_least[:, :-1] -= at_least[:, 1:]  # now the per-node counts
     return (at_least if grouped else at_least[0]), total

@@ -2,8 +2,12 @@
 
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,7 +131,7 @@ class TestRunExperiment:
                 return [fn(b) for b in bounds]
 
         config = make_config(repetitions=reps, record=RecordPolicy(stride=50))
-        monkeypatch.setattr("stakesim.montecarlo.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         parallel = run_experiment(config, workers=workers)
         sizes = [b - a for a, b in chunks]
         assert pools == [min(workers, reps)]
@@ -182,6 +186,31 @@ class TestRunExperiment:
             run_experiment(make_config(), rep_range=(10, 5))
         with pytest.raises(ValueError):
             run_experiment(make_config(), rep_range=(0, 1000))
+
+    @pytest.mark.parametrize("rep_range", [(1,), (0, 1, 2), 5, ()],
+                             ids=["one", "three", "int", "empty"])
+    def test_rep_range_must_be_a_pair(self, rep_range):
+        message = f"rep_range must be a (start, stop) pair, got {rep_range!r}"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            run_experiment(make_config(), rep_range=rep_range)
+
+    def test_process_pool_is_imported_only_to_start_one(self):
+        # importing the cli and a serial run load no pool module; a run with
+        # two workers and two chunks starts a pool and loads it
+        code = ("import sys, stakesim.cli\n"
+                "from stakesim import ExperimentConfig, run_experiment\n"
+                "pool = 'concurrent.futures.process'\n"
+                "print(pool in sys.modules)\n"
+                "config = ExperimentConfig(initial_stakes=(1.0, 1.0), scheme='frd',"
+                " reward_budget_K=2.0, steps_n=3, repetitions=2, base_seed=1)\n"
+                "run_experiment(config)\n"
+                "print(pool in sys.modules)\n"
+                "run_experiment(config, workers=2)\n"
+                "print(pool in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(montecarlo.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.split() == ["False", "False", "True"]
 
 
 class TestMergeResults:
@@ -402,16 +431,19 @@ EDGE_VALUES = (
 
 
 class TestExactSums:
+    """_exact_sums sums the rows of a (k, count) array: each call passes the
+    transpose of a (count, k) array whose columns oracle_sums sums."""
+
     @settings(max_examples=300, deadline=None)
     @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12),
                   elements=st.floats(allow_nan=False, allow_infinity=False)))
     def test_matches_rational_oracle(self, values):
-        assert montecarlo._exact_sums(values) == oracle_sums(values)
+        assert montecarlo._exact_sums(values.T) == oracle_sums(values)
 
     def test_edge_values(self):
         values = np.array(EDGE_VALUES)
         both = np.stack([values, -values[::-1]], axis=1)
-        assert montecarlo._exact_sums(both) == oracle_sums(both)
+        assert montecarlo._exact_sums(both.T) == oracle_sums(both)
 
     def test_fullest_bucket(self):
         # a full block of one window whose limbs all sit at their bounds: v
@@ -419,7 +451,7 @@ class TestExactSums:
         # limbs 2**16, -2**17, 2**17, -2**17, so the Gram entries reach 2**50
         v = 1 - 2.0**-17 + 2.0**-35 - 2.0**-53
         values = np.full((montecarlo._EXACT_ROWS, 1), v)
-        assert montecarlo._exact_sums(values) == oracle_sums(values)
+        assert montecarlo._exact_sums(values.T) == oracle_sums(values)
 
     def test_many_windows_over_blocks(self):
         # one column spanning every exponent in the last 6000 rows, which
@@ -428,32 +460,32 @@ class TestExactSums:
         values = np.zeros((montecarlo._EXACT_ROWS + 3000, 1))
         values[-6000:] = rng.standard_normal((6000, 1)) * 2.0 ** rng.integers(-1074, 1000, (6000, 1))
         values[-6000::7] = np.nextafter(0.0, 1.0) * rng.integers(1, 2**52, (858, 1))
-        assert montecarlo._exact_sums(values) == oracle_sums(values)
+        assert montecarlo._exact_sums(values.T) == oracle_sums(values)
 
     def test_zero_column_beside_nonzero(self):
         values = np.array([[0.0, 1.5], [-0.0, -2.25], [0.0, 3e-300], [-0.0, 7e300]])
-        assert montecarlo._exact_sums(values) == oracle_sums(values)
+        assert montecarlo._exact_sums(values.T) == oracle_sums(values)
 
     def test_subnormal_column(self):
         rng = np.random.Generator(np.random.PCG64(12))
         values = np.nextafter(0.0, 1.0) * rng.integers(-2**52, 2**52, (300, 2))
         values[:, 1] = np.nextafter(0.0, 1.0) * rng.integers(-4, 5, 300)
-        assert montecarlo._exact_sums(values) == oracle_sums(values)
+        assert montecarlo._exact_sums(values.T) == oracle_sums(values)
 
     def test_no_rows(self):
-        assert montecarlo._exact_sums(np.empty((0, 3))) == [(0, 0)] * 3
-        assert montecarlo._exact_sums(np.empty((4, 0))) == []
+        assert montecarlo._exact_sums(np.empty((3, 0))) == [(0, 0)] * 3
+        assert montecarlo._exact_sums(np.empty((0, 4))) == []
 
     def test_wide_block(self):
         values = np.random.Generator(np.random.PCG64(8)).random((50, 3000))
-        assert montecarlo._exact_sums(values) == oracle_sums(values)
+        assert montecarlo._exact_sums(values.T) == oracle_sums(values)
 
     def test_row_blocks(self, monkeypatch):
         rng = np.random.Generator(np.random.PCG64(9))
         values = rng.standard_normal((101, 3)) * 10.0 ** rng.integers(-310, 300, (101, 3))
-        whole = montecarlo._exact_sums(values)
+        whole = montecarlo._exact_sums(values.T)
         monkeypatch.setattr(montecarlo, "_EXACT_ROWS", 7)
-        assert montecarlo._exact_sums(values) == whole == oracle_sums(values)
+        assert montecarlo._exact_sums(values.T) == whole == oracle_sums(values)
 
     def test_add_values_equals_column_sums(self):
         values = np.random.Generator(np.random.PCG64(10)).random((40, 2))
@@ -510,6 +542,23 @@ GOLDEN = {
                                          (10.0, 60.0, 130.0))),
         "276b4f8024f177a236589799a313028b3f1dbbd50052b47be093eb82e3630d92",
         "7e8f82d1ab2c39082e88c764c4f499101a32e51bf3cf50bcbdcbd8c0155806a8",
+    ),
+    # recorded steps on the kernel's 64-slot block edges (0, 64, 128, 192)
+    # and inside its last block (200); then stops inside blocks with an
+    # empty last node, so the float-edge pass runs in blocks that stop
+    "frd_stride_64": (
+        ExperimentConfig(initial_stakes=(40.0, 35.0, 25.0), scheme="frd",
+                         reward_budget_K=150.0, steps_n=200, repetitions=120,
+                         base_seed=20261019, record=RecordPolicy(stride=64)),
+        "61290c19c52d5cdec86d6b261fe20725874102ad299dbad1be53b506fa73da19",
+        "d10c8a0c08119d56f40f61857dbacd0321afe18ccf63cc0b16b8602d363868d2",
+    ),
+    "constant_stride_37_zero_last": (
+        ExperimentConfig(initial_stakes=(30.0, 20.0, 0.0), scheme="constant",
+                         reward_budget_K=3.0, steps_n=200, repetitions=100, base_seed=20261020,
+                         record=RecordPolicy(stride=37, track_nodes=(2, 0))),
+        "e9ebf9c96f78906d75d1e8f2be1a25cc25c7e1d5c143d4625738f5142809e22a",
+        "3dfea4d2c26d03dd5227e9ea5f214073181c81c5f6f705511dc2cea62c96d7eb",
     ),
 }
 

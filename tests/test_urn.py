@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import stakesim
@@ -16,7 +16,13 @@ from stakesim import (
 )
 from stakesim import urn
 from stakesim.schemes import custom_matrix
-from stakesim.urn import _BLOCK_STEPS, _BLOCK_URNS, repetition_draws, run_slots
+from stakesim.urn import (
+    _BLOCK_STEPS,
+    _BLOCK_URNS,
+    repetition_draws,
+    run_slots,
+    slot_snapshots,
+)
 from stakesim.errors import InvalidInput
 
 
@@ -591,3 +597,94 @@ class TestGroupedSlots:
         matrices = [frd_matrix([50.0, 50.0], 200.0), constant_matrix(2, 200.0)]
         with pytest.raises(InvalidInput, match="3 urns for 2 groups of 2 draws rows"):
             run_slots(np.tile(stakes, (3, 1)), total, matrices, np.zeros((2, 3)))
+
+
+def segment_reference(urns, total, matrices, draws, stops, proposers):
+    """The recorded run as one run_slots call per segment between `stops`,
+    then one call for the slots after the last stop.  Returns the (step,
+    total, node-major stakes) at each stop, the counts and the final total."""
+    snapshots = []
+    counts = 0
+    done = 0
+    for step in stops:
+        part, total = run_slots(urns, total, matrices, draws[:, done:step],
+                                proposers=proposers[:, done:step])
+        counts = counts + part
+        done = step
+        snapshots.append((step, total, urns.T.copy()))
+    part, total = run_slots(urns, total, matrices, draws[:, done:],
+                            proposers=proposers[:, done:])
+    return snapshots, counts + part, total
+
+
+def one_pass(urns, total, matrices, draws, stops, proposers):
+    """slot_snapshots drained: the same triple as segment_reference."""
+    kernel = slot_snapshots(urns, total, matrices, draws, stops, proposers=proposers)
+    snapshots = []
+    while True:
+        try:
+            step, at, columns = next(kernel)
+        except StopIteration as end:
+            counts, total = end.value
+            return snapshots, counts, total
+        assert columns.shape == urns.T.shape and columns.flags.c_contiguous
+        snapshots.append((step, at, columns.copy()))
+
+
+class TestSlotSnapshots:
+    """One slot_snapshots pass stopping at the recorded steps against the
+    per-segment run_slots loop, bit for bit."""
+
+    @seed(20261019)
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_equals_per_segment_calls(self, data):
+        m = data.draw(st.integers(1, 4))
+        stake = st.one_of(st.floats(0.0, 1e6), st.integers(0, 64).map(float))
+        stakes = data.draw(st.lists(stake, min_size=m, max_size=m))
+        if data.draw(st.booleans()):
+            stakes[-1] = 0.0  # under constant, node m-1 stays empty: the edge pass runs
+        if sum(stakes) <= 0:
+            stakes[0] = 1.0
+        budget = data.draw(st.sampled_from([200.0, 3.0, 1e-9]))
+        constant, frd = constant_matrix(m, budget), frd_matrix(stakes, budget)
+        matrices = data.draw(st.sampled_from([[constant], [frd], [constant, frd]]))
+        groups = len(matrices)
+        n = data.draw(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 128, 130]),
+                                st.integers(0, 200)))
+        stride = data.draw(st.one_of(st.sampled_from([1, 7, 63, 64, 65]),
+                                     st.integers(n + 1, n + 100)))
+        # step 0 and the final step are stops or not; with neither, there are none
+        stops = recorded_steps(n, stride)[data.draw(st.integers(0, 2)):]
+        count = data.draw(st.integers(1, 40))
+        draws = np.random.default_rng(data.draw(st.integers(0, 2**32))).random((count, n))
+        draws[np.random.default_rng(n).random((count, n)) < 0.05] = LARGEST_DRAW
+        vector, total = start(stakes)
+        track = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+        runs = []
+        for run in (segment_reference, one_pass):
+            urns = np.tile(vector, (groups * count, 1))
+            proposers = np.empty((groups * count, n), dtype=np.int64)
+            runs.append((urns, proposers, run(urns, total, matrices, draws, stops, proposers)))
+        (ref_urns, ref_proposers, (ref_snaps, ref_counts, ref_total)), \
+            (urns, proposers, (snaps, counts, total)) = runs
+        assert urns.tobytes() == ref_urns.tobytes()
+        assert proposers.tobytes() == ref_proposers.tobytes()
+        assert counts.tolist() == ref_counts.tolist()
+        assert total == ref_total
+        assert [s[0] for s in snaps] == [s[0] for s in ref_snaps] == list(stops)
+        for (_, at, columns), (_, ref_at, ref_columns) in zip(snaps, ref_snaps):
+            assert at == ref_at
+            assert columns.tobytes() == ref_columns.tobytes()
+            # the fractions read from the columns, as a recorded run reads them
+            fractions = columns[track, :count]
+            fractions /= at
+            assert fractions.tobytes() == (ref_columns.T[:count, track] / ref_at).T.tobytes()
+
+    @pytest.mark.parametrize("stops", [[3, 2], [1, 1], [-1], [6], [0, 6]])
+    def test_stops_must_increase_within_the_run(self, stops):
+        vector, total = start([1.0, 1.0])
+        kernel = slot_snapshots(np.tile(vector, (2, 1)), total, frd_matrix([1.0, 1.0], 2.0),
+                                np.zeros((2, 5)), stops)
+        with pytest.raises(InvalidInput, match=r"^stops must increase within \[0, 5\], got "):
+            next(kernel)
