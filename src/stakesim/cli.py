@@ -428,7 +428,8 @@ def table1_report(
     and report empirical vs predicted statistics of the first tracked node.
     Only final fractions are read, so the runs record nothing (stride 0).
     The two schemes of a config differ only in the reward matrix, so they
-    run as one batch (run_experiments) over one set of draws.
+    run as one batch (run_experiments) over one set of draws, which keeps
+    nodes up to the tracked one (leading_nodes), the rest lumped into one.
 
     Returns one ReportRow per (config, scheme) and a rendered text table
     with one line per config, mirroring the benchmark table layout.
@@ -439,7 +440,8 @@ def table1_report(
         runs = [replace(config, scheme=scheme, custom_entries=None,
                         record=replace(config.record, stride=0))
                 for scheme in ("constant", "frd")]
-        for cfg, result in zip(runs, run_experiments(runs, workers=workers)):
+        results = run_experiments(runs, workers=workers, leading_nodes=node + 1)
+        for cfg, result in zip(runs, results):
             samples = result.final_fractions[:, node]
             emp_mean = float(samples.mean())
             emp_var = float(samples.var(ddof=1)) if samples.size > 1 else float("nan")

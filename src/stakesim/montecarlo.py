@@ -298,12 +298,14 @@ class ExperimentResult:
     """Final fractions per repetition plus optional per-step statistics.
 
     final_fractions row i belongs to absolute repetition rep_range[0] + i.
+    Both arrays hold the run's k leading nodes: all m unless run_experiments
+    was given leading_nodes=k.
     """
 
     config: ExperimentConfig
     rep_range: tuple[int, int]
-    final_fractions: np.ndarray   # (reps, m)
-    proposer_counts: np.ndarray   # (m,) int64, summed over reps and steps
+    final_fractions: np.ndarray   # (reps, k)
+    proposer_counts: np.ndarray   # (k,) int64, summed over reps and steps
     time_series: TimeSeries | None
 
 
@@ -321,9 +323,31 @@ def _chunk_bounds(start: int, stop: int, n: int, workers: int) -> list[tuple[int
     return [(start + i * reps // k, start + (i + 1) * reps // k) for i in range(k)]
 
 
+def _lumped(matrices: Sequence[RewardMatrix], k: int) -> list[RewardMatrix] | None:
+    """The (k+1) x (k+1) matrices that run nodes k .. m-1 as one tail node,
+    or None when the tail has fewer than two nodes or some matrix pays a
+    kept node differently across the tail's proposers.  The tail's row is
+    row k, and its column holds each row's sum over the tail, as only
+    whether the tail holds stake matters (see _chunk_task).  row_sum stays
+    the full matrix's field, never re-summed."""
+    if k >= matrices[0].num_nodes - 1:
+        return None
+    lumped = []
+    for matrix in matrices:
+        tail_rows = matrix.entries[k:, :k].view(np.int64)  # bit for bit, so -0.0 != 0.0
+        if not (tail_rows == tail_rows[0]).all():
+            return None
+        entries = np.empty((k + 1, k + 1))
+        entries[:, :k] = matrix.entries[:k + 1, :k]
+        entries[:, k] = matrix.entries[:k + 1, k:].sum(axis=1)
+        lumped.append(RewardMatrix(entries=entries, row_sum=matrix.row_sum))
+    return lumped
+
+
 def _chunk_task(
     configs: Sequence[ExperimentConfig],
     matrices: Sequence[RewardMatrix],
+    leading: int,
     bounds: tuple[int, int],
     buffer: np.ndarray | None = None,
 ) -> list[ExperimentResult]:
@@ -331,10 +355,21 @@ def _chunk_task(
     run's one stream (urn.repetition_draws), drawn once: one group of urns
     per config, all advanced by one slot-kernel pass (urn.slot_snapshots).
     When recording, the pass stops at each recorded step, and the tracked
-    nodes' fractions are read from its node-major stake columns into the
-    exact moment sums.  The draws go into the leading b - a rows of
-    `buffer`, a C-contiguous float64 array of steps_n columns, when one is
-    given, and into a new array otherwise."""
+    nodes' fractions, all among the `leading` nodes, are read from its
+    node-major stake columns into the exact moment sums.  The draws go into
+    the leading b - a rows of `buffer`, a C-contiguous float64 array of
+    steps_n columns, when one is given, and into a new array otherwise.
+
+    Each result holds the `leading` (k) first nodes: final_fractions is
+    (b - a, k) and proposer_counts (k,).  When every matrix pays each of
+    nodes 0 .. k-1 the same whichever node of k .. m-1 proposes (_lumped),
+    those nodes run as one tail node, on the full config's total: the kept
+    nodes' prefix sums are the same adds, their rewards from the tail are
+    the same floats, and the tail enters selection only through the
+    float-edge rule, which needs only whether it holds stake: its one
+    column does exactly when the full tail does.  So the kept columns are
+    the full run's bit for bit.
+    Otherwise every node runs and the results are sliced."""
     config = configs[0]
     a, b = bounds
     count = b - a
@@ -342,6 +377,11 @@ def _chunk_task(
     draws = repetition_draws(config.base_seed, a, count, n,
                              out=None if buffer is None else buffer[:count])
     initial = np.asarray(config.initial_stakes, dtype=np.float64)
+    total = float(initial.sum())  # not the lumped stakes' sum, which may round apart
+    lumped = _lumped(matrices, leading)
+    if lumped is not None:
+        matrices = lumped
+        initial = np.append(initial[:leading], initial[leading:].sum())
     stakes = np.tile(initial, (len(configs) * count, 1))
     group_rows = [slice(g * count, (g + 1) * count) for g in range(len(configs))]
     record = config.record.stride > 0
@@ -349,8 +389,7 @@ def _chunk_task(
     track = config.tracked_nodes()
     nodes = list(track)
     cells: list[list] = [[] for _ in configs]
-    kernel = slot_snapshots(stakes, float(initial.sum()), matrices, draws,
-                            steps if record else ())
+    kernel = slot_snapshots(stakes, total, matrices, draws, steps if record else ())
     while True:
         try:
             _, at, columns = next(kernel)
@@ -362,13 +401,13 @@ def _chunk_task(
             values /= at
             group_cells.append(tuple(RunningMoments(count, s, s2)
                                      for s, s2 in _exact_sums(values)))
-    fractions = stakes / total
+    fractions = stakes[:, :leading] / total
     return [
         ExperimentResult(
             config=c,
             rep_range=(a, b),
             final_fractions=fractions[rows],
-            proposer_counts=group_counts,
+            proposer_counts=group_counts[:leading],
             time_series=TimeSeries(steps=steps, nodes=track, cells=tuple(group_cells))
             if record else None,
         )
@@ -386,6 +425,7 @@ def run_experiments(
     *,
     workers: int = 1,
     rep_range: tuple[int, int] | None = None,
+    leading_nodes: int | None = None,
 ) -> list[ExperimentResult]:
     """Run configs that differ only in their reward scheme over one set of
     draws, and return one result per config, in order.
@@ -402,6 +442,12 @@ def run_experiments(
     repetition indices; partial results over adjacent blocks merge into
     exactly the full-run result (see merge_results).  `workers` > 1 farms
     chunks to a process pool; the output is identical to the serial run.
+
+    `leading_nodes` k (default: all m nodes), 1 <= k <= m, keeps only nodes
+    0 .. k-1 in the results: final_fractions is (reps, k) and
+    proposer_counts (k,), bit-equal to the full run's leading columns.  A
+    recording config must track only those nodes.  Where the reward
+    matrices allow, nodes k .. m-1 run as one node (see _chunk_task).
     """
     workers = check_integer(workers, "workers", 1)
     if not configs:
@@ -415,6 +461,11 @@ def run_experiments(
     if any(matrix.row_sum != matrices[0].row_sum for matrix in matrices):
         raise InvalidInput("configs run together must share one reward matrix row sum")
     m = config.num_nodes
+    leading = m if leading_nodes is None else check_integer(leading_nodes, "leading_nodes", 1)
+    if leading > m:
+        raise InvalidInput(f"leading_nodes must be <= {m}, the node count, got {leading}")
+    if config.record.stride > 0 and max(config.tracked_nodes()) >= leading:
+        raise InvalidInput(f"recorded nodes must be among the {leading} leading nodes")
     try:
         start, stop = rep_range if rep_range is not None else (0, config.repetitions)
     except (TypeError, ValueError):
@@ -435,7 +486,7 @@ def run_experiments(
             f"steps_n {n} exceeds the cap of {_MAX_RESULT_ELEMENTS} draws per repetition"
         )
     bounds = _chunk_bounds(start, stop, n, workers)
-    task = partial(_chunk_task, configs, matrices)
+    task = partial(_chunk_task, configs, matrices, leading)
     if workers > 1 and len(bounds) > 1:
         # imported here, so a serial run never loads the pool's modules
         from concurrent.futures import ProcessPoolExecutor
@@ -466,7 +517,7 @@ def merge_results(partials: Sequence[ExperimentResult]) -> ExperimentResult:
 
     The merge is bit-exact: with ranges tiling [0, repetitions) the merged
     result equals the single-shot run.  Raises InvalidInput when configs
-    differ or when ranges overlap or leave gaps.
+    or node counts differ, or when ranges overlap or leave gaps.
     """
     if not partials:
         raise InvalidInput("nothing to merge")
@@ -476,6 +527,8 @@ def merge_results(partials: Sequence[ExperimentResult]) -> ExperimentResult:
             raise InvalidInput("partial results come from different configs")
         if (p.time_series is None) != (first.time_series is None):
             raise InvalidInput("partial results disagree on time-series recording")
+        if p.final_fractions.shape[1:] != first.final_fractions.shape[1:]:
+            raise InvalidInput("partial results hold different numbers of nodes")
     ordered = sorted(partials, key=lambda p: p.rep_range[0])
     for prev, nxt in zip(ordered, ordered[1:]):
         if nxt.rep_range[0] != prev.rep_range[1]:

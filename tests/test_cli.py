@@ -527,11 +527,14 @@ class TestMainCommands:
 
     def test_compare_records_nothing(self, tmp_path, monkeypatch):
         # compare reads only final fractions: both schemes run at stride 0
-        # with the config's track_nodes, and the report is the stride-0 one
+        # with the config's track_nodes, keep nodes up to the tracked one,
+        # and the report is the stride-0 one
         seen = []
+        leading = []
 
         def spy(configs, **kwargs):
             seen.extend(configs)
+            leading.append(kwargs.get("leading_nodes"))
             return run_experiments(configs, **kwargs)
 
         monkeypatch.setattr(stakesim.cli, "run_experiments", spy)
@@ -541,6 +544,7 @@ class TestMainCommands:
                                           record={"stride": stride, "track_nodes": [1]})))
             assert main(["compare", "--config", str(path), "--out", str(tmp_path / name)]) == 0
         assert [c.record for c in seen] == [RecordPolicy(stride=0, track_nodes=(1,))] * 4
+        assert leading == [2, 2]
         report = (tmp_path / "final" / "report.csv").read_bytes()
         assert (tmp_path / "recorded" / "report.csv").read_bytes() == report
 
@@ -736,6 +740,44 @@ PREDICT_GOLDEN = {
         "768b36177956aec3155de97ee267ed80fdefa9ac1db47e44d5fcf822c68ff700",
     ),
 }
+
+
+# sha256 of report.csv, pinned before table1 and compare stopped simulating
+# the nodes after the tracked one: None is `table1 --reps 300`; the 4-node
+# stakes sum to 100.0 in node order but to 100.00000000000001 with nodes 2
+# and 3 summed first, and K is small enough that the final totals differ
+# too, so a run on the latter total changes the bytes; the 3-node config
+# tracks its last node
+REPORT_GOLDEN = {
+    "table1": (
+        None,
+        "9241a4f533fc03e44390168817bf6cda635165bdce6a96efc91f6913ade67a74",
+    ),
+    "compare_four_nodes_track_1": (
+        dict(MINIMAL, initial_stakes=[12.3, 7.9, 41.6, 38.2], reward_budget_K=0.05,
+             repetitions=200, steps_n=300, record={"track_nodes": [1]}),
+        "7e299e143563f7417f00de001dba80deae27ef26b8ff5000bb24a9e274149e25",
+    ),
+    "compare_three_nodes_track_last": (
+        dict(MINIMAL, initial_stakes=[20.5, 30.25, 49.25], repetitions=200, steps_n=300,
+             record={"track_nodes": [2]}),
+        "95f3f038d3bd6e8351dcaeca07a4abe22ab5578b28fab0b361dd8965a68ef134",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
+def test_report_csv_pinned(tmp_path, name):
+    doc, sha = REPORT_GOLDEN[name]
+    out = tmp_path / "out"
+    if doc is None:
+        argv = ["table1", "--reps", "300", "--out", str(out)]
+    else:
+        path = tmp_path / "config.json"
+        path.write_bytes(as_json(doc))
+        argv = ["compare", "--config", str(path), "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == sha
 
 
 class TestPredictedLaw:

@@ -10,6 +10,7 @@ import pytest
 
 from stakesim import (
     ExperimentConfig, constant_matrix, empirical_stats, recorded_steps, run_experiment,
+    run_experiments,
 )
 from stakesim.errors import InvalidInput
 
@@ -21,6 +22,7 @@ COUNT_ENTRY_POINTS = {
     "workers": lambda v: run_experiment(CONFIG, workers=v),
     "rep_range start": lambda v: run_experiment(CONFIG, rep_range=(v, 3)),
     "rep_range stop": lambda v: run_experiment(CONFIG, rep_range=(0, v)),
+    "leading_nodes": lambda v: run_experiments([CONFIG], leading_nodes=v),
     "n": lambda v: recorded_steps(v, 1),
     "stride": lambda v: recorded_steps(5, v),
     "node count": lambda v: constant_matrix(v, 200.0),
@@ -28,7 +30,7 @@ COUNT_ENTRY_POINTS = {
 }
 
 # the minimums; a rep_range is held to [0, repetitions] by its own range check
-MINIMUMS = {"workers": 1, "n": 0, "stride": 0, "node count": 1, "bins": 1}
+MINIMUMS = {"workers": 1, "leading_nodes": 1, "n": 0, "stride": 0, "node count": 1, "bins": 1}
 
 
 @pytest.mark.parametrize("value", [True, 2.0, 2.5], ids=["bool", "integral-float", "float"])

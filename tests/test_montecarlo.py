@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -310,6 +310,151 @@ class TestRunExperiments:
     def test_no_configs_rejected(self):
         with pytest.raises(InvalidInput, match="need at least one config"):
             run_experiments([])
+
+
+def bits(values) -> np.ndarray:
+    """An array's float64 values as their bit patterns, so -0.0 != 0.0."""
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+def leading_batch(stakes, kind, record=RecordPolicy(), **overrides):
+    """Configs on `stakes` at K = 200 that share their row sum exactly:
+    constant and frd, and integer custom matrices.  "balanced" pays node j
+    l_j = j + 1 whenever another node proposes, so nodes k .. m-1 lump for
+    every k; "unbalanced" adds 1 to the last row's node 0 and takes it from
+    its diagonal, so no tail of two or more nodes lumps."""
+    m = len(stakes)
+    balanced = np.tile(np.arange(1.0, m + 1), (m, 1))
+    balanced[np.diag_indices(m)] += 200.0 - balanced[0].sum()
+    unbalanced = balanced.copy()
+    unbalanced[-1, 0] += 1.0
+    unbalanced[-1, -1] -= 1.0
+    custom = {"balanced": balanced, "unbalanced": unbalanced}
+    fields = dict(initial_stakes=tuple(stakes), record=record, **overrides)
+    return [make_config(scheme="custom", custom_entries=tuple(map(tuple, custom[name])),
+                        **fields) if name in custom else make_config(scheme=name, **fields)
+            for name in kind]
+
+
+BATCH_KINDS = [("constant", "frd"), ("balanced",), ("unbalanced",), ("frd", "unbalanced")]
+
+
+def assert_leading_columns(full, lumped, k):
+    assert lumped.final_fractions.shape == (full.final_fractions.shape[0], k)
+    assert lumped.proposer_counts.shape == (k,)
+    assert np.array_equal(bits(lumped.final_fractions), bits(full.final_fractions[:, :k]))
+    assert np.array_equal(lumped.proposer_counts, full.proposer_counts[:k])
+    assert lumped.time_series == full.time_series
+    assert lumped.rep_range == full.rep_range
+
+
+# stakes over six decades, a quarter of them zero
+STAKE = st.tuples(st.integers(0, 3), st.floats(1.0, 10.0), st.integers(-3, 2)).map(
+    lambda t: 0.0 if t[0] == 0 else t[1] * 10.0 ** t[2])
+
+
+@st.composite
+def leading_cases(draw):
+    m = draw(st.integers(1, 8))
+    k = draw(st.integers(1, m))
+    stakes = draw(st.lists(STAKE, min_size=m, max_size=m))
+    zeros = draw(st.sampled_from(["none", "tail", "kept", "last"]))
+    if zeros == "tail":
+        stakes[k:] = [0.0] * (m - k)
+    elif zeros == "kept":
+        stakes[draw(st.integers(0, k - 1))] = 0.0
+    elif zeros == "last":  # so the kernel's float-edge pass runs
+        stakes[-1] = 0.0
+    if not any(stakes):
+        stakes[0] = 1.0
+    return dict(stakes=stakes, k=k, kind=draw(st.sampled_from(BATCH_KINDS)),
+                n=draw(st.sampled_from([0, 63, 64, 65, 130])),
+                reps=draw(st.integers(1, 12)), stride=draw(st.sampled_from([0, 40])))
+
+
+class TestLeadingNodes:
+    """run_experiments(..., leading_nodes=k) holds the full run's first k
+    columns bit for bit, whether the tail after node k-1 runs lumped into
+    one node or (for a custom matrix that pays the kept nodes differently
+    across the tail) every node runs."""
+
+    @seed(20240521)
+    @settings(max_examples=200, deadline=None)
+    @given(leading_cases())
+    def test_equals_full_run_leading_columns(self, case):
+        k, reps = case["k"], case["reps"]
+        record = RecordPolicy(stride=case["stride"], track_nodes=tuple(range(k)))
+        configs = leading_batch(case["stakes"], case["kind"], record=record,
+                                steps_n=case["n"], repetitions=reps)
+        full = run_experiments(configs)
+        lumped = run_experiments(configs, leading_nodes=k)
+        for f, l in zip(full, lumped):
+            assert_leading_columns(f, l, k)
+        if reps > 1:
+            halves = [run_experiments(configs, leading_nodes=k, rep_range=r)
+                      for r in [(0, reps // 2), (reps // 2, reps)]]
+            for f, first, second in zip(full, *halves):
+                assert_leading_columns(f, merge_results([first, second]), k)
+
+    @pytest.mark.parametrize("kind", [("constant", "frd"), ("frd", "unbalanced")])
+    def test_lumps_unless_a_matrix_pays_the_tail_apart(self, kind):
+        configs = leading_batch((10.0, 30.0, 0.0, 60.0), kind)
+        lumped = montecarlo._lumped([c.reward_matrix() for c in configs], 1)
+        assert (lumped is not None) == ("unbalanced" not in kind)
+        if lumped is not None:
+            assert [mat.entries.shape for mat in lumped] == [(2, 2)] * 2
+            assert all(mat.row_sum == 200.0 for mat in lumped)
+
+    @pytest.mark.parametrize("kind", [("constant", "frd"), ("frd", "unbalanced")])
+    def test_workers_and_chunks(self, kind, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MAX_CHUNK", 8)  # several chunks for the pool
+        configs = leading_batch((12.3, 7.9, 0.0, 41.6, 38.2), kind, repetitions=40)
+        full = run_experiments(configs)
+        for workers in (1, 2):
+            for f, l in zip(full, run_experiments(configs, workers=workers, leading_nodes=2)):
+                assert_leading_columns(f, l, 2)
+
+    @pytest.mark.parametrize("tail", [(0.0, 0.0), (0.0, 0.4)])
+    def test_float_edge_sees_only_whether_the_tail_holds_stake(self, tail, monkeypatch):
+        # every draw is the largest double below 1, so each threshold lands
+        # within rounding of the total and the float-edge rule decides the
+        # slots whose running sum rounds below it: with an empty tail they
+        # go to the last kept node with stake, otherwise to the tail
+        def last_draws(seed, first, count, n, *, out=None):
+            draws = np.empty((count, n)) if out is None else out
+            draws.fill(np.nextafter(1.0, 0.0))
+            return draws
+
+        monkeypatch.setattr(montecarlo, "repetition_draws", last_draws)
+        configs = leading_batch((0.1, 0.2, 0.3, *tail), ("constant", "frd"),
+                                steps_n=200, repetitions=3)
+        for f, l in zip(run_experiments(configs), run_experiments(configs, leading_nodes=3)):
+            assert_leading_columns(f, l, 3)
+
+    def test_leading_nodes_above_node_count_rejected(self):
+        configs = leading_batch((10.0, 30.0, 60.0), ("frd",))
+        message = "leading_nodes must be <= 3, the node count, got 4"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            run_experiments(configs, leading_nodes=4)
+
+    def test_recording_must_track_leading_nodes(self):
+        record = RecordPolicy(stride=10, track_nodes=(0, 2))
+        configs = leading_batch((10.0, 30.0, 60.0), ("frd",), record=record)
+        message = "recorded nodes must be among the 2 leading nodes"
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            run_experiments(configs, leading_nodes=2)
+        # at stride 0 nothing is recorded, so track_nodes does not matter
+        final = leading_batch((10.0, 30.0, 60.0), ("frd",),
+                              record=RecordPolicy(track_nodes=(0, 2)))
+        [result] = run_experiments(final, leading_nodes=2)
+        assert result.final_fractions.shape == (60, 2)
+
+    def test_merge_rejects_different_node_counts(self):
+        configs = leading_batch((10.0, 30.0, 60.0), ("frd",))
+        [first] = run_experiments(configs, rep_range=(0, 30), leading_nodes=1)
+        [second] = run_experiments(configs, rep_range=(30, 60))
+        with pytest.raises(InvalidInput, match="^partial results hold different numbers of nodes$"):
+            merge_results([first, second])
 
 
 class TestTimeSeries:
