@@ -445,11 +445,7 @@ def table1_report(
             samples = result.final_fractions[:, node]
             emp_mean = float(samples.mean())
             emp_var = float(samples.var(ddof=1)) if samples.size > 1 else float("nan")
-            try:
-                law = _predicted_law(cfg, node)
-            except DegenerateBeta:
-                law = {"mean_fraction": math.nan, "var_fraction": math.nan,
-                       "regime": "supercritical"}
+            law = _predicted_law(cfg, node)
             rows.append(ReportRow(label, cfg.scheme, emp_mean, emp_var, law["mean_fraction"],
                                   law["var_fraction"], law["regime"]))
     return rows, _render_report_table(rows)
@@ -510,13 +506,19 @@ def _predicted_law(
     """One node's predicted law, as `predict` prints it.
 
     Under the constant scheme the urn is a Polya urn, so the fraction's law
-    is its beta limit (DegenerateBeta when the node holds everything or
-    nothing); every other scheme gets the closed-form leading order.  Pass
-    `matrix` (config.reward_matrix()) when predicting many nodes, so the
-    O(m^2) matrix is built once.
+    is its beta limit, or, when the node holds nothing or everything, the
+    point mass at its initial fraction, which it then keeps; every other
+    scheme gets the closed-form leading order.  Pass `matrix`
+    (config.reward_matrix()) when predicting many nodes, so the O(m^2)
+    matrix is built once.
     """
     if config.scheme == "constant":
-        bp = beta_limit_params(config.initial_stakes, config.reward_budget_K, node)
+        try:
+            bp = beta_limit_params(config.initial_stakes, config.reward_budget_K, node)
+        except DegenerateBeta:
+            return {"node": node, "basis": "point_mass", "regime": "supercritical",
+                    "mean_fraction": config.initial_stakes[node] / sum(config.initial_stakes),
+                    "var_fraction": 0.0}
         return {"node": node, "basis": "beta_limit", "regime": "supercritical",
                 "beta_a": bp.a, "beta_b": bp.b,
                 "mean_fraction": bp.mean, "var_fraction": bp.variance}

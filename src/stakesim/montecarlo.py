@@ -369,7 +369,11 @@ def _chunk_task(
     float-edge rule, which needs only whether it holds stake: its one
     column does exactly when the full tail does.  So the kept columns are
     the full run's bit for bit.
-    Otherwise every node runs and the results are sliced."""
+    Otherwise every node runs and the results are sliced.  Either way, when
+    the kernel's last node is not kept and holds stake, it keeps that stake,
+    so the edge rule never reads it and selection stops at the prefix
+    before it: every matrix pays it +0.0 instead, and the kernel skips
+    it."""
     config = configs[0]
     a, b = bounds
     count = b - a
@@ -382,6 +386,10 @@ def _chunk_task(
     if lumped is not None:
         matrices = lumped
         initial = np.append(initial[:leading], initial[leading:].sum())
+    if leading < len(initial) and initial[-1] > 0:
+        last = np.arange(len(initial)) == len(initial) - 1
+        matrices = [RewardMatrix(entries=np.where(last, 0.0, matrix.entries),
+                                 row_sum=matrix.row_sum) for matrix in matrices]
     stakes = np.tile(initial, (len(configs) * count, 1))
     group_rows = [slice(g * count, (g + 1) * count) for g in range(len(configs))]
     record = config.record.stride > 0

@@ -22,10 +22,11 @@ if TYPE_CHECKING:  # pragma: no cover
 def stake_vector(values: Sequence[float]) -> np.ndarray:
     """Validate and normalize a stake vector to a float64 array.
 
-    Raises InvalidInput for an empty, negative, non-finite or all-zero
-    vector, and for one whose total overflows to inf.
+    A -0.0 stake becomes +0.0.  Raises InvalidInput for an empty,
+    negative, non-finite or all-zero vector, and for one whose total
+    overflows to inf.
     """
-    stakes = np.array(values, dtype=np.float64)
+    stakes = np.array(values, dtype=np.float64) + 0.0  # -0.0 + 0.0 is +0.0
     if stakes.ndim != 1 or stakes.size == 0:
         raise InvalidInput("need a non-empty 1-D stake vector")
     if not np.all(np.isfinite(stakes)) or np.any(stakes < 0):
@@ -146,25 +147,29 @@ def slot_snapshots(
     The urns are held node-major, one contiguous column per node, groups
     laid end to end.  The slots run in blocks of _BLOCK_STEPS, whatever the
     stops: a block's draws are copied step-major into one (block, count)
-    buffer, a tile of _BLOCK_URNS urns at a time, row k is scaled by slot
-    k's analytic total, and the result is copied into each further group's
-    slice, so each slot reads one contiguous row of thresholds draw * total.
-    A stop's total is slot k's total plus the row sum, the add that makes
-    the next slot's total.  The cumulative stakes are a running sum over the
-    columns in ascending node order, the same adds as np.cumsum, and as
-    stakes are never negative they never decrease: the prefix masks C_j <=
-    draw * total are nested, and the proposer, the first g with draw * total
-    < C_g, is the number of masks set among C_0 .. C_{m-2}.  Mask j's count
-    in a group is the number of its slots whose proposer is at least j + 1;
-    the per-node counts are the differences of these tallies.  The masks are
-    summed in the smallest unsigned type that holds m - 1 and copied to an
-    intp index once per slot (at m == 2 the one mask is copied in directly);
-    the rewards are one table of G blocks of m columns, indexed by the
-    proposer plus its group's offset.  The float edge is checked only in
+    buffer, a tile of _BLOCK_URNS urns at a time, and row k is scaled by
+    slot k's analytic total.  Every group reads that one row of thresholds
+    draw * total: the compares see a (G, count) view of the urns and
+    broadcast the row over the groups.  A stop's total is slot k's total
+    plus the row sum, the add that makes the next slot's total.  The
+    cumulative stakes are a running sum over the columns in ascending node
+    order, the same adds as np.cumsum, and as stakes are never negative they
+    never decrease: the prefix masks C_j <= draw * total are nested, and the
+    proposer, the first g with draw * total < C_g, is the number of masks
+    set among C_0 .. C_{m-2}.  The masks are summed, per slot, into a row of
+    a (block, urns) array of the smallest unsigned type that holds m - 1 (at
+    m == 2 the one mask is written there directly), and that sum plus the
+    group's offset is the intp index into the rewards, one table of G blocks
+    of m columns.  Once per block, mask j's tally in a group is the number
+    of its rows' entries that are at least j + 1; the per-node counts are
+    the differences of these tallies.  The float edge is checked only in
     blocks that start with some urn's node m-1 at zero stake.  Where node
     m-1 holds stake, it keeps it, and every mask already counts a draw past
     C_{m-1} as node m-1's, which is where the edge rule sends it; so the
-    bytes do not depend on the check.
+    bytes do not depend on the check.  A trailing node that every row pays
+    +0.0 (bit for bit) and that holds stake in every urn keeps its stake
+    bit for bit, as x + 0.0 == x for x > 0: its rewards are never gathered
+    or added.
     """
     grouped = isinstance(matrix, Sequence)
     matrices = list(matrix) if grouped else [matrix]
@@ -182,23 +187,35 @@ def slot_snapshots(
     # rewards[j][g * m + p]: node j's reward in group g when p proposes
     rewards = np.concatenate([mat.entries for mat in matrices]).T.copy()
     columns = stakes.T.copy()
-    thresholds = np.empty((min(n, _BLOCK_STEPS), urns))
+    # the nodes after the first `paid` are unpaid and hold stake: never added
+    paid = m
+    while paid and not rewards[paid - 1].view(np.int64).any() and (columns[paid - 1] > 0).all():
+        paid -= 1
+    rewards, live = rewards[:paid], columns[:paid]
+    gains = np.empty((paid, urns))
+    rows = min(n, _BLOCK_STEPS)
+    thresholds = np.empty((rows, count))
     totals = np.empty((_BLOCK_STEPS, 1))
-    prefix = np.empty(urns)
+    # the compares see the urns as `lanes`, one row per group, so that each
+    # reads one row of thresholds
+    lanes = (groups, count) if groups > 1 else (urns,)
+    grid = columns.reshape(m, *lanes)
+    prefix = np.empty(lanes)
     below = np.empty(urns, dtype=bool)
-    mask = below.view(np.uint8)  # so a mask adds into chosen without a cast
-    # the proposer, then plus its group's offset into rewards
+    below_lanes = below.reshape(lanes)
+    mask = below.view(np.uint8)  # so a mask adds into picks without a cast
+    # picks[k]: slot k's proposer by the masks alone, the sum of its masks;
+    # at m == 2 the one mask is written into it in place
+    picks = np.zeros((rows, urns), dtype=np.min_scalar_type(m - 1))
+    masks = picks.view(bool).reshape(rows, *lanes) if m == 2 else None
+    flags = np.empty((rows, urns), dtype=bool) if m > 2 else None
+    # the proposer plus its group's offset into rewards
     index = np.empty(urns, dtype=np.intp)
-    # the sum of the masks, copied to index each slot; at m == 2 the one mask
-    # goes straight into index, and at m == 1 chosen stays 0
-    chosen = index if m == 2 else np.zeros(urns, dtype=np.min_scalar_type(m - 1))
     offsets = np.repeat(np.arange(groups, dtype=np.intp) * m, count) if groups > 1 else None
     parts = [slice(g * count, (g + 1) * count) for g in range(groups)]
-    gains = np.empty((m, urns))
     # at_least[h, g]: slots of group h whose proposer is >= g
     at_least = np.zeros((groups, m), dtype=np.int64)
     at_least[:, 0] = count * n
-    tallies = [(at_least[g], below[part]) for g, part in enumerate(parts)]
     upcoming = iter([*stops, -1])  # -1 follows the last stop: no slot count matches it
     stop = next(upcoming)
     if stop == 0:
@@ -210,53 +227,58 @@ def slot_snapshots(
             totals[k] = total
             total += row_sum
         block = thresholds[:width]
-        head = block[:, parts[0]]
         for first in range(0, count, _BLOCK_URNS):
             tile = slice(first, first + _BLOCK_URNS)
-            np.copyto(head[:, tile], draws[tile, start:start + width].T)
-        head *= totals[:width]
-        for part in parts[1:]:
-            np.copyto(block[:, part], head)
+            np.copyto(block[:, tile], draws[tile, start:start + width].T)
+        block *= totals[:width]
         # stakes never fall, so a node m-1 positive in every urn now stays so,
         # and the edge rule would give it the urns every mask already counted
         # as its own: skip C_{m-1} and the edge check for the block
         edge = not columns[m - 1].all()
         for k in range(width):
             threshold = block[k]
-            running = columns[0]
+            pick = picks[k]
+            running = grid[0]
             for j in range(1, m):
-                np.less_equal(running, threshold, out=below)
-                for tally, part in tallies:
-                    tally[j] += np.count_nonzero(part)
-                if j == 1:
-                    np.copyto(chosen, below)
+                if masks is not None:
+                    np.less_equal(running, threshold, out=masks[k])
                 else:
-                    np.add(chosen, mask, out=chosen)
+                    np.less_equal(running, threshold, out=below_lanes)
+                    if j == 1:
+                        np.copyto(pick, below)
+                    else:
+                        np.add(pick, mask, out=pick)
                 if j < m - 1 or edge:
-                    running = np.add(running, columns[j], out=prefix)
-            if chosen is not index:
-                np.copyto(index, chosen)
-            if edge and np.less_equal(running, threshold, out=below).any():
+                    running = np.add(running, grid[j], out=prefix)
+            if offsets is None:
+                np.copyto(index, pick)
+            else:
+                np.add(pick, offsets, out=index)
+            if edge and np.less_equal(running, threshold, out=below_lanes).any():
                 # float edge: the running sum of stakes can land a hair below
                 # the analytic total; the draw then belongs to the last node
                 # with positive stake, and every mask counted it as node m-1,
                 # so an urn that moves to node p leaves the tallies p+1 .. m-1
                 fixed = np.flatnonzero(below)
                 last = m - 1 - (columns[::-1, fixed] > 0).argmax(axis=0)
-                index[fixed] = last
-                moved = np.bincount(fixed // count * m + last, minlength=groups * m)
+                index[fixed] = fixed // count * m + last
+                moved = np.bincount(index[fixed], minlength=groups * m)
                 at_least[:, 1:] -= np.cumsum(moved.reshape(groups, m), axis=1)[:, :-1]
             if proposers is not None:
-                proposers[:, start + k] = index
-            if groups > 1:
-                index += offsets
+                proposers[:, start + k] = index if offsets is None else index - offsets
             # index is in [0, G * m), so "wrap" never wraps; it only skips the
             # bounds-checked copy "raise" makes of `out`
             rewards.take(index, axis=1, out=gains, mode="wrap")
-            columns += gains
+            live += gains
             if start + k + 1 == stop:
                 yield stop, totals.item(k) + row_sum, columns
                 stop = next(upcoming)
+        # the block's tallies: at_least[h, j] gains group h's picks >= j
+        done = picks[:width]
+        for j in range(1, m):
+            hits = done if j == 1 else np.greater_equal(done, j, out=flags[:width])
+            for g, part in enumerate(parts):
+                at_least[g, j] += np.count_nonzero(hits[:, part])
     stakes[...] = columns.T
     at_least[:, :-1] -= at_least[:, 1:]  # now the per-node counts
     return (at_least if grouped else at_least[0]), total

@@ -416,7 +416,8 @@ class TestReport:
         frd_row = rows[1]
         assert frd_row.mean_empirical == 1.0
         assert frd_row.var_empirical == 0.0
-        assert math.isnan(rows[0].mean_predicted)
+        # under constant the one node holds everything: a point mass at 1
+        assert (rows[0].mean_predicted, rows[0].var_predicted) == (1.0, 0.0)
 
     def test_one_repetition_has_no_variance(self):
         config = ExperimentConfig(
@@ -789,13 +790,30 @@ class TestPredictedLaw:
         assert main(["predict", "--config", str(path)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
 
-    def test_predict_one_node_constant_is_runtime_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("stakes,node,mean", [
+        ([0, 50, 50], 0, 0.0), ([100], 0, 1.0), ([0, 50, 0], 1, 1.0),
+    ])
+    def test_predict_constant_point_mass(self, tmp_path, capsys, stakes, node, mean):
+        # a node that holds nothing or everything keeps its initial fraction
         path = tmp_path / "config.json"
-        path.write_bytes(as_json(dict(MINIMAL, initial_stakes=[100], scheme="constant")))
-        assert main(["predict", "--config", str(path)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: beta parameters must be positive, got a=0.5 b=0.0\n"
+        path.write_bytes(as_json(dict(MINIMAL, initial_stakes=stakes, scheme="constant",
+                                      record={"track_nodes": [node]})))
+        assert main(["predict", "--config", str(path)]) == 0
+        [law] = json.loads(capsys.readouterr().out)["nodes"]
+        assert law == {"node": node, "basis": "point_mass", "regime": "supercritical",
+                       "mean_fraction": mean, "var_fraction": 0.0}
+
+    def test_compare_row_of_an_empty_node(self, tmp_path, capsys):
+        # compare reports predict's point mass, not nan, for a node with no
+        # stake under constant; it stays empty, so the empirical law agrees
+        doc = dict(MINIMAL, initial_stakes=[0, 50, 50], repetitions=20, steps_n=200,
+                   record={"track_nodes": [0]})
+        path = tmp_path / "config.json"
+        path.write_bytes(as_json(doc))
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "cmp")]) == 0
+        report = (tmp_path / "cmp" / "report.csv").read_text().splitlines()
+        assert report[1].split(",")[1:] == ["constant", "0", "0", "0", "0", "supercritical"]
+        assert "nan" not in report[1]
 
     def test_report_predictions_are_predicts(self, tmp_path, capsys):
         # compare's report.csv and predict print the same law for the
@@ -816,6 +834,26 @@ class TestPredictedLaw:
             expected = [format(law["mean_fraction"], ".17g"),
                         format(law["var_fraction"], ".17g"), law["regime"]]
             assert rows[scheme][4:] == expected, scheme
+
+
+@pytest.mark.parametrize("steps_n", [0, 3])
+def test_negative_zero_stake_reads_as_zero(tmp_path, capsys, steps_n):
+    # frd pays the -0.0 node l = 0.0 * K/2; no output may show a -0
+    path = tmp_path / "config.json"
+    path.write_bytes(as_json(dict(MINIMAL, initial_stakes=[-0.0, 50.0], steps_n=steps_n,
+                                  repetitions=2)))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert (out / "samples.csv").read_text().splitlines() == [
+        "rep,node,final_fraction", "0,0,0", "0,1,1", "1,0,0", "1,1,1"]
+    run_doc = (out / "run.json").read_text()
+    assert json.loads(run_doc)["config"]["initial_stakes"] == [0.0, 50.0]
+    assert "-0.0" not in run_doc
+    capsys.readouterr()
+    assert main(["predict", "--config", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["nodes"][0]["var_fraction"] == 0.0
+    assert "-0.0" not in printed
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

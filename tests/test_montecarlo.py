@@ -27,7 +27,7 @@ from stakesim import (
 from stakesim import montecarlo
 from stakesim.cli import write_samples_csv, write_stats_csv
 from stakesim.errors import InvalidInput, StakeSimError
-from stakesim.urn import repetition_draws, run_slots
+from stakesim.urn import repetition_draws, run_slots, slot_snapshots
 
 
 def make_config(**overrides):
@@ -430,6 +430,34 @@ class TestLeadingNodes:
                                 steps_n=200, repetitions=3)
         for f, l in zip(run_experiments(configs), run_experiments(configs, leading_nodes=3)):
             assert_leading_columns(f, l, 3)
+
+    @pytest.mark.parametrize("stakes", [(30.0, 70.0), (30.0, 0.0)])
+    @pytest.mark.parametrize("stride", [0, 40])
+    def test_one_node_tail(self, stakes, stride, monkeypatch):
+        # m = 2 leaves a one-node tail, which does not lump; holding stake,
+        # it is paid +0.0 in every matrix the kernel sees, as in table1's
+        # two-node rows; empty, it keeps its column for the edge rule
+        seen = []
+
+        def spy(stakes, total, matrices, *args, **kwargs):
+            seen.append([mat.entries.copy() for mat in matrices])
+            return slot_snapshots(stakes, total, matrices, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "slot_snapshots", spy)
+        record = RecordPolicy(stride=stride, track_nodes=(0,))
+        configs = leading_batch(stakes, ("constant", "frd"), record=record, steps_n=130,
+                                repetitions=7)
+        full = run_experiments(configs)
+        full_entries = seen.pop()
+        for f, l in zip(full, run_experiments(configs, leading_nodes=1)):
+            assert_leading_columns(f, l, 1)
+        [entries] = seen
+        for full_mat, mat in zip(full_entries, entries):
+            if stakes[1] > 0:
+                assert np.array_equal(bits(mat[:, 1]), bits(np.zeros(2)))
+                assert np.array_equal(mat[:, 0], full_mat[:, 0])
+            else:
+                assert np.array_equal(mat, full_mat)
 
     def test_leading_nodes_above_node_count_rejected(self):
         configs = leading_batch((10.0, 30.0, 60.0), ("frd",))

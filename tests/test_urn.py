@@ -481,6 +481,54 @@ class TestSlotRuleReference:
             assert summed.tolist() == counts.tolist(), scheme
 
 
+def unpaid_custom(paid_rows, unpaid, zero):
+    """A custom matrix whose first columns are `paid_rows` times 2**-30 and
+    whose last `unpaid` columns are all `zero` (0.0 or -0.0)."""
+    rows = np.array(paid_rows, dtype=np.float64) * 2.0**-30
+    return custom_matrix(np.hstack([rows, np.full((len(rows), unpaid), zero)]))
+
+
+# the first 4 - unpaid columns of a 4-node matrix, each row summing to 8
+PAID_ROWS = {1: [[5, 2, 1], [1, 6, 1], [2, 2, 4], [3, 3, 2]],
+             2: [[5, 3], [2, 6], [4, 4], [1, 7]]}
+
+
+class TestUnpaidNodes:
+    """A trailing node that every row pays +0.0 and that holds stake in
+    every urn is never gathered or added; the kernel equals the scalar rule
+    bit for bit whether it skips such nodes or not."""
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("tail", ["stake", "empty", "negative_zero", "mixed"])
+    @pytest.mark.parametrize("unpaid", [1, 2])
+    def test_matches_scalar_reference(self, zero, tail, unpaid):
+        # skipped only with +0.0 columns and a tail holding stake in every
+        # urn; an empty tail keeps the edge check on, and a -0.0 stake turns
+        # +0.0 when paid +0.0, so a skip would show there
+        matrix = unpaid_custom(PAID_ROWS[unpaid], unpaid, zero)
+        paid = np.array(EDGE_STAKES[:4 - unpaid])
+        stake = {"stake": 7.5, "empty": 0.0, "negative_zero": -0.0, "mixed": 7.5}[tail]
+        urns = np.tile(np.append(paid, [stake] * unpaid), (6, 1))
+        if tail == "mixed":
+            urns[::3, -unpaid:] = 0.0
+        total = float(paid.sum()) + (stake > 0) * unpaid * stake
+        draws = np.random.default_rng(unpaid).random((6, _BLOCK_STEPS + 9))
+        draws[1::2, [0, 5, _BLOCK_STEPS + 3]] = LARGEST_DRAW
+        proposers = check_urns_against_reference(urns, total, matrix, draws)
+        # an unpaid node that holds stake still proposes
+        assert proposers.max() == (3 if stake > 0 else 3 - unpaid)
+
+    def test_groups_skip_only_a_node_no_matrix_pays(self):
+        paid = [*EDGE_STAKES[:3], 7.5]
+        unpaid = unpaid_custom(PAID_ROWS[1], 1, 0.0)
+        paying = some_matrix("constant", paid, unpaid.row_sum, None)
+        n = _BLOCK_STEPS + 9
+        draws = np.random.default_rng(4).random((5, n))
+        for matrices in ([unpaid, unpaid], [unpaid, paying], [paying, unpaid]):
+            check_groups_against_single_calls(paid, matrices, draws, [0, 9, n - 5, n])
+        check_against_reference(paid, unpaid, draws)
+
+
 def integer_custom(weights, scale):
     """A custom matrix of small integers times a power of two: every row sums
     exactly to the same budget, so it can share a row sum with frd and
@@ -497,10 +545,25 @@ def grouped_matrices(schemes, stakes, custom):
     return [custom if s == "custom" else some_matrix(s, stakes, budget, None) for s in schemes]
 
 
+def edge_slots(stakes, matrices, draws):
+    """(urns, n) flags: the slots whose draw the float-edge rule decides in
+    a grouped run, those where the running sum of the stakes in node order
+    is at most draw * total."""
+    vector, total = start(stakes)
+    count, n = draws.shape
+    urns = np.tile(vector, (len(matrices) * count, 1))
+    fired = []
+    for step, at, columns in slot_snapshots(urns, total, matrices, draws, range(n)):
+        sums = np.add.accumulate(columns, axis=0)[-1]
+        fired.append(sums <= np.tile(draws[:, step], len(matrices)) * at)
+    return np.array(fired).T
+
+
 def check_groups_against_single_calls(stakes, matrices, draws, cuts=None):
     """run_slots over len(matrices) groups of urns, in one call per column
-    slice between `cuts`, equals one whole call per matrix, bit for bit:
-    stakes, proposers, counts and total."""
+    slice between `cuts`, and one slot_snapshots pass stopping at the cuts,
+    equal one whole call per matrix, bit for bit: stakes, proposers, counts
+    and total.  Each group's counts are the bincount of its proposers."""
     vector, initial_total = start(stakes)
     count, n = draws.shape
     groups = len(matrices)
@@ -513,6 +576,14 @@ def check_groups_against_single_calls(stakes, matrices, draws, cuts=None):
         part_counts, total = run_slots(urns, total, matrices, draws[:, a:b],
                                        proposers=proposers[:, a:b])
         counts += part_counts
+    passed = np.tile(vector, (groups * count, 1))
+    pass_proposers = np.empty_like(proposers)
+    _, pass_counts, pass_total = one_pass(passed, initial_total, matrices, draws,
+                                          cuts[1:-1], pass_proposers)
+    assert passed.tobytes() == urns.tobytes()
+    assert pass_proposers.tobytes() == proposers.tobytes()
+    assert pass_counts.tolist() == counts.tolist()
+    assert pass_total == total
     for g, matrix in enumerate(matrices):
         single = np.tile(vector, (count, 1))
         single_proposers = np.empty((count, n), dtype=np.int64)
@@ -522,6 +593,8 @@ def check_groups_against_single_calls(stakes, matrices, draws, cuts=None):
         assert urns[rows].tobytes() == single.tobytes(), g
         assert proposers[rows].tobytes() == single_proposers.tobytes(), g
         assert counts[g].tolist() == single_counts.tolist(), g
+        assert counts[g].tolist() == np.bincount(proposers[rows].ravel(),
+                                                 minlength=len(vector)).tolist(), g
         assert total == single_total, g
     return proposers
 
@@ -545,10 +618,42 @@ class TestGroupedSlots:
         boundaries = [float(c) / total for c in np.cumsum(vector)]
         special = [0.0, LARGEST_DRAW, *(u for u in boundaries if u < 1.0)]
         draw = st.one_of(st.sampled_from(special), st.floats(0.0, 1.0, exclude_max=True))
-        count, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
-        draws = data.draw(st.lists(draw, min_size=count * n, max_size=count * n))
+        count = data.draw(st.integers(1, 4))
+        # short runs draw every slot; runs that cross the block grid draw
+        # from a seeded generator and place some special draws
+        n = data.draw(st.one_of(st.integers(1, 6),
+                                st.sampled_from([_BLOCK_STEPS - 1, _BLOCK_STEPS + 1, 130])))
+        if n <= 6:
+            draws = np.reshape(data.draw(st.lists(draw, min_size=count * n,
+                                                  max_size=count * n)), (count, n))
+        else:
+            draws = np.random.default_rng(data.draw(st.integers(0, 2**32))).random((count, n))
+            cells = st.tuples(st.integers(0, count - 1), st.integers(0, n - 1), draw)
+            for c, k, u in data.draw(st.lists(cells, max_size=12)):
+                draws[c, k] = u
+        cuts = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=3))) - {n})
         check_groups_against_single_calls(stakes, grouped_matrices(schemes, stakes, custom),
-                                          np.reshape(draws, (count, n)))
+                                          draws, [0, *cuts, n])
+
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 10])
+    def test_block_tallies_count_the_proposers(self, groups, m):
+        # node m-1 starts empty (but at m = 1); from m = 3 on, the largest
+        # draws, placed mid-block, meet a running sum that rounds below the
+        # total in some urns, and the edge rule moves them off node m-1 (at
+        # m = 10 node 8 is empty too); the slices and the stops fall off the
+        # block grid
+        stakes = {1: [5.0], 10: [*EDGE_STAKES, 0.0]}.get(m, [*EDGE_STAKES[:m - 1], 0.0])
+        weights = np.ones((m, m))
+        weights[:, -1] = 0.0
+        matrices = grouped_matrices(["frd", "constant", "custom"][:groups], stakes,
+                                    integer_custom(weights, 2.0**-30))
+        count, n = 5, 2 * _BLOCK_STEPS + 9
+        draws = np.random.default_rng(m * 10 + groups).random((count, n))
+        draws[::2, 8:60] = LARGEST_DRAW
+        check_groups_against_single_calls(stakes, matrices, draws,
+                                          [0, 7, _BLOCK_STEPS + 2, n])
+        assert edge_slots(stakes, matrices, draws)[:, 8:60].any() == (m >= 3)
 
     def test_zero_stake_last_node_across_blocks_and_slices(self):
         # EDGE_STAKES' node 8 is empty: the largest draws go to node 7 by the
