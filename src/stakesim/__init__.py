@@ -7,7 +7,6 @@ from .analytics import (
     beta_limit_params,
     empirical_stats,
     exact_stake_moments,
-    ks_distance,
     limiting_mean_fraction,
     predict,
     predict_mean_stake,
@@ -55,7 +54,6 @@ __all__ = [
     "empirical_stats",
     "exact_stake_moments",
     "frd_matrix",
-    "ks_distance",
     "limiting_mean_fraction",
     "merge_results",
     "predict",

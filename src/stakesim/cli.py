@@ -287,14 +287,10 @@ def render_histogram_svg(
     widths = np.diff(edges)
     density = counts / (total * widths)
 
-    curve = None
-    if beta is not None:
-        from scipy import stats as sp_stats
-
-        grid = np.linspace(0.002, 0.998, 250)
-        curve = sp_stats.beta(beta.a, beta.b).pdf(grid)
     y_max = float(density.max())
-    if curve is not None:
+    if beta is not None:
+        grid = np.linspace(0.002, 0.998, 250)
+        curve = beta.pdf(grid)
         y_max = max(y_max, float(np.percentile(curve, 90)))
     y_max *= 1.08
 
@@ -320,7 +316,7 @@ def render_histogram_svg(
             f'<rect x="{x0:.2f}" y="{y:.2f}" width="{x1 - x0:.2f}" height="{h:.2f}" '
             f'fill="#4878a8" fill-opacity="0.85"/>'
         )
-    if curve is not None:
+    if beta is not None:
         points = " ".join(
             f"{px(x):.2f},{py(y):.2f}" for x, y in zip(grid.tolist(), curve.tolist())
         )
@@ -373,8 +369,9 @@ class ReportRow:
     """One (config, scheme) line of the benchmark report.
 
     For the supercritical constant scheme the predicted columns carry the
-    beta-limit implied mean/variance (there is no closed form at finite n);
-    nan when the beta limit is degenerate (single node).  var_empirical is
+    beta-limit implied mean/variance (there is no closed form at finite n),
+    or, when the node holds nothing or everything (a single node, say), the
+    point mass at its initial fraction, with variance 0.  var_empirical is
     the unbiased sample variance, nan for a single repetition.
     """
 

@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
 from stakesim import (
-    BetaParams,
     ExperimentConfig,
     RecordPolicy,
     Regime,
@@ -36,7 +35,6 @@ from stakesim import (
     classify_regime,
     exact_stake_moments,
     frd_matrix,
-    ks_distance,
     predict_mean_stake,
     predict_var_stake,
     run_experiment,
@@ -190,13 +188,13 @@ def test_criterion_6_beta_limit_ks():
     # count.  Exactly: 0.0678141 at n=1e3 (P(never proposes) = 0.086938),
     # which is above the 0.05 bound, and 0.0381377 at n=1e4 (0.048887).
     result = _run("row3", "constant", 10_000, steps_n=10_000, seed_bump=4)
-    target = BetaParams(0.25, 0.25)
+    law = sp_stats.beta(0.25, 0.25)
     config = result.config
     smallest = config.initial_stakes[0] / (
         sum(config.initial_stakes) + config.steps_n * config.reward_budget_K
     )
-    floor = float(sp_stats.beta(target.a, target.b).cdf(smallest))
-    distance = ks_distance(result.final_fractions[:, 0], target)
+    floor = float(law.cdf(smallest))
+    distance = float(sp_stats.kstest(result.final_fractions[:, 0], law.cdf).statistic)
     with criterion(6, f"constant final fractions at n={config.steps_n} vs Beta(0.25,0.25): "
                       f"KS={distance:.4f}, floor={floor:.4f}"):
         assert floor < 0.05, f"KS floor {floor:.4f} at n={config.steps_n}: bound unattainable"

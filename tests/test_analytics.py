@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sp_stats
 
 from stakesim import (
     BetaParams,
@@ -27,7 +28,6 @@ from stakesim import (
     empirical_stats,
     exact_stake_moments,
     frd_matrix,
-    ks_distance,
     limiting_mean_fraction,
     predict,
     predict_mean_stake,
@@ -342,6 +342,25 @@ class TestBetaLimit:
             beta_limit_params([100], 200, 0)
 
 
+class TestBetaPdf:
+    # The exponent's absolute error is the density's relative error.  Each
+    # band's bound is 3 eps (eps = 2.2e-16) times the largest sum of
+    # |lgamma(a)|, |lgamma(b)|, |lgamma(a+b)|, |(a-1) ln x| and
+    # |(b-1) ln(1-x)| in the band: about 26, 2.2e3, 4.0e5 and 5.9e7.
+    # a and b are drawn log-uniformly over the band, on the hist overlay's
+    # grid; densities below 1e-300, never drawn, are compared absolutely.
+    @pytest.mark.parametrize("low,high,bound", [
+        (1e-3, 1.0, 3e-14), (1.0, 1e2, 2e-12), (1e2, 1e4, 3e-10), (1e4, 1e6, 4e-8),
+    ])
+    def test_matches_scipy(self, low, high, bound):
+        grid = np.linspace(0.002, 0.998, 250)
+        rng = np.random.Generator(np.random.PCG64(2300))
+        for a, b in 10.0 ** rng.uniform(math.log10(low), math.log10(high), (300, 2)):
+            ref = sp_stats.beta.pdf(grid, a, b)
+            got = BetaParams(a, b).pdf(grid)
+            assert np.all(np.abs(got - ref) <= bound * ref + 1e-300), (a, b)
+
+
 class TestEmpiricalStats:
     def test_hand_arithmetic(self):
         stats = empirical_stats([0.4, 0.5, 0.6], bins=10)
@@ -383,14 +402,15 @@ def _final_fractions(scheme: str, reps: int, seed: int) -> np.ndarray:
     return run_experiment(config).final_fractions[:, 0]
 
 
+def ks_distance(samples, beta: BetaParams) -> float:
+    """Sup-norm distance between the empirical CDF and the Beta(a, b) CDF."""
+    return float(sp_stats.kstest(samples, sp_stats.beta(beta.a, beta.b).cdf).statistic)
+
+
 class TestKsDistance:
     def test_self_consistency(self):
         samples = np.random.Generator(np.random.PCG64(1234)).beta(0.25, 0.25, size=10_000)
         assert ks_distance(samples, BetaParams(0.25, 0.25)) < 0.02
-
-    def test_too_few_samples(self):
-        with pytest.raises(InvalidInput, match="need at least 100 samples"):
-            ks_distance([0.5] * 99, BetaParams(0.25, 0.25))
 
     def test_winner_takes_all_converges_toward_beta(self):
         # At n=1000 the sup distance is pinned at ~0.068 by the atom of

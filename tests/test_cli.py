@@ -767,6 +767,31 @@ REPORT_GOLDEN = {
 }
 
 
+# sha256 of `hist --beta A,B` on a fixed samples.csv (rep r of 200 has
+# fraction r/199), pinned while scipy still drew the overlay; the last two
+# laws are so narrow that their density is 0 at every grid point.  The test
+# blocks scipy: a None entry in sys.modules makes `import scipy` raise.
+HIST_BETA_GOLDEN = {
+    "0.25,0.25": "1a5405b1e388821d2d58cd64d69f5e8b4ac470646b5aa12d14eba69beee8b4b0",
+    "2,5": "a799a7e4e73dffd23bea99ee22e599f7d0b964f0e0d3f17a9288a50352782e79",
+    "0.01,50": "7bb8e08c68acc808f6334e3c09cdb698ff2041aaa2c9750ec05eabd840d108ba",
+    "2000,3000": "ae38d6c2ee39e2e0922070d1953021050e772b798d168513519212163f380172",
+    "1e308,1e308": "953590aed6cad9fe209fa25117eb477c6749b70f4b74d2d4ee3bcf5fc221414f",
+    "1,1.7e308": "953590aed6cad9fe209fa25117eb477c6749b70f4b74d2d4ee3bcf5fc221414f",
+}
+
+
+@pytest.mark.parametrize("pair", list(HIST_BETA_GOLDEN))
+def test_hist_beta_svg_pinned(tmp_path, monkeypatch, pair):
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    samples = tmp_path / "samples.csv"
+    samples.write_text("rep,node,final_fraction\n"
+                       + "".join(f"{r},0,{r / 199!r}\n" for r in range(200)))
+    svg = tmp_path / "h.svg"
+    assert main(["hist", "--samples", str(samples), "--beta", pair, "--out", str(svg)]) == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == HIST_BETA_GOLDEN[pair]
+
+
 @pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
 def test_report_csv_pinned(tmp_path, name):
     doc, sha = REPORT_GOLDEN[name]
@@ -857,8 +882,37 @@ def test_negative_zero_stake_reads_as_zero(tmp_path, capsys, steps_n):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second to import; only ks_distance and the
-    # hist --beta overlay need it
-    code = "import sys, stakesim.cli; sys.exit('scipy.stats' in sys.modules)"
+    # scipy is not a runtime dependency: importing every stakesim module
+    # loads no scipy module at all
+    code = ("import importlib, pkgutil, sys, stakesim\n"
+            "for m in pkgutil.iter_modules(stakesim.__path__):\n"
+            "    if m.name != '__main__':\n"
+            "        importlib.import_module('stakesim.' + m.name)\n"
+            "sys.exit(any(n.split('.')[0] == 'scipy' for n in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(Path(stakesim.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_commands_run_without_scipy(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(as_json(dict(MINIMAL, repetitions=20, steps_n=100)))
+    out = tmp_path / "out"
+    commands = [
+        ["simulate", "--config", str(config), "--out", str(out)],
+        ["hist", "--samples", str(out / "samples.csv"), "--beta", "0.25,0.25",
+         "--out", str(tmp_path / "h.svg")],
+        ["predict", "--config", str(config)],
+        ["compare", "--config", str(config), "--out", str(tmp_path / "compare")],
+        ["table1", "--reps", "20", "--out", str(tmp_path / "table1")],
+    ]
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from stakesim.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps(codes), file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(Path(stakesim.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stderr.splitlines()[-1]) == [0] * len(commands)
+    assert (tmp_path / "h.svg").read_bytes().startswith(b"<svg")
