@@ -166,6 +166,18 @@ def exact_stake_moments(
     return m1, m2 - m1 * m1
 
 
+# BetaParams.pdf's switch to the saddle-point form; from there on the
+# remainder's series below is exact to double precision
+_SADDLE_FROM = 100.0
+
+
+def _stirling_remainder(z: float) -> float:
+    """lgamma(z) - ((z - 1/2) ln z - z + ln(2 pi)/2) for z >= 100: Stirling's
+    series to z^-5, whose next term is below 6e-18."""
+    w = 1.0 / z
+    return w * (1.0 / 12.0 - w * w * (1.0 / 360.0 - w * w / 1260.0))
+
+
 @dataclass(frozen=True)
 class BetaParams:
     """Parameters of the long-run fraction law under proposer-takes-all."""
@@ -184,15 +196,32 @@ class BetaParams:
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         """Density at each x in (0, 1), exp((a-1) ln x + (b-1) ln(1-x) - ln B(a, b)).
-        Its relative error grows with a + b; past about 2.5e305 lgamma overflows,
-        the spread is below 1e-152 and every x gets 0."""
+
+        Below min(a, b) = 100, ln B is taken from lgamma.  Above, the terms of
+        that exponent cancel to an error of about eps (a+b) ln(a+b), which
+        loses the spike of a narrow law, so Stirling's series for ln B gives
+        it in saddle-point form, a ln(x/mu) + b ln((1-x)/(1-mu)) - ln x
+        - ln(1-x) + (ln a + ln b - ln(a+b) - ln 2 pi)/2 - d(a) - d(b) + d(a+b),
+        where mu = a/(a+b) and d is lgamma's Stirling remainder; the first
+        two terms vanish at the mean.  When lgamma or a + b overflows, past
+        about 2.5e305, the spread is below 1e-152 and every x gets 0."""
         a, b = self.a, self.b
-        try:
-            log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-        except OverflowError:
+        if min(a, b) < _SADDLE_FROM:
+            try:
+                log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+            except OverflowError:
+                return np.zeros_like(x)
+            with np.errstate(over="ignore"):  # overflow: a + b so large the exponent is noise
+                return np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - log_beta)
+        s = a + b
+        if s == math.inf:
             return np.zeros_like(x)
-        with np.errstate(over="ignore"):  # overflow: a + b so large the exponent is noise
-            return np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - log_beta)
+        mu, nu = a / s, b / s
+        log_peak = (0.5 * (math.log(a) + math.log(b) - math.log(s) - math.log(2.0 * math.pi))
+                    - _stirling_remainder(a) - _stirling_remainder(b) + _stirling_remainder(s))
+        with np.errstate(over="ignore"):  # far from the mean b ln(...) may reach -inf
+            return np.exp(a * np.log1p((x - mu) / mu) + b * np.log1p((mu - x) / nu)
+                          - np.log(x) - np.log1p(-x) + log_peak)
 
 
 def beta_limit_params(initial_stakes: Sequence[float], budget: float, node: int) -> BetaParams:

@@ -157,13 +157,16 @@ def slot_snapshots(
     never decrease: the prefix masks C_j <= draw * total are nested, and the
     proposer, the first g with draw * total < C_g, is the number of masks
     set among C_0 .. C_{m-2}.  The masks are summed, per slot, into a row of
-    a (block, urns) array of the smallest unsigned type that holds m - 1 (at
-    m == 2 the one mask is written there directly), and that sum plus the
-    group's offset is the intp index into the rewards, one table of G blocks
-    of m columns.  Once per block, mask j's tally in a group is the number
-    of its rows' entries that are at least j + 1; the per-node counts are
-    the differences of these tallies.  The float edge is checked only in
-    blocks that start with some urn's node m-1 at zero stake.  Where node
+    a (block, urns) array of the smallest unsigned type that holds m - 1
+    (mask 0 is written there directly), and that sum plus the group's offset
+    is the index into the rewards, one table of G blocks of m columns.  The
+    offsets are held in the picks' type where G * m - 1 fits it, so that the
+    index is one add in that type, written as intp; as no index exceeds
+    G * m - 1, none wraps, and the bytes do not depend on it.  Once per
+    block, mask j's tally in a group is the number of its rows' entries
+    that are at least j + 1; the per-node counts are the differences of
+    these tallies.  The float edge is checked only in blocks that start
+    with some urn's node m-1 at zero stake (never at m == 1).  Where node
     m-1 holds stake, it keeps it, and every mask already counts a draw past
     C_{m-1} as node m-1's, which is where the edge rule sends it; so the
     bytes do not depend on the check.  A trailing node that every row pays
@@ -204,18 +207,27 @@ def slot_snapshots(
     below = np.empty(urns, dtype=bool)
     below_lanes = below.reshape(lanes)
     mask = below.view(np.uint8)  # so a mask adds into picks without a cast
-    # picks[k]: slot k's proposer by the masks alone, the sum of its masks;
-    # at m == 2 the one mask is written into it in place
+    # picks[k]: slot k's proposer by the masks alone, the sum of its masks
     picks = np.zeros((rows, urns), dtype=np.min_scalar_type(m - 1))
-    masks = picks.view(bool).reshape(rows, *lanes) if m == 2 else None
+    # where mask 0 goes: straight into picks, through its bytes where picks
+    # are one byte wide, else cast on write; m == 1 has no mask, so scratch
+    heads = np.empty((rows, *lanes), dtype=bool) if m == 1 else (
+        picks.view(bool) if picks.itemsize == 1 else picks).reshape(rows, *lanes)
     flags = np.empty((rows, urns), dtype=bool) if m > 2 else None
-    # the proposer plus its group's offset into rewards
+    # the proposer plus its group's offset into rewards: one add in the picks'
+    # type, written as intp, where no sum can pass that type's top, G * m - 1
     index = np.empty(urns, dtype=np.intp)
-    offsets = np.repeat(np.arange(groups, dtype=np.intp) * m, count) if groups > 1 else None
+    small = groups * m - 1 <= np.iinfo(picks.dtype).max
+    offsets = np.repeat((np.arange(groups) * m).astype(picks.dtype if small else np.intp),
+                        count) if groups > 1 else None
     parts = [slice(g * count, (g + 1) * count) for g in range(groups)]
     # at_least[h, g]: slots of group h whose proposer is >= g
     at_least = np.zeros((groups, m), dtype=np.int64)
     at_least[:, 0] = count * n
+    # the slot loop's invariants: the first prefix column, the columns the
+    # running sum adds before masks 1 .. m-2 and before C_{m-1}, the calls
+    first, later, last = grid[0], list(grid[1:m - 1]), grid[m - 1]
+    less_equal, add, copyto, take = np.less_equal, np.add, np.copyto, rewards.take
     upcoming = iter([*stops, -1])  # -1 follows the last stop: no slot count matches it
     stop = next(upcoming)
     if stop == 0:
@@ -227,49 +239,44 @@ def slot_snapshots(
             totals[k] = total
             total += row_sum
         block = thresholds[:width]
-        for first in range(0, count, _BLOCK_URNS):
-            tile = slice(first, first + _BLOCK_URNS)
+        for lead in range(0, count, _BLOCK_URNS):
+            tile = slice(lead, lead + _BLOCK_URNS)
             np.copyto(block[:, tile], draws[tile, start:start + width].T)
         block *= totals[:width]
         # stakes never fall, so a node m-1 positive in every urn now stays so,
         # and the edge rule would give it the urns every mask already counted
-        # as its own: skip C_{m-1} and the edge check for the block
-        edge = not columns[m - 1].all()
+        # as its own: skip C_{m-1} and the edge check for the block; at m == 1
+        # the one node proposes every slot, and the check could move nothing
+        edge = m > 1 and not columns[m - 1].all()
         for k in range(width):
             threshold = block[k]
             pick = picks[k]
-            running = grid[0]
-            for j in range(1, m):
-                if masks is not None:
-                    np.less_equal(running, threshold, out=masks[k])
-                else:
-                    np.less_equal(running, threshold, out=below_lanes)
-                    if j == 1:
-                        np.copyto(pick, below)
-                    else:
-                        np.add(pick, mask, out=pick)
-                if j < m - 1 or edge:
-                    running = np.add(running, grid[j], out=prefix)
+            less_equal(first, threshold, heads[k])
+            running = first
+            for column in later:
+                running = add(running, column, prefix)
+                less_equal(running, threshold, below_lanes)
+                add(pick, mask, pick)
             if offsets is None:
-                np.copyto(index, pick)
+                copyto(index, pick)
             else:
-                np.add(pick, offsets, out=index)
-            if edge and np.less_equal(running, threshold, out=below_lanes).any():
+                add(pick, offsets, index)
+            if edge and less_equal(add(running, last, prefix), threshold, below_lanes).any():
                 # float edge: the running sum of stakes can land a hair below
                 # the analytic total; the draw then belongs to the last node
                 # with positive stake, and every mask counted it as node m-1,
                 # so an urn that moves to node p leaves the tallies p+1 .. m-1
                 fixed = np.flatnonzero(below)
-                last = m - 1 - (columns[::-1, fixed] > 0).argmax(axis=0)
-                index[fixed] = fixed // count * m + last
+                owner = m - 1 - (columns[::-1, fixed] > 0).argmax(axis=0)
+                index[fixed] = fixed // count * m + owner
                 moved = np.bincount(index[fixed], minlength=groups * m)
                 at_least[:, 1:] -= np.cumsum(moved.reshape(groups, m), axis=1)[:, :-1]
             if proposers is not None:
                 proposers[:, start + k] = index if offsets is None else index - offsets
             # index is in [0, G * m), so "wrap" never wraps; it only skips the
             # bounds-checked copy "raise" makes of `out`
-            rewards.take(index, axis=1, out=gains, mode="wrap")
-            live += gains
+            take(index, 1, gains, "wrap")
+            add(live, gains, live)
             if start + k + 1 == stop:
                 yield stop, totals.item(k) + row_sum, columns
                 stop = next(upcoming)

@@ -360,6 +360,18 @@ class TestBetaPdf:
             got = BetaParams(a, b).pdf(grid)
             assert np.all(np.abs(got - ref) <= bound * ref + 1e-300), (a, b)
 
+    # Narrow laws whose mean, 0.25, is a point of the grid: the spike must
+    # keep its height.  The bound is 3 eps times the largest sum of |terms|
+    # of the saddle-point exponent at the spike, about 1,040 at (1e300,
+    # 3e300), rounded up.
+    @pytest.mark.parametrize("a,b", [(1e14, 3e14), (1e16, 3e16), (1e20, 3e20), (1e300, 3e300)])
+    def test_narrow_spike_matches_scipy(self, a, b):
+        grid = np.append(np.linspace(0.002, 0.998, 250), 0.25)
+        ref = sp_stats.beta.pdf(grid, a, b)
+        got = BetaParams(a, b).pdf(grid)
+        assert ref[-1] > 1e7
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref + 1e-300)
+
 
 class TestEmpiricalStats:
     def test_hand_arithmetic(self):

@@ -690,6 +690,21 @@ class TestGroupedSlots:
         proposers = check_groups_against_single_calls(stakes, matrices, draws)
         assert proposers.max() > 255
 
+    @pytest.mark.parametrize("m, groups", [(128, 2), (129, 2), (2, 128), (2, 129)])
+    def test_reward_index_past_a_byte(self, m, groups):
+        # a one-byte proposer with G * m - 1 at 255, where the group offsets
+        # share the proposer's type, and at 257, where they cannot; the
+        # largest draws send the last group's urns to index G * m - 1
+        stakes = np.random.default_rng(m + groups).random(m).tolist()
+        weights = np.random.default_rng(11).integers(0, 3, (m, m))
+        custom = integer_custom(weights, 1.0)
+        matrices = grouped_matrices((["frd", "custom", "constant"] * groups)[:groups],
+                                    stakes, custom)
+        draws = np.random.default_rng(12).random((3, _BLOCK_STEPS + 6))
+        draws[:, -1] = LARGEST_DRAW
+        proposers = check_groups_against_single_calls(stakes, matrices, draws, [0, 5, 70])
+        assert (proposers[-3:, -1] == m - 1).all()
+
     def test_row_sums_must_match(self):
         stakes, total = start([50.0, 50.0])
         draws = np.zeros((2, 3))
