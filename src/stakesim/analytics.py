@@ -203,8 +203,9 @@ class BetaParams:
         it in saddle-point form, a ln(x/mu) + b ln((1-x)/(1-mu)) - ln x
         - ln(1-x) + (ln a + ln b - ln(a+b) - ln 2 pi)/2 - d(a) - d(b) + d(a+b),
         where mu = a/(a+b) and d is lgamma's Stirling remainder; the first
-        two terms vanish at the mean.  When lgamma or a + b overflows, past
-        about 2.5e305, the spread is below 1e-152 and every x gets 0."""
+        two terms vanish at the mean.  Every x gets 0 where the lgamma form's
+        lgamma overflows, at a + b past about 2.5e305, and where the saddle
+        form's a + b overflows; the spread is then below 1e-152."""
         a, b = self.a, self.b
         if min(a, b) < _SADDLE_FROM:
             try:

@@ -157,12 +157,12 @@ def slot_snapshots(
     never decrease: the prefix masks C_j <= draw * total are nested, and the
     proposer, the first g with draw * total < C_g, is the number of masks
     set among C_0 .. C_{m-2}.  The masks are summed, per slot, into a row of
-    a (block, urns) array of the smallest unsigned type that holds m - 1
+    a (block, urns) array of the smallest unsigned type that holds G * m - 1
     (mask 0 is written there directly), and that sum plus the group's offset
     is the index into the rewards, one table of G blocks of m columns.  The
-    offsets are held in the picks' type where G * m - 1 fits it, so that the
-    index is one add in that type, written as intp; as no index exceeds
-    G * m - 1, none wraps, and the bytes do not depend on it.  Once per
+    offsets share the picks' type, so that the index is one add in that
+    type, written as intp; as no index exceeds G * m - 1, none wraps, and
+    the bytes do not depend on the type.  Once per
     block, mask j's tally in a group is the number of its rows' entries
     that are at least j + 1; the per-node counts are the differences of
     these tallies.  The float edge is checked only in blocks that start
@@ -207,19 +207,18 @@ def slot_snapshots(
     below = np.empty(urns, dtype=bool)
     below_lanes = below.reshape(lanes)
     mask = below.view(np.uint8)  # so a mask adds into picks without a cast
-    # picks[k]: slot k's proposer by the masks alone, the sum of its masks
-    picks = np.zeros((rows, urns), dtype=np.min_scalar_type(m - 1))
+    # picks[k]: slot k's proposer by the masks alone, the sum of its masks,
+    # in a type that also holds the proposer plus its group's offset
+    picks = np.zeros((rows, urns), dtype=np.min_scalar_type(groups * m - 1))
     # where mask 0 goes: straight into picks, through its bytes where picks
     # are one byte wide, else cast on write; m == 1 has no mask, so scratch
     heads = np.empty((rows, *lanes), dtype=bool) if m == 1 else (
         picks.view(bool) if picks.itemsize == 1 else picks).reshape(rows, *lanes)
     flags = np.empty((rows, urns), dtype=bool) if m > 2 else None
     # the proposer plus its group's offset into rewards: one add in the picks'
-    # type, written as intp, where no sum can pass that type's top, G * m - 1
+    # type, written as intp; no sum passes G * m - 1, which that type holds
     index = np.empty(urns, dtype=np.intp)
-    small = groups * m - 1 <= np.iinfo(picks.dtype).max
-    offsets = np.repeat((np.arange(groups) * m).astype(picks.dtype if small else np.intp),
-                        count) if groups > 1 else None
+    offsets = np.repeat((np.arange(groups) * m).astype(picks.dtype), count) if groups > 1 else None
     parts = [slice(g * count, (g + 1) * count) for g in range(groups)]
     # at_least[h, g]: slots of group h whose proposer is >= g
     at_least = np.zeros((groups, m), dtype=np.int64)

@@ -360,13 +360,15 @@ class TestBetaPdf:
             got = BetaParams(a, b).pdf(grid)
             assert np.all(np.abs(got - ref) <= bound * ref + 1e-300), (a, b)
 
-    # Narrow laws whose mean, 0.25, is a point of the grid: the spike must
-    # keep its height.  The bound is 3 eps times the largest sum of |terms|
-    # of the saddle-point exponent at the spike, about 1,040 at (1e300,
-    # 3e300), rounded up.
-    @pytest.mark.parametrize("a,b", [(1e14, 3e14), (1e16, 3e16), (1e20, 3e20), (1e300, 3e300)])
-    def test_narrow_spike_matches_scipy(self, a, b):
-        grid = np.append(np.linspace(0.002, 0.998, 250), 0.25)
+    # Narrow laws whose mean is a point of the grid: the spike must keep its
+    # height, also at (1e306, 1e306), where lgamma would overflow.  The bound
+    # is 3 eps times the largest sum of |terms| of the saddle-point exponent
+    # at the spike, about 1,060 at (1e306, 1e306), rounded up.
+    @pytest.mark.parametrize("a,b,mean", [(1e14, 3e14, 0.25), (1e16, 3e16, 0.25),
+                                          (1e20, 3e20, 0.25), (1e300, 3e300, 0.25),
+                                          (1e306, 1e306, 0.5)])
+    def test_narrow_spike_matches_scipy(self, a, b, mean):
+        grid = np.append(np.linspace(0.002, 0.998, 250), mean)
         ref = sp_stats.beta.pdf(grid, a, b)
         got = BetaParams(a, b).pdf(grid)
         assert ref[-1] > 1e7

@@ -692,8 +692,8 @@ class TestGroupedSlots:
 
     @pytest.mark.parametrize("m, groups", [(128, 2), (129, 2), (2, 128), (2, 129)])
     def test_reward_index_past_a_byte(self, m, groups):
-        # a one-byte proposer with G * m - 1 at 255, where the group offsets
-        # share the proposer's type, and at 257, where they cannot; the
+        # G * m - 1 at 255, where the picks and offsets are one byte, and at
+        # 257, where they widen to two though the proposer fits one; the
         # largest draws send the last group's urns to index G * m - 1
         stakes = np.random.default_rng(m + groups).random(m).tolist()
         weights = np.random.default_rng(11).integers(0, 3, (m, m))
