@@ -25,7 +25,11 @@ from .urn import recorded_steps, repetition_draws, slot_snapshots, stake_vector
 SCHEMES = ("constant", "frd", "custom")
 
 # per-chunk limits: _DRAW_BUDGET float64 draws (at least one row) and
-# _MAX_CHUNK repetitions; pure performance knobs, results do not depend on them
+# _MAX_CHUNK repetitions, half that when the run records nothing.  Results
+# do not depend on them.  A smaller chunk holds fewer draws (an unrecorded
+# one at most 32 MiB at steps_n = 1000) for one more slot-kernel pass; a
+# recording chunk also pays one _exact_sums call per recorded step, whose
+# fixed cost bigger chunks spread thinner.
 _DRAW_BUDGET = 1 << 23
 _MAX_CHUNK = 8192
 
@@ -309,12 +313,14 @@ class ExperimentResult:
     time_series: TimeSeries | None
 
 
-def _chunk_bounds(start: int, stop: int, n: int, workers: int) -> list[tuple[int, int]]:
+def _chunk_bounds(start: int, stop: int, n: int, workers: int,
+                  record: bool) -> list[tuple[int, int]]:
     """Split [start, stop) into near-equal chunks within the per-chunk
-    limits: a multiple of `workers` chunks when there are at least that
-    many repetitions, so no worker sits idle.
+    limits of a run that records (`record`) or not: a multiple of `workers`
+    chunks when there are at least that many repetitions, so no worker
+    sits idle.
     """
-    cap = _MAX_CHUNK
+    cap = _MAX_CHUNK if record else _MAX_CHUNK // 2
     if n > 0:
         cap = min(cap, max(1, _DRAW_BUDGET // n))
     reps = stop - start
@@ -493,7 +499,7 @@ def run_experiments(
         raise StakeSimError(
             f"steps_n {n} exceeds the cap of {_MAX_RESULT_ELEMENTS} draws per repetition"
         )
-    bounds = _chunk_bounds(start, stop, n, workers)
+    bounds = _chunk_bounds(start, stop, n, workers, config.record.stride > 0)
     task = partial(_chunk_task, configs, matrices, leading)
     if workers > 1 and len(bounds) > 1:
         # imported here, so a serial run never loads the pool's modules

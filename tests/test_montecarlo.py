@@ -213,6 +213,44 @@ class TestRunExperiment:
         assert out.split() == ["False", "False", "True"]
 
 
+def chunk_sizes(reps, n, workers, record):
+    return [b - a for a, b in montecarlo._chunk_bounds(0, reps, n, workers, record)]
+
+
+class TestChunkPlan:
+    """An unrecorded run takes chunks of at most 4,096 repetitions, a
+    recording one of at most 8,192; both hold at most 2**23 draws."""
+
+    @pytest.mark.parametrize("record,chunks,cap", [(False, 5, 4096), (True, 3, 8192)])
+    def test_cap_follows_recording(self, record, chunks, cap):
+        sizes = chunk_sizes(20_000, 1_000, 1, record)
+        assert len(sizes) == chunks and max(sizes) <= cap and sum(sizes) == 20_000
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_long_horizons_follow_the_draw_budget(self, record):
+        sizes = chunk_sizes(20_000, 10_000, 1, record)
+        assert len(sizes) == 24 and max(sizes) <= (1 << 23) // 10_000
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("n", [1_000, 10_000])
+    def test_chunk_count_is_a_multiple_of_workers(self, record, n):
+        sizes = chunk_sizes(20_000, n, 2, record)
+        assert len(sizes) % 2 == 0 and max(sizes) - min(sizes) <= 1
+        assert len(sizes) >= len(chunk_sizes(20_000, n, 1, record))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unrecorded_results_equal_the_old_cap(self, workers, monkeypatch):
+        config = make_config(repetitions=20_000)
+        result = run_experiment(config, workers=workers)
+        assert len(chunk_sizes(20_000, config.steps_n, 1, False)) == 5
+        monkeypatch.setattr(montecarlo, "_MAX_CHUNK", 16384)  # unrecorded chunks of 8,192
+        assert len(chunk_sizes(20_000, config.steps_n, 1, False)) == 3
+        old = run_experiment(config, workers=workers)
+        assert np.array_equal(bits(result.final_fractions), bits(old.final_fractions))
+        assert np.array_equal(result.proposer_counts, old.proposer_counts)
+        assert result.time_series is None and old.time_series is None
+
+
 class TestMergeResults:
     def test_two_blocks_equal_single_shot(self):
         config = make_config(record=RecordPolicy(stride=20, track_nodes=(0,)))
@@ -752,8 +790,7 @@ class TestGoldenBytes:
         # after a longer one filled all of it
         config, samples_sha, stats_sha = GOLDEN[name]
         monkeypatch.setattr(montecarlo, "_MAX_CHUNK", 9)
-        sizes = [b - a for a, b in montecarlo._chunk_bounds(0, config.repetitions,
-                                                            config.steps_n, 1)]
+        sizes = chunk_sizes(config.repetitions, config.steps_n, 1, config.record.stride > 0)
         assert any(s < max(sizes[:i]) for i, s in enumerate(sizes) if i)
         result = run_experiment(config, workers=1)
         assert hashlib.sha256(write_samples_csv(result)).hexdigest() == samples_sha
