@@ -159,13 +159,22 @@ def _format_rows(header: str, row_format: str, columns: Sequence[list]) -> bytes
 
 
 def write_samples_csv(result: ExperimentResult) -> bytes:
-    """rep,node,final_fraction rows; rep is the absolute repetition index."""
+    """rep,node,final_fraction rows; rep is the absolute repetition index.
+
+    Fractions repeat (a node's final stake under a balanced matrix depends
+    only on how often it proposed), so each distinct float64 bit pattern is
+    formatted once, by one %.17g call over all of them, and the rows take
+    their texts.  Bit patterns, not values, are compared: +0.0 and -0.0, and
+    NaNs with different payloads, are formatted apart, as one row at a time
+    would be."""
     reps, m = result.final_fractions.shape
     start = result.rep_range[0]
-    return _format_rows("rep,node,final_fraction", "%d,%d,%.17g", [
+    bits, which = np.unique(result.final_fractions.ravel().view(np.uint64), return_inverse=True)
+    texts = ("%.17g," * bits.size % tuple(bits.view(np.float64).tolist())).split(",")
+    return _format_rows("rep,node,final_fraction", "%d,%d,%s", [
         np.repeat(np.arange(start, start + reps), m).tolist(),
         list(range(m)) * reps,
-        result.final_fractions.ravel().tolist(),
+        np.array(texts, dtype=object)[which].tolist(),
     ])
 
 
@@ -267,6 +276,8 @@ def _parse_samples_rows(data: str) -> dict[int, np.ndarray]:
 
 _SVG_W, _SVG_H = 640, 400
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 16, 16, 40
+# hist draws at most one bar per pixel of the plot's width
+_MAX_BINS = _SVG_W - _MARGIN_L - _MARGIN_R
 
 
 def render_histogram_svg(
@@ -558,6 +569,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_hist(args) -> int:
+    if args.bins > _MAX_BINS:
+        raise SchemaError("hist", f"bins must be <= {_MAX_BINS}, got {args.bins}")
     per_node = load_samples_csv(Path(args.samples).read_bytes())
     if args.node not in per_node:
         raise SchemaError("node", f"node {args.node} not present in samples")

@@ -8,6 +8,7 @@ which is repetition 0 of any run with that seed and horizon.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Generator, Sequence
 from typing import TYPE_CHECKING
 
@@ -172,7 +173,19 @@ def slot_snapshots(
     bytes do not depend on the check.  A trailing node that every row pays
     +0.0 (bit for bit) and that holds stake in every urn keeps its stake
     bit for bit, as x + 0.0 == x for x > 0: its rewards are never gathered
-    or added.
+    or added.  A paid node m-1 (m >= 2) that holds stake in every urn is
+    skipped too when every add of the pass is exact (_exact_pass): the
+    stakes, the rewards, the total and the row sum are non-negative
+    multiples of one 2**g, total + n * row_sum < 2**(53 + g), every reward
+    row sums to the row sum and every urn's stakes to the total.  Every
+    stake and total of the pass is then a multiple of 2**g below
+    2**(53 + g), so every add is exact, an urn's stakes sum to its total
+    after every slot, and node m-1's stake is that total less the other
+    stakes, a difference that is exact too.  So the kernel writes node
+    m-1's column as the total less the other columns' sum at each stop and
+    after the last slot, bit for bit the column the adds make.  Between
+    those, only the float-edge check would read it, and that check is off
+    while node m-1 holds stake.
     """
     grouped = isinstance(matrix, Sequence)
     matrices = list(matrix) if grouped else [matrix]
@@ -194,6 +207,12 @@ def slot_snapshots(
     paid = m
     while paid and not rewards[paid - 1].view(np.int64).any() and (columns[paid - 1] > 0).all():
         paid -= 1
+    # a paid node m-1 that holds stake in every urn, on a pass whose every add
+    # is exact, is never added either: its column is written from the total
+    derived = paid == m > 1 and (columns[m - 1] > 0).all() and _exact_pass(
+        columns, total, rewards, row_sum, n)
+    if derived:
+        paid = m - 1
     rewards, live = rewards[:paid], columns[:paid]
     gains = np.empty((paid, urns))
     rows = min(n, _BLOCK_STEPS)
@@ -277,7 +296,10 @@ def slot_snapshots(
             take(index, 1, gains, "wrap")
             add(live, gains, live)
             if start + k + 1 == stop:
-                yield stop, totals.item(k) + row_sum, columns
+                at = totals.item(k) + row_sum
+                if derived:
+                    _settle(columns, at)
+                yield stop, at, columns
                 stop = next(upcoming)
         # the block's tallies: at_least[h, j] gains group h's picks >= j
         done = picks[:width]
@@ -285,9 +307,45 @@ def slot_snapshots(
             hits = done if j == 1 else np.greater_equal(done, j, out=flags[:width])
             for g, part in enumerate(parts):
                 at_least[g, j] += np.count_nonzero(hits[:, part])
+    if derived:
+        _settle(columns, total)
     stakes[...] = columns.T
     at_least[:, :-1] -= at_least[:, 1:]  # now the per-node counts
     return (at_least if grouped else at_least[0]), total
+
+
+def _exact_pass(
+    columns: np.ndarray, total: float, rewards: np.ndarray, row_sum: float, n: int
+) -> bool:
+    """Whether an n-slot pass on node-major `columns` meets slot_snapshots'
+    exact rule.  g is set by the final total's top bit, and the bound is
+    checked in integers.  The sums are float sums: of non-negative multiples
+    of 2**g they are exact below 2**(53 + g) and stay at or above it once
+    the exact sum is, so one equals a target below the bound only when the
+    exact sum does."""
+    final = total + n * row_sum
+    if not (n and total >= 0 and row_sum >= 0 and final < math.inf):
+        return False
+    grid = math.ldexp(1.0, max(math.frexp(final)[1] - 53, -1074))
+    if math.fmod(total, grid) or math.fmod(row_sum, grid):
+        return False
+    if int(total / grid) + n * int(row_sum / grid) >= 2**53:
+        return False
+    for values, target in ((rewards, row_sum), (columns, total)):
+        with np.errstate(over="ignore"):  # a sum past the largest double is not the target
+            sums = np.add.reduce(values, axis=0)
+        # checked in this order, fmod sees only finite values
+        if not ((values >= 0).all() and (sums == target).all() and not np.fmod(values, grid).any()):
+            return False
+    return True
+
+
+def _settle(columns: np.ndarray, at: float) -> None:
+    """Write node m-1's column as the total `at` less the other columns' sum,
+    which on an exact pass is its stake bit for bit."""
+    last = columns[-1]
+    np.add.reduce(columns[:-1], axis=0, out=last)
+    np.subtract(at, last, out=last)
 
 
 # the two names perfbench/worker.py's urn.simulate_trajectory.ns_per_slot probe calls

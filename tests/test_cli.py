@@ -249,9 +249,20 @@ def _samples_outcome(parse, text):
 
 
 class TestCsv:
-    @pytest.mark.parametrize("first,reps,m", [(0, 10, 1), (7, 4, 1), (3, 5, 3), (1000, 7, 3)])
-    def test_samples_match_reference_writer(self, first, reps, m):
-        result = hand_built_result(first, reps, m, EDGE_VALUES)
+    @pytest.mark.parametrize("first,reps,m,values", [
+        *(pytest.param(*shape, EDGE_VALUES, id="-".join(map(str, shape)))
+          for shape in [(0, 10, 1), (7, 4, 1), (3, 5, 3), (1000, 7, 3)]),
+        # the writer formats each distinct bit pattern once: a few values
+        # repeated, both zeros, NaNs of three bit patterns, no repeats
+        pytest.param(5, 2000, 3, np.random.default_rng(0).choice(EDGE_VALUES[:5], 6000),
+                     id="repeated"),
+        pytest.param(0, 4, 3, [0.0, -0.0, 0.5, -0.0, 0.0], id="signed-zeros"),
+        pytest.param(0, 3, 2, [np.nan, 0.5, -np.nan, np.uint64(0x7FF8000000000001).view(np.float64)],
+                     id="nan"),
+        pytest.param(0, 200, 3, np.random.default_rng(1).random(600), id="distinct"),
+    ])
+    def test_samples_match_reference_writer(self, first, reps, m, values):
+        result = hand_built_result(first, reps, m, values)
         assert write_samples_csv(result) == reference_samples_csv(result)
 
     def test_stats_match_reference_writer(self):
@@ -558,6 +569,15 @@ class TestMainCommands:
         assert code == 0
         assert svg.read_bytes().startswith(b"<svg")
 
+    def test_hist_bins_up_to_the_plot_width(self, tmp_path):
+        path = self.write_config(tmp_path)
+        main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        svg = tmp_path / "h.svg"
+        code = main(["hist", "--samples", str(tmp_path / "out" / "samples.csv"),
+                     "--bins", "564", "--out", str(svg)])
+        assert code == 0
+        assert svg.read_bytes().startswith(b"<svg")
+
     def test_table1_runs_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "t1"
         assert main(["table1", "--reps", "20", "--out", str(out)]) == 0
@@ -620,6 +640,7 @@ class TestMainCommands:
         (["--beta=-1,2"], "beta: both parameters must be finite and > 0"),
         (["--mean-marker", "nan"], "hist: mean marker must be in [0, 1], got nan"),
         (["--mean-marker", "7"], "hist: mean marker must be in [0, 1], got 7.0"),
+        (["--bins", "565"], "hist: bins must be <= 564, got 565"),
     ])
     def test_hist_bad_flag_is_config_error(self, tmp_path, capsys, flags, message):
         path = self.write_config(tmp_path)

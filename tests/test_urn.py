@@ -1,8 +1,10 @@
 """Tests for the core urn process: stake vectors, the slot kernel, trajectories."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import stakesim
@@ -751,36 +753,51 @@ def one_pass(urns, total, matrices, draws, stops, proposers):
         snapshots.append((step, at, columns.copy()))
 
 
+@st.composite
+def snapshot_cases(draw):
+    """A recorded kernel pass: stakes, budget, schemes, horizon, stops, urns
+    per group, the draws' seed and the tracked nodes."""
+    m = draw(st.integers(1, 4))
+    stake = st.one_of(st.floats(0.0, 1e6), st.integers(0, 64).map(float))
+    stakes = draw(st.lists(stake, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        stakes[-1] = 0.0  # under constant, node m-1 stays empty: the edge pass runs
+    if sum(stakes) <= 0:
+        stakes[0] = 1.0
+    budget = draw(st.sampled_from([200.0, 3.0, 1e-9]))
+    schemes = draw(st.sampled_from([["constant"], ["frd"], ["constant", "frd"]]))
+    n = draw(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 128, 130]), st.integers(0, 200)))
+    stride = draw(st.one_of(st.sampled_from([1, 7, 63, 64, 65]), st.integers(n + 1, n + 100)))
+    # step 0 and the final step are stops or not; with neither, there are none
+    stops = recorded_steps(n, stride)[draw(st.integers(0, 2)):]
+    return dict(stakes=stakes, budget=budget, schemes=schemes, n=n, stops=stops,
+                count=draw(st.integers(1, 40)), draw_seed=draw(st.integers(0, 2**32)),
+                track=draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)))
+
+
 class TestSlotSnapshots:
     """One slot_snapshots pass stopping at the recorded steps against the
     per-segment run_slots loop, bit for bit."""
 
     @seed(20261019)
-    @given(data=st.data())
+    @given(case=snapshot_cases())
+    # the case that broke a version of the exact rule that did not check the
+    # urns' sums: the segment calls cross 2**18 in total stake, and the last
+    # one runs no slot
+    @example(case=dict(stakes=[1.4938554653781466, 236544.42814033836], budget=200.0,
+                       schemes=["constant"], n=128, stops=recorded_steps(128, 1), count=1,
+                       draw_seed=0, track=[0]))
     @settings(max_examples=150, deadline=None)
-    def test_one_pass_equals_per_segment_calls(self, data):
-        m = data.draw(st.integers(1, 4))
-        stake = st.one_of(st.floats(0.0, 1e6), st.integers(0, 64).map(float))
-        stakes = data.draw(st.lists(stake, min_size=m, max_size=m))
-        if data.draw(st.booleans()):
-            stakes[-1] = 0.0  # under constant, node m-1 stays empty: the edge pass runs
-        if sum(stakes) <= 0:
-            stakes[0] = 1.0
-        budget = data.draw(st.sampled_from([200.0, 3.0, 1e-9]))
-        constant, frd = constant_matrix(m, budget), frd_matrix(stakes, budget)
-        matrices = data.draw(st.sampled_from([[constant], [frd], [constant, frd]]))
+    def test_one_pass_equals_per_segment_calls(self, case):
+        stakes, budget, n, count = case["stakes"], case["budget"], case["n"], case["count"]
+        stops, track = case["stops"], case["track"]
+        m = len(stakes)
+        matrices = [constant_matrix(m, budget) if scheme == "constant" else
+                    frd_matrix(stakes, budget) for scheme in case["schemes"]]
         groups = len(matrices)
-        n = data.draw(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 128, 130]),
-                                st.integers(0, 200)))
-        stride = data.draw(st.one_of(st.sampled_from([1, 7, 63, 64, 65]),
-                                     st.integers(n + 1, n + 100)))
-        # step 0 and the final step are stops or not; with neither, there are none
-        stops = recorded_steps(n, stride)[data.draw(st.integers(0, 2)):]
-        count = data.draw(st.integers(1, 40))
-        draws = np.random.default_rng(data.draw(st.integers(0, 2**32))).random((count, n))
+        draws = np.random.default_rng(case["draw_seed"]).random((count, n))
         draws[np.random.default_rng(n).random((count, n)) < 0.05] = LARGEST_DRAW
         vector, total = start(stakes)
-        track = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
         runs = []
         for run in (segment_reference, one_pass):
             urns = np.tile(vector, (groups * count, 1))
@@ -808,3 +825,210 @@ class TestSlotSnapshots:
                                 np.zeros((2, 5)), stops)
         with pytest.raises(InvalidInput, match=r"^stops must increase within \[0, 5\], got "):
             next(kernel)
+
+
+def exact_answers(monkeypatch):
+    """urn._exact_pass' answers from now on, one per kernel pass."""
+    answers = []
+    real = urn._exact_pass
+
+    def spy(*args):
+        answers.append(real(*args))
+        return answers[-1]
+    monkeypatch.setattr(urn, "_exact_pass", spy)
+    return answers
+
+
+def check_pass_against_reference(urns, total, matrices, draws, stops):
+    """One slot_snapshots pass over group-major `urns` equals reference_slots
+    run group by group, bit for bit: the stakes, proposers, counts and final
+    total, and the total and columns at every stop."""
+    count, n = draws.shape
+    initial = urns.copy()
+
+    def reference(steps):
+        runs = [reference_slots(initial[g * count:(g + 1) * count], total, matrix, draws[:, :steps])
+                for g, matrix in enumerate(matrices)]
+        return (np.concatenate([run[0] for run in runs]),
+                np.concatenate([run[1] for run in runs]), runs[0][2])
+
+    proposers = np.empty((urns.shape[0], n), dtype=np.int64)
+    snapshots, counts, end_total = one_pass(urns, total, matrices, draws, stops, proposers)
+    ref_stakes, ref_proposers, ref_total = reference(n)
+    assert urns.tobytes() == ref_stakes.tobytes()
+    assert proposers.tobytes() == ref_proposers.tobytes()
+    assert counts.tolist() == [np.bincount(group.ravel(), minlength=urns.shape[1]).tolist()
+                               for group in np.split(ref_proposers, len(matrices))]
+    assert end_total == ref_total
+    assert [step for step, _, _ in snapshots] == list(stops)
+    for step, at, columns in snapshots:
+        stakes, _, ref_at = reference(step)
+        assert at == ref_at
+        assert columns.tobytes() == stakes.T.tobytes()
+
+
+def exact_case(stakes, matrices, total=None, n=2 * _BLOCK_STEPS + 9, count=5):
+    """Group-major urns at `stakes`, their total (the stakes' sum unless
+    given), draws with some of the largest, and stops on and off the block
+    grid."""
+    vector, stake_sum = start(stakes)
+    draws = np.random.default_rng(len(stakes) + len(matrices)).random((count, n))
+    draws[::2, [k for k in (0, 9, _BLOCK_STEPS + 1) if k < n]] = LARGEST_DRAW
+    stops = sorted({step for step in (0, 7, _BLOCK_STEPS, _BLOCK_STEPS + 1) if step < n} | {n})
+    return (np.tile(vector, (len(matrices) * count, 1)), stake_sum if total is None else total,
+            matrices, draws, stops)
+
+
+# frd pays integers on these stakes at K = 200; a custom matrix and frd on
+# dyadic stakes pay multiples of 2**-30; the last stakes sit on a 2**10 grid
+DYADIC = integer_custom([[0, 1, 2, 1], [3, 0, 1, 0], [1, 1, 0, 2], [0, 2, 2, 0]], 2.0**-30)
+EXACT_RUNS = {
+    "m2": ([50.0, 50.0], [frd_matrix([50.0, 50.0], 200.0)]),
+    "m2_groups2": ([50.0, 50.0], [constant_matrix(2, 200.0), frd_matrix([50.0, 50.0], 200.0)]),
+    "m4": ([10.0, 30.0, 30.0, 30.0], [frd_matrix([10.0, 30.0, 30.0, 30.0], 200.0)]),
+    "m4_groups2": ([1.0, 3.0, 2.0, 2.0],
+                   [DYADIC, frd_matrix([1.0, 3.0, 2.0, 2.0], DYADIC.row_sum)]),
+    "coarse_grid": ([3.0 * 2**60, 2.0**61], [constant_matrix(2, 2.0**58)]),
+}
+
+
+class TestExactPass:
+    """On a pass whose every add is exact, the kernel writes a paid node
+    m-1 from the total at each stop and at the end instead of adding its
+    rewards; the bytes equal the scalar rule's either way."""
+
+    @pytest.mark.parametrize("run", sorted(EXACT_RUNS))
+    def test_exact_runs_match_scalar_reference(self, monkeypatch, run):
+        answers = exact_answers(monkeypatch)
+        check_pass_against_reference(*exact_case(*EXACT_RUNS[run]))
+        assert answers == [True]
+
+    @pytest.mark.parametrize("below,exact", [(0, False), (1, True)])
+    def test_final_total_at_the_bound(self, monkeypatch, below, exact):
+        # integer stakes with an odd one, so the grid is 2**0: the final total
+        # 2**53 - below is at the bound 2**53, where the rule is off, or one
+        # step below it, where it holds
+        n, budget = 2 * _BLOCK_STEPS + 9, 2.0**40
+        stakes = [2.0**52 + 1, 2.0**53 - 2.0**52 - 1 - below - n * budget]
+        answers = exact_answers(monkeypatch)
+        urns, total, matrices, draws, stops = exact_case(stakes, [constant_matrix(2, budget)], n=n)
+        assert total + n * budget == 2.0**53 - below
+        check_pass_against_reference(urns, total, matrices, draws, stops)
+        assert answers == [exact]
+
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_total_not_the_stakes_sum(self, monkeypatch, n):
+        # an analytic total that rounded apart from the stakes' sum: node 1
+        # is not the total less node 0, so the rule is off
+        answers = exact_answers(monkeypatch)
+        check_pass_against_reference(*exact_case([3.0, 5.0], [constant_matrix(2, 2.0)],
+                                                 total=10.0, n=n))
+        assert answers == [False]
+
+    def test_negative_values_are_not_exact(self):
+        # multiples of the grid whose sums match, but with a negative stake,
+        # or a reward row whose 2**60 and -2**60 cancel, so that adds round
+        stakes = np.array([[1.0], [1.0], [1.0]])  # node-major: one urn
+        constant = np.eye(3) * 2.0  # rewards[j, p]: node j's reward when p proposes
+        assert urn._exact_pass(stakes, 3.0, constant, 2.0, 1) is True
+        assert urn._exact_pass(np.array([[-1.0], [2.0], [2.0]]), 3.0, constant, 2.0, 1) is False
+        cancelling = np.array([[2.0**60, 0.0, 0.0], [-2.0**60, 0.0, 0.0], [2.0, 2.0, 2.0]])
+        assert urn._exact_pass(stakes, 3.0, cancelling, 2.0, 1) is False
+
+    def test_row_past_the_row_sum(self, monkeypatch):
+        # custom_matrix accepts a row 2**-40 past the row sum, within its
+        # tolerance; a stake total that drifts from the analytic one turns
+        # the rule off
+        matrix = custom_matrix([[1.0, 1.0], [1.0, 1.0 + 2.0**-40]])
+        answers = exact_answers(monkeypatch)
+        check_pass_against_reference(*exact_case([3.0, 5.0], [matrix]))
+        assert answers == [False]
+
+
+class _Counted:
+    """A numpy function that tallies its calls by name."""
+
+    def __init__(self, function, name, tally):
+        self.function, self.name, self.tally = function, name, tally
+
+    def __call__(self, *args, **kwargs):
+        self.tally[self.name] += 1
+        return self.function(*args, **kwargs)
+
+    def __getattr__(self, attribute):
+        return getattr(self.function, attribute)
+
+
+class _CountedTakes(np.ndarray):
+    """The reward table: tallies its take calls and the elements they gather."""
+
+    tally: Counter = Counter()
+
+    def take(self, *args, **kwargs):
+        gathered = super().take(*args, **kwargs)
+        self.tally["take"] += 1
+        self.tally["gathered"] += gathered.size
+        return gathered
+
+
+class _CountingNumpy:
+    """numpy as slot_snapshots sees it through stakesim.urn.np, every call
+    counted; the reward table, the one array concatenate makes, counts its
+    takes."""
+
+    def __init__(self, tally):
+        self._tally = tally
+
+    def __getattr__(self, name):
+        value = getattr(np, name)
+        if name == "concatenate":
+            return lambda *args, **kwargs: np.concatenate(*args, **kwargs).view(_CountedTakes)
+        if callable(value) and not isinstance(value, type):
+            return _Counted(value, name, self._tally)
+        return value
+
+
+def slot_costs(monkeypatch, stakes, matrices, count=5):
+    """Numpy calls per slot, by name, and the reward elements take gathers
+    per slot: a 64-slot pass less a 63-slot one, both one block and one
+    tile, so every per-block and per-call cost cancels."""
+    vector, total = start(stakes)
+    passes = []
+    for n in (_BLOCK_STEPS, _BLOCK_STEPS - 1):
+        tally = Counter()
+        draws = np.random.default_rng(0).random((count, n))
+        with monkeypatch.context() as patch:
+            patch.setattr(urn, "np", _CountingNumpy(tally))
+            patch.setattr(_CountedTakes, "tally", tally)
+            run_slots(np.tile(vector, (len(matrices) * count, 1)), total, matrices, draws)
+        passes.append(tally)
+    longer, shorter = passes
+    longer.subtract(shorter)
+    return {name: calls for name, calls in longer.items() if calls}
+
+
+class TestSlotCost:
+    """The kernel's numpy calls per slot and the rewards it gathers per slot
+    at fixed shapes, pinned: a per-slot call added, or node m-1's gather
+    back on an exact run, fails here, not in a noisy benchmark."""
+
+    def test_two_nodes_exact(self, monkeypatch):
+        # node 1 is written from the total: one row of rewards per urn
+        costs = slot_costs(monkeypatch, [50.0, 50.0], [frd_matrix([50.0, 50.0], 200.0)])
+        assert costs == {"less_equal": 1, "copyto": 1, "take": 1, "add": 1, "gathered": 5}
+
+    def test_two_nodes_inexact(self, monkeypatch):
+        costs = slot_costs(monkeypatch, [0.1, 0.2], [frd_matrix([0.1, 0.2], 200.0)])
+        assert costs == {"less_equal": 1, "copyto": 1, "take": 1, "add": 1, "gathered": 10}
+
+    def test_two_nodes_two_groups(self, monkeypatch):
+        # the group offsets make the index in one add; no copy
+        matrices = [constant_matrix(2, 200.0), frd_matrix([50.0, 50.0], 200.0)]
+        costs = slot_costs(monkeypatch, [50.0, 50.0], matrices)
+        assert costs == {"less_equal": 1, "take": 1, "add": 2, "gathered": 10}
+
+    def test_ten_nodes(self, monkeypatch):
+        # 8 running-sum adds and 8 mask adds for masks 1 .. 8, one stake add
+        stakes = [10.0] * 10
+        costs = slot_costs(monkeypatch, stakes, [frd_matrix(stakes, 200.0)])
+        assert costs == {"less_equal": 9, "copyto": 1, "take": 1, "add": 17, "gathered": 45}
