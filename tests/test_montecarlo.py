@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -213,18 +213,36 @@ class TestRunExperiment:
         assert out.split() == ["False", "False", "True"]
 
 
+class _Planned(Exception):
+    pass
+
+
 def chunk_sizes(reps, n, workers, record):
-    return [b - a for a, b in montecarlo._chunk_bounds(0, reps, n, workers, record)]
+    """The chunk sizes run_experiment plans for reps x n on `workers`, with
+    or without recording: its _chunk_bounds call is spied on, and the run
+    stops there."""
+    config = make_config(repetitions=reps, steps_n=n, record=RecordPolicy(stride=int(record)))
+    plan = montecarlo._chunk_bounds
+    sizes = []
+
+    def spy(*args):
+        sizes.extend(b - a for a, b in plan(*args))
+        raise _Planned
+
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(_Planned):
+        patch.setattr(montecarlo, "_chunk_bounds", spy)
+        run_experiment(config, workers=workers)
+    return sizes
 
 
 class TestChunkPlan:
-    """An unrecorded run takes chunks of at most 4,096 repetitions, a
-    recording one of at most 8,192; both hold at most 2**23 draws."""
+    """Every run takes chunks of at most 4,096 repetitions, recording or
+    not, and of at most 2**23 draws."""
 
-    @pytest.mark.parametrize("record,chunks,cap", [(False, 5, 4096), (True, 3, 8192)])
-    def test_cap_follows_recording(self, record, chunks, cap):
+    @pytest.mark.parametrize("record", [False, True])
+    def test_one_cap_recording_or_not(self, record):
         sizes = chunk_sizes(20_000, 1_000, 1, record)
-        assert len(sizes) == chunks and max(sizes) <= cap and sum(sizes) == 20_000
+        assert len(sizes) == 5 and max(sizes) <= 4096 and sum(sizes) == 20_000
 
     @pytest.mark.parametrize("record", [False, True])
     def test_long_horizons_follow_the_draw_budget(self, record):
@@ -243,12 +261,32 @@ class TestChunkPlan:
         config = make_config(repetitions=20_000)
         result = run_experiment(config, workers=workers)
         assert len(chunk_sizes(20_000, config.steps_n, 1, False)) == 5
-        monkeypatch.setattr(montecarlo, "_MAX_CHUNK", 16384)  # unrecorded chunks of 8,192
+        monkeypatch.setattr(montecarlo, "_MAX_CHUNK", 8192)
         assert len(chunk_sizes(20_000, config.steps_n, 1, False)) == 3
         old = run_experiment(config, workers=workers)
         assert np.array_equal(bits(result.final_fractions), bits(old.final_fractions))
         assert np.array_equal(result.proposer_counts, old.proposer_counts)
         assert result.time_series is None and old.time_series is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_recorded_results_equal_the_old_cap(self, workers, monkeypatch):
+        # 3 chunks of 3,000 against the 2 chunks of 4,500 that the old
+        # 8,192 cap for recording runs planned
+        config = make_config(initial_stakes=(20.0, 30.0, 50.0), steps_n=50, repetitions=9_000,
+                             record=RecordPolicy(stride=7, track_nodes=(0, 2)))
+        result = run_experiment(config, workers=workers)
+        assert chunk_sizes(9_000, 50, 1, True) == [3_000] * 3
+        monkeypatch.setattr(montecarlo, "_MAX_CHUNK", 8192)
+        assert chunk_sizes(9_000, 50, 1, True) == [4_500] * 2
+        old = run_experiment(config, workers=workers)
+        assert np.array_equal(bits(result.final_fractions), bits(old.final_fractions))
+        assert np.array_equal(result.proposer_counts, old.proposer_counts)
+        assert result.time_series.steps == old.time_series.steps == (0, 7, 14, 21, 28, 35,
+                                                                        42, 49, 50)
+        assert len(result.time_series.cells) == len(old.time_series.cells) == 9
+        for row, old_row in zip(result.time_series.cells, old.time_series.cells):
+            for cell, old_cell in zip(row, old_row):
+                assert cell == old_cell and cell.count == 9_000
 
 
 class TestMergeResults:
@@ -595,6 +633,29 @@ class TestTimeSeries:
         checkpoints = [variances[index[s]] for s in (10, 50, 100, 500, 1000)]
         assert all(a < b for a, b in zip(checkpoints, checkpoints[1:]))
 
+    @pytest.mark.parametrize("stops_per_batch", [1, 3, None])
+    def test_batched_stops_equal_per_stop_sums(self, stops_per_batch, monkeypatch):
+        # 10 stops of 2 tracked nodes x 2 groups x 30 urns = 120 values each:
+        # batches of one stop, of three (a partial batch of one stop is
+        # left), and of all ten under the default bound
+        configs = [make_config(scheme=scheme, initial_stakes=(20.0, 30.0, 50.0), steps_n=60,
+                               repetitions=30, record=RecordPolicy(stride=7, track_nodes=(2, 0)))
+                   for scheme in ("constant", "frd")]
+        if stops_per_batch is not None:
+            monkeypatch.setattr(montecarlo, "_BATCH_VALUES", stops_per_batch * 120 + 1)
+        draws = repetition_draws(101, 0, 30, 60)
+        for config, result in zip(configs, run_experiments(configs)):
+            series = result.time_series
+            assert series.steps == (0, 7, 14, 21, 28, 35, 42, 49, 56, 60)
+            assert len(series.cells) == 10
+            stakes = np.tile(config.initial_stakes, (30, 1))
+            kernel = slot_snapshots(stakes, 100.0, config.reward_matrix(), draws, series.steps)
+            for row, (_, at, columns) in zip(series.cells, kernel):
+                reference = [RunningMoments() for _ in series.nodes]
+                for cell, node in zip(reference, series.nodes):
+                    cell.add_values(columns[node] / at)
+                assert row == tuple(reference)
+
     def test_stride_zero_defines_no_series(self):
         assert run_experiment(make_config()).time_series is None
 
@@ -641,15 +702,40 @@ EDGE_VALUES = (
 )
 
 
+@st.composite
+def exact_sum_inputs(draw):
+    """A (k, count) array, k <= 40 and count <= 12, whose rows are each any
+    finite floats, or nonzero floats with exponents top - 17 .. top, so
+    that no value falls below the row's window, or nonzero floats with
+    exponents top - 18 .. top, so that some may fall just below it."""
+    k, count = draw(st.integers(0, 40)), draw(st.integers(0, 12))
+    values = draw(arrays(np.float64, (k, count),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    kind = draw(arrays(np.int64, (k, 1), elements=st.integers(0, 2)))
+    # np.frexp mantissa in [0.5, 1), signed, and exponent top - below_top
+    mantissa = draw(arrays(np.int64, (k, count), elements=st.integers(2**52, 2**53 - 1)))
+    sign = draw(arrays(np.int64, (k, count), elements=st.sampled_from([1, -1])))
+    top = draw(arrays(np.int64, (k, 1), elements=st.integers(-1000, 1024)))
+    below_top = draw(arrays(np.int64, (k, count),
+                            elements=st.integers(0, montecarlo._WINDOW + 1)))
+    below_top = np.where(kind == 1, np.minimum(below_top, montecarlo._WINDOW), below_top)
+    windowed = np.ldexp(sign * mantissa * 2.0**-53, top - below_top)
+    return np.where(kind == 0, values, windowed)
+
+
 class TestExactSums:
     """_exact_sums sums the rows of a (k, count) array: each call passes the
     transpose of a (count, k) array whose columns oracle_sums sums."""
 
     @settings(max_examples=300, deadline=None)
-    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12),
-                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @given(exact_sum_inputs())
+    # row 0's second value sits one exponent below its window, and is an
+    # odd multiple of half the window's unit; row 1 has nothing below
+    @example(np.array([[0.75, 0.75 * 2.0**-18 + 2.0**-71], [1.5, -1.25]]))
+    @example(np.empty((0, 5)))
+    @example(np.empty((4, 0)))
     def test_matches_rational_oracle(self, values):
-        assert montecarlo._exact_sums(values.T) == oracle_sums(values)
+        assert montecarlo._exact_sums(values) == oracle_sums(values.T)
 
     def test_edge_values(self):
         values = np.array(EDGE_VALUES)
