@@ -344,8 +344,9 @@ def _settle(columns: np.ndarray, at: float) -> None:
     """Write node m-1's column as the total `at` less the other columns' sum,
     which on an exact pass is its stake bit for bit."""
     last = columns[-1]
-    np.add.reduce(columns[:-1], axis=0, out=last)
-    np.subtract(at, last, out=last)
+    # at m == 2 the other columns' sum is column 0 itself: one subtract
+    rest = columns[0] if len(columns) == 2 else np.add.reduce(columns[:-1], axis=0, out=last)
+    np.subtract(at, rest, out=last)
 
 
 # the two names perfbench/worker.py's urn.simulate_trajectory.ns_per_slot probe calls

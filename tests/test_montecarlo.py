@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -682,11 +683,13 @@ class TestTimeSeries:
 
 def oracle_sums(values):
     """The exact accumulator's integers from rational arithmetic, column by
-    column: (sum(v) * 2**1074, sum(v*v) * 2**2148)."""
+    column: (sum(v) * 2**1074, sum(v*v) * 2**2148), each distinct value
+    times its count."""
     pairs = []
     for col in np.asarray(values).T.tolist():
-        s = sum(Fraction(v) for v in col) * 2**1074
-        s2 = sum(Fraction(v) ** 2 for v in col) * 2**2148
+        counts = Counter(col).items()
+        s = sum(Fraction(v) * c for v, c in counts) * 2**1074
+        s2 = sum(Fraction(v) ** 2 * c for v, c in counts) * 2**2148
         assert s.denominator == 1 and s2.denominator == 1
         pairs.append((int(s), int(s2)))
     return pairs
@@ -703,7 +706,7 @@ EDGE_VALUES = (
 
 
 @st.composite
-def exact_sum_inputs(draw):
+def spread_values(draw):
     """A (k, count) array, k <= 40 and count <= 12, whose rows are each any
     finite floats, or nonzero floats with exponents top - 17 .. top, so
     that no value falls below the row's window, or nonzero floats with
@@ -721,6 +724,30 @@ def exact_sum_inputs(draw):
     below_top = np.where(kind == 1, np.minimum(below_top, montecarlo._WINDOW), below_top)
     windowed = np.ldexp(sign * mantissa * 2.0**-53, top - below_top)
     return np.where(kind == 0, values, windowed)
+
+
+@st.composite
+def repeated_values(draw):
+    """A (k, count) array, k <= 4, whose rows each repeat a few bit
+    patterns, in any order: at most 4 finite floats per row, +0.0 and -0.0
+    among them as often as not, so that a row may repeat values far below
+    its window too.  count is at most 600, or within 40 of _EXACT_ROWS on
+    either side, so that repeated values straddle a block's end."""
+    k = draw(st.integers(1, 4))
+    straddle = draw(st.integers(0, 7)) == 0
+    count = draw(st.integers(montecarlo._EXACT_ROWS - 40, montecarlo._EXACT_ROWS + 40)
+                 if straddle else st.integers(1, 600))
+    pool = draw(arrays(np.float64, (k, 4), elements=st.one_of(
+        st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))))
+    patterns = draw(st.integers(1, 4))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, patterns, (k, count))
+    return np.take_along_axis(pool, picks, axis=1)
+
+
+def exact_sum_inputs():
+    """Inputs for _exact_sums: rows of spread values, or rows of few
+    repeated ones."""
+    return st.one_of(spread_values(), repeated_values())
 
 
 class TestExactSums:
@@ -802,6 +829,47 @@ class TestExactSums:
         with pytest.raises(InvalidInput, match=message):
             moments.add_values(values)
         assert moments == RunningMoments()
+
+
+class _LimbStageNumpy:
+    """numpy as _exact_sums sees it through stakesim.montecarlo.np: every
+    call counted by name, and the shape of each matmul's output kept."""
+
+    def __init__(self):
+        self.calls = Counter()
+        self.products = []
+
+    def __getattr__(self, name):
+        value = getattr(np, name)
+        if not callable(value) or isinstance(value, type):
+            return value
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            out = value(*args, **kwargs)
+            if name == "matmul":
+                self.products.append(out.shape)
+            return out
+
+        return counted
+
+
+class TestLimbStageCost:
+    """The numpy calls of one window pass, pinned: the Gram matrix's ten
+    entries i <= j as one dot product per row and limb pair, in four
+    batched products, and a call count that does not grow with the rows or
+    their length.  All sixteen entries back, or a call per row, fails
+    here, not in a noisy benchmark."""
+
+    @pytest.mark.parametrize("k, count", [(1, 40000), (2, 2500), (16, 2500), (3, 7)])
+    def test_one_window(self, monkeypatch, k, count):
+        values = np.random.default_rng(16).random((k, count)) + 1.0  # [1, 2): one window
+        proxy = _LimbStageNumpy()
+        monkeypatch.setattr(montecarlo, "np", proxy)
+        montecarlo._exact_sums(values)
+        assert proxy.products == [(4, k, 1, 1), (3, k, 1, 1), (2, k, 1, 1), (1, k, 1, 1)]
+        assert proxy.calls == {"abs": 1, "frexp": 1, "empty": 1, "ldexp": 2, "rint": 3,
+                               "matmul": 4, "concatenate": 2, "ones": 1}
 
 
 # sha256 of samples.csv and stats.csv under stream version 2 (repetition r
