@@ -370,7 +370,8 @@ def _lumped(matrices: Sequence[RewardMatrix], k: int) -> list[RewardMatrix] | No
     or None when the tail has fewer than two nodes or some matrix pays a
     kept node differently across the tail's proposers.  The tail's row is
     row k, and its column holds each row's sum over the tail, as only
-    whether the tail holds stake matters (see _chunk_task).  row_sum stays
+    whether the tail holds stake matters (see _chunk_task).  frd and
+    constant matrices always lump; a custom matrix may not.  row_sum stays
     the full matrix's field, never re-summed."""
     if k >= matrices[0].num_nodes - 1:
         return None
@@ -412,7 +413,10 @@ def _chunk_task(
     Each result holds the `leading` (k) first nodes: final_fractions is
     (b - a, k) and proposer_counts (k,).  When every matrix pays each of
     nodes 0 .. k-1 the same whichever node of k .. m-1 proposes (_lumped),
-    those nodes run as one tail node, on the full config's total: the kept
+    those nodes run as one tail node whose column starts at their stake
+    sum.  The thresholds use the full config's total and each matrix's own
+    row_sum, neither re-summed from the lumped columns, whose sum can round
+    apart from the full total when the stakes are not integers.  The kept
     nodes' prefix sums are the same adds, their rewards from the tail are
     the same floats, and the tail enters selection only through the
     float-edge rule, which needs only whether it holds stake: its one
@@ -422,7 +426,7 @@ def _chunk_task(
     the kernel's last node is not kept and holds stake, it keeps that stake,
     so the edge rule never reads it and selection stops at the prefix
     before it: every matrix pays it +0.0 instead, and the kernel skips
-    it."""
+    it, while the totals still grow by each matrix's own row_sum."""
     config = configs[0]
     a, b = bounds
     count = b - a
@@ -510,7 +514,12 @@ def run_experiments(
     `rep_range` (default: all repetitions) selects a half-open block of
     repetition indices; partial results over adjacent blocks merge into
     exactly the full-run result (see merge_results).  `workers` > 1 farms
-    chunks to a process pool; the output is identical to the serial run.
+    chunks (_chunk_bounds) to a process pool of at most as many workers as
+    chunks, each drawing into its own arrays; the output is identical to
+    the serial run.  A serial run allocates one draw buffer the size of its
+    largest chunk and draws every chunk into a leading slice of it, so its
+    pages are touched once per run, not once per chunk.  Either way each
+    chunk reads the same values of the one stream.
 
     `leading_nodes` k (default: all m nodes), 1 <= k <= m, keeps only nodes
     0 .. k-1 in the results: final_fractions is (reps, k) and

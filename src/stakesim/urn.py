@@ -59,7 +59,8 @@ def recorded_steps(n: int, stride: int) -> list[int]:
 
 
 # the seed-to-stream rule's version in run.json; version 1 seeded repetition
-# r with base_seed XOR r, so seeds differing in their low bits shared streams
+# r with base_seed XOR r, so seeds differing in their low bits shared streams,
+# and version 2 re-rolled every repetition from 1 on
 STREAM_VERSION = 2
 
 
@@ -70,7 +71,8 @@ def repetition_draws(
 
     Repetition r reads values r*n .. (r+1)*n - 1 of the one stream seeded
     with `seed`, as a serial loop over repetitions would, so its draws do
-    not depend on chunking.  This is the only place a seed becomes draws.
+    not depend on chunking, and depend on n as well as on the seed and r.
+    This is the only place a seed becomes draws.
     `out`, a C-contiguous (count, n) float64 array, receives the draws in
     place of a new array; the values are the same.
     """
@@ -80,7 +82,7 @@ def repetition_draws(
 
 
 # run_slots' block of slots and transpose tile of urns: fixed sizes that
-# keep a tile in cache; no result depends on them
+# keep a tile in cache, not options; no result depends on them
 _BLOCK_STEPS = 64
 _BLOCK_URNS = 256
 
@@ -149,43 +151,51 @@ def slot_snapshots(
     laid end to end.  The slots run in blocks of _BLOCK_STEPS, whatever the
     stops: a block's draws are copied step-major into one (block, count)
     buffer, a tile of _BLOCK_URNS urns at a time, and row k is scaled by
-    slot k's analytic total.  Every group reads that one row of thresholds
-    draw * total: the compares see a (G, count) view of the urns and
-    broadcast the row over the groups.  A stop's total is slot k's total
-    plus the row sum, the add that makes the next slot's total.  The
-    cumulative stakes are a running sum over the columns in ascending node
-    order, the same adds as np.cumsum, and as stakes are never negative they
-    never decrease: the prefix masks C_j <= draw * total are nested, and the
-    proposer, the first g with draw * total < C_g, is the number of masks
-    set among C_0 .. C_{m-2}.  The masks are summed, per slot, into a row of
-    a (block, urns) array of the smallest unsigned type that holds G * m - 1
-    (mask 0 is written there directly), and that sum plus the group's offset
-    is the index into the rewards, one table of G blocks of m columns.  The
-    offsets share the picks' type, so that the index is one add in that
-    type, written as intp; as no index exceeds G * m - 1, none wraps, and
-    the bytes do not depend on the type.  Once per
-    block, mask j's tally in a group is the number of its rows' entries
-    that are at least j + 1; the per-node counts are the differences of
-    these tallies.  The float edge is checked only in blocks that start
-    with some urn's node m-1 at zero stake (never at m == 1).  Where node
-    m-1 holds stake, it keeps it, and every mask already counts a draw past
-    C_{m-1} as node m-1's, which is where the edge rule sends it; so the
-    bytes do not depend on the check.  A trailing node that every row pays
-    +0.0 (bit for bit) and that holds stake in every urn keeps its stake
-    bit for bit, as x + 0.0 == x for x > 0: its rewards are never gathered
-    or added.  A paid node m-1 (m >= 2) that holds stake in every urn is
-    skipped too when every add of the pass is exact (_exact_pass): the
-    stakes, the rewards, the total and the row sum are non-negative
-    multiples of one 2**g, total + n * row_sum < 2**(53 + g), every reward
-    row sums to the row sum and every urn's stakes to the total.  Every
-    stake and total of the pass is then a multiple of 2**g below
-    2**(53 + g), so every add is exact, an urn's stakes sum to its total
-    after every slot, and node m-1's stake is that total less the other
-    stakes, a difference that is exact too.  So the kernel writes node
-    m-1's column as the total less the other columns' sum at each stop and
-    after the last slot, bit for bit the column the adds make.  Between
-    those, only the float-edge check would read it, and that check is off
-    while node m-1 holds stake.
+    slot k's analytic total, so each threshold is the same one multiply
+    whatever the block and tile sizes.  Every group reads that one row of
+    thresholds draw * total: the compares see a (G, count) view of the urns
+    and broadcast the row over the groups.  A stop's total is slot k's
+    total plus the row sum, the add that makes the next slot's total.
+
+    The cumulative stakes are a running sum over the columns in ascending
+    node order, the same adds as np.cumsum whatever the memory layout, and
+    as stakes are never negative they never decrease: the prefix masks
+    C_j <= draw * total are nested, and the proposer, the first g with
+    draw * total < C_g, is the number of masks set among C_0 .. C_{m-2}.
+    The masks are summed, per slot, into a row of a (block, urns) array of
+    picks of the smallest unsigned type that holds G * m - 1 (mask 0 is
+    written there directly).  The float edge is checked only in blocks
+    that start with some urn's node m-1 at zero stake (never at m == 1);
+    where it fires, the urn's pick is overwritten with the last node with
+    positive stake before anything reads it.  Where node m-1 holds stake,
+    it keeps it, and every mask already counts a draw past C_{m-1} as node
+    m-1's, which is where the edge rule sends it; so the bytes do not
+    depend on the check.  A pick plus its group's offset is the index into
+    the rewards, one table of G blocks of m columns.  The offsets share the
+    picks' type, so that the index is one add in that type, written as
+    intp; as no index exceeds G * m - 1, none wraps, and the bytes do not
+    depend on the type.  Once per block, mask j's tally in a group is the
+    number of its picks that are at least j + 1; the per-node counts are
+    the differences of these tallies, integers that do not depend on when
+    they are summed.
+
+    A trailing node that every row pays +0.0 (bit for bit; a -0.0 entry
+    does not count) and that holds stake in every urn keeps its stake bit
+    for bit, as x + 0.0 == x for x > 0: its rewards are never gathered or
+    added.  It still takes part in selection, through the prefix sums and,
+    as it holds stake, never through the float-edge rule.  A paid node m-1
+    (m >= 2) that holds stake in every urn is skipped too when every add of
+    the pass is exact (_exact_pass): the stakes, the rewards, the total and
+    the row sum are non-negative multiples of one 2**g,
+    total + n * row_sum < 2**(53 + g), every reward row sums to the row sum
+    and every urn's stakes to the total.  Every stake and total of the pass
+    is then a multiple of 2**g below 2**(53 + g), so every add is exact, an
+    urn's stakes sum to its total after every slot, and node m-1's stake is
+    that total less the other stakes, a difference that is exact too.  So
+    the kernel writes node m-1's column as the total less the other
+    columns' sum at each stop and after the last slot, bit for bit the
+    column the adds make.  Between those, only the float-edge check would
+    read it, and that check is off while node m-1 holds stake.
     """
     grouped = isinstance(matrix, Sequence)
     matrices = list(matrix) if grouped else [matrix]
@@ -226,8 +236,8 @@ def slot_snapshots(
     below = np.empty(urns, dtype=bool)
     below_lanes = below.reshape(lanes)
     mask = below.view(np.uint8)  # so a mask adds into picks without a cast
-    # picks[k]: slot k's proposer by the masks alone, the sum of its masks,
-    # in a type that also holds the proposer plus its group's offset
+    # picks[k]: slot k's proposers, the sum of its masks unless the float edge
+    # moved them, in a type that also holds a proposer plus its group's offset
     picks = np.zeros((rows, urns), dtype=np.min_scalar_type(groups * m - 1))
     # where mask 0 goes: straight into picks, through its bytes where picks
     # are one byte wide, else cast on write; m == 1 has no mask, so scratch
@@ -275,22 +285,18 @@ def slot_snapshots(
                 running = add(running, column, prefix)
                 less_equal(running, threshold, below_lanes)
                 add(pick, mask, pick)
+            if edge and less_equal(add(running, last, prefix), threshold, below_lanes).any():
+                # float edge: the running sum of stakes can land a hair below
+                # the analytic total; the draw then belongs to the last node
+                # with positive stake, not to node m-1 as the masks say
+                fixed = np.flatnonzero(below)
+                pick[fixed] = m - 1 - (columns[::-1, fixed] > 0).argmax(axis=0)
             if offsets is None:
                 copyto(index, pick)
             else:
                 add(pick, offsets, index)
-            if edge and less_equal(add(running, last, prefix), threshold, below_lanes).any():
-                # float edge: the running sum of stakes can land a hair below
-                # the analytic total; the draw then belongs to the last node
-                # with positive stake, and every mask counted it as node m-1,
-                # so an urn that moves to node p leaves the tallies p+1 .. m-1
-                fixed = np.flatnonzero(below)
-                owner = m - 1 - (columns[::-1, fixed] > 0).argmax(axis=0)
-                index[fixed] = fixed // count * m + owner
-                moved = np.bincount(index[fixed], minlength=groups * m)
-                at_least[:, 1:] -= np.cumsum(moved.reshape(groups, m), axis=1)[:, :-1]
             if proposers is not None:
-                proposers[:, start + k] = index if offsets is None else index - offsets
+                proposers[:, start + k] = pick
             # index is in [0, G * m), so "wrap" never wraps; it only skips the
             # bounds-checked copy "raise" makes of `out`
             take(index, 1, gains, "wrap")
