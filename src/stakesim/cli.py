@@ -626,7 +626,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("compare", help="run constant and frd on the same stakes; print the report table")
+    p = sub.add_parser("compare", help="run constant and frd on the config's stakes, whatever its "
+                       "scheme; print the report table")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=".")
     p.add_argument("--workers", type=int, default=1)

@@ -365,38 +365,57 @@ def _chunk_bounds(start: int, stop: int, n: int, workers: int) -> list[tuple[int
     return [(start + i * reps // k, start + (i + 1) * reps // k) for i in range(k)]
 
 
-def _lumped(matrices: Sequence[RewardMatrix], k: int) -> list[RewardMatrix] | None:
-    """The (k+1) x (k+1) matrices that run nodes k .. m-1 as one tail node,
-    or None when the tail has fewer than two nodes or some matrix pays a
-    kept node differently across the tail's proposers.  The tail's row is
-    row k, and its column holds each row's sum over the tail, as only
-    whether the tail holds stake matters (see _chunk_task).  frd and
-    constant matrices always lump; a custom matrix may not.  row_sum stays
-    the full matrix's field, never re-summed."""
-    if k >= matrices[0].num_nodes - 1:
-        return None
-    lumped = []
+def _kernel_inputs(
+    matrices: Sequence[RewardMatrix], initial_stakes: Sequence[float], k: int
+) -> tuple[list[RewardMatrix], np.ndarray]:
+    """The reward matrices and the initial stake row that the slot kernel
+    runs for a run that keeps nodes 0 .. k-1 (run_experiments'
+    `leading_nodes`).
+
+    When every matrix pays each kept node the same bits whichever node of
+    k .. m-1 proposes (frd and constant always do; a custom matrix may
+    not), nodes k .. m-1 run as one tail node, row and column k of (k+1) x
+    (k+1) matrices, whose stake is their sum.  The thresholds use the full
+    config's total and each matrix's own row_sum (the field, never
+    re-summed), not a sum of the lumped columns, which can round apart
+    from the full total when the stakes are not integers.  The kept nodes'
+    prefix sums are the same adds, their rewards from the tail are the same
+    floats, and the tail enters selection only through the float-edge rule,
+    which needs only whether it holds stake: its one column does exactly
+    when the full tail does.  A tail that holds stake keeps it, so the edge
+    rule never reads it and selection stops at the prefix before it: every
+    matrix pays it +0.0, and the kernel skips it (urn.slot_snapshots), while
+    the totals still grow by each matrix's own row_sum.  An empty tail is
+    paid each row's sum over the tail.  So the kept columns are the full
+    run's bit for bit.  Otherwise, and when k = m, every node runs
+    unchanged."""
+    initial = np.asarray(initial_stakes, dtype=np.float64)
+    tails = (matrix.entries[k:, :k].view(np.int64) for matrix in matrices)  # so -0.0 != 0.0
+    if k == len(initial) or any((rows != rows[0]).any() for rows in tails):
+        return list(matrices), initial
+    stake = initial[k:].sum()
+    kept = []
     for matrix in matrices:
-        tail_rows = matrix.entries[k:, :k].view(np.int64)  # bit for bit, so -0.0 != 0.0
-        if not (tail_rows == tail_rows[0]).all():
-            return None
-        entries = np.empty((k + 1, k + 1))
+        entries = np.zeros((k + 1, k + 1))
         entries[:, :k] = matrix.entries[:k + 1, :k]
-        entries[:, k] = matrix.entries[:k + 1, k:].sum(axis=1)
-        lumped.append(RewardMatrix(entries=entries, row_sum=matrix.row_sum))
-    return lumped
+        if stake == 0:
+            entries[:, k] = matrix.entries[:k + 1, k:].sum(axis=1)
+        kept.append(RewardMatrix(entries=entries, row_sum=matrix.row_sum))
+    return kept, np.append(initial[:k], stake)
 
 
 def _chunk_task(
     configs: Sequence[ExperimentConfig],
     matrices: Sequence[RewardMatrix],
+    initial: np.ndarray,
     leading: int,
     bounds: tuple[int, int],
     buffer: np.ndarray | None = None,
 ) -> list[ExperimentResult]:
     """Simulate repetitions [a, b) of every config on their block of the
     run's one stream (urn.repetition_draws), drawn once: one group of urns
-    per config, all advanced by one slot-kernel pass (urn.slot_snapshots).
+    per config, each starting at `initial`, all advanced by one slot-kernel
+    pass (urn.slot_snapshots) with `matrices` (_kernel_inputs).
     When recording, the pass stops at each recorded step, and the tracked
     nodes' fractions, all among the `leading` nodes, are read from its
     node-major stake columns into a batch buffer of (stop, node, group)
@@ -411,38 +430,14 @@ def _chunk_task(
     given, and into a new array otherwise.
 
     Each result holds the `leading` (k) first nodes: final_fractions is
-    (b - a, k) and proposer_counts (k,).  When every matrix pays each of
-    nodes 0 .. k-1 the same whichever node of k .. m-1 proposes (_lumped),
-    those nodes run as one tail node whose column starts at their stake
-    sum.  The thresholds use the full config's total and each matrix's own
-    row_sum, neither re-summed from the lumped columns, whose sum can round
-    apart from the full total when the stakes are not integers.  The kept
-    nodes' prefix sums are the same adds, their rewards from the tail are
-    the same floats, and the tail enters selection only through the
-    float-edge rule, which needs only whether it holds stake: its one
-    column does exactly when the full tail does.  So the kept columns are
-    the full run's bit for bit.
-    Otherwise every node runs and the results are sliced.  Either way, when
-    the kernel's last node is not kept and holds stake, it keeps that stake,
-    so the edge rule never reads it and selection stops at the prefix
-    before it: every matrix pays it +0.0 instead, and the kernel skips
-    it, while the totals still grow by each matrix's own row_sum."""
+    (b - a, k) and proposer_counts (k,)."""
     config = configs[0]
     a, b = bounds
     count = b - a
     n = config.steps_n
     draws = repetition_draws(config.base_seed, a, count, n,
                              out=None if buffer is None else buffer[:count])
-    initial = np.asarray(config.initial_stakes, dtype=np.float64)
-    total = float(initial.sum())  # not the lumped stakes' sum, which may round apart
-    lumped = _lumped(matrices, leading)
-    if lumped is not None:
-        matrices = lumped
-        initial = np.append(initial[:leading], initial[leading:].sum())
-    if leading < len(initial) and initial[-1] > 0:
-        last = np.arange(len(initial)) == len(initial) - 1
-        matrices = [RewardMatrix(entries=np.where(last, 0.0, matrix.entries),
-                                 row_sum=matrix.row_sum) for matrix in matrices]
+    total = float(np.sum(config.initial_stakes))  # not the lumped stakes' sum (_kernel_inputs)
     groups = len(configs)
     stakes = np.tile(initial, (groups * count, 1))
     record = config.record.stride > 0
@@ -525,7 +520,7 @@ def run_experiments(
     0 .. k-1 in the results: final_fractions is (reps, k) and
     proposer_counts (k,), bit-equal to the full run's leading columns.  A
     recording config must track only those nodes.  Where the reward
-    matrices allow, nodes k .. m-1 run as one node (see _chunk_task).
+    matrices allow, nodes k .. m-1 run as one node (see _kernel_inputs).
     """
     workers = check_integer(workers, "workers", 1)
     if not configs:
@@ -564,7 +559,8 @@ def run_experiments(
             f"steps_n {n} exceeds the cap of {_MAX_RESULT_ELEMENTS} draws per repetition"
         )
     bounds = _chunk_bounds(start, stop, n, workers)
-    task = partial(_chunk_task, configs, matrices, leading)
+    kept, initial = _kernel_inputs(matrices, config.initial_stakes, leading)
+    task = partial(_chunk_task, configs, kept, initial, leading)
     if workers > 1 and len(bounds) > 1:
         # imported here, so a serial run never loads the pool's modules
         from concurrent.futures import ProcessPoolExecutor

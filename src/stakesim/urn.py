@@ -183,10 +183,13 @@ def slot_snapshots(
     does not count) and that holds stake in every urn keeps its stake bit
     for bit, as x + 0.0 == x for x > 0: its rewards are never gathered or
     added.  It still takes part in selection, through the prefix sums and,
-    as it holds stake, never through the float-edge rule.  A paid node m-1
-    (m >= 2) that holds stake in every urn is skipped too when every add of
-    the pass is exact (_exact_pass): the stakes, the rewards, the total and
-    the row sum are non-negative multiples of one 2**g,
+    as it holds stake, never through the float-edge rule.  Such a node is
+    the tail that montecarlo._kernel_inputs makes of the nodes a run does
+    not keep (run_experiments' leading_nodes, as in table1 and compare),
+    when it holds stake.  A paid node m-1 (m >= 2) that holds stake in
+    every urn is skipped too when every add of the pass is exact
+    (_exact_pass): the stakes, the rewards, the total and the row sum are
+    non-negative multiples of one 2**g,
     total + n * row_sum < 2**(53 + g), every reward row sums to the row sum
     and every urn's stakes to the total.  Every stake and total of the pass
     is then a multiple of 2**g below 2**(53 + g), so every add is exact, an

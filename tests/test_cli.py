@@ -25,7 +25,7 @@ from stakesim import (
     run_experiment,
     run_experiments,
 )
-from stakesim import cli
+from stakesim import cli, montecarlo
 from stakesim.analytics import BetaParams, SampleStats
 from stakesim.cli import (
     builtin_benchmark_configs,
@@ -825,6 +825,40 @@ def test_report_csv_pinned(tmp_path, name):
         argv = ["compare", "--config", str(path), "--out", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("doc", [
+    None,
+    dict(MINIMAL, initial_stakes=[12.5, 7.25, 30, 0, 50.25], reward_budget_K=0.7,
+         repetitions=200, steps_n=100, record={"track_nodes": [2]}),
+])
+def test_report_csv_same_for_any_worker_count(tmp_path, monkeypatch, doc):
+    # four chunks on one worker and on two: None is `table1 --reps 200`
+    monkeypatch.setattr(montecarlo, "_MAX_CHUNK", 64)
+    if doc is None:
+        argv = ["table1", "--reps", "200"]
+    else:
+        path = tmp_path / "config.json"
+        path.write_bytes(as_json(doc))
+        argv = ["compare", "--config", str(path)]
+    for workers in ("1", "2"):
+        assert main([*argv, "--workers", workers, "--out", str(tmp_path / workers)]) == 0
+    report = (tmp_path / "1" / "report.csv").read_bytes()
+    assert (tmp_path / "2" / "report.csv").read_bytes() == report
+
+
+def test_compare_ignores_the_config_scheme(tmp_path):
+    # compare runs constant and frd on the config's stakes, whatever its
+    # scheme: a custom matrix's report is the frd config's, byte for byte
+    custom = [[100, 50, 50], [0, 200, 0], [10, 10, 180]]
+    reports = []
+    for name, scheme in (("frd", "frd"), ("custom", {"custom": custom})):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(as_json(dict(MINIMAL, initial_stakes=[20, 30, 50], scheme=scheme,
+                                      repetitions=200, steps_n=200, base_seed=4)))
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name / "report.csv").read_bytes())
+    assert reports[1] == reports[0]
 
 
 class TestPredictedLaw:

@@ -26,7 +26,8 @@ from stakesim import (
     run_experiments,
 )
 from stakesim import montecarlo
-from stakesim.cli import write_samples_csv, write_stats_csv
+from stakesim.cli import (builtin_benchmark_configs, table1_report, write_samples_csv,
+                          write_stats_csv)
 from stakesim.errors import InvalidInput, StakeSimError
 from stakesim.urn import repetition_draws, run_slots, slot_snapshots
 
@@ -476,11 +477,47 @@ class TestLeadingNodes:
     @pytest.mark.parametrize("kind", [("constant", "frd"), ("frd", "unbalanced")])
     def test_lumps_unless_a_matrix_pays_the_tail_apart(self, kind):
         configs = leading_batch((10.0, 30.0, 0.0, 60.0), kind)
-        lumped = montecarlo._lumped([c.reward_matrix() for c in configs], 1)
-        assert (lumped is not None) == ("unbalanced" not in kind)
-        if lumped is not None:
-            assert [mat.entries.shape for mat in lumped] == [(2, 2)] * 2
-            assert all(mat.row_sum == 200.0 for mat in lumped)
+        matrices = [c.reward_matrix() for c in configs]
+        kept, initial = montecarlo._kernel_inputs(matrices, configs[0].initial_stakes, 1)
+        lumped = [mat.num_nodes for mat in kept] != [4, 4]
+        assert lumped == ("unbalanced" not in kind)
+        if lumped:
+            assert [mat.entries.shape for mat in kept] == [(2, 2)] * 2
+            assert all(mat.row_sum == 200.0 for mat in kept)
+            assert initial.tolist() == [10.0, 90.0]
+        else:  # every node runs unchanged
+            assert all(a is b for a, b in zip(kept, matrices))
+            assert initial.tolist() == [10.0, 30.0, 0.0, 60.0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kernel_inputs_made_once_per_run(self, workers, monkeypatch, tmp_path):
+        # three chunks on either worker count; the spies log to a file, so
+        # that a call in a forked pool worker counts too
+        log = tmp_path / "calls"
+        log.touch()
+        kernel_inputs, reward_matrix = montecarlo._kernel_inputs, montecarlo.RewardMatrix
+
+        def spy(name, function):
+            def logged(*args, **kwargs):
+                with log.open("a") as f:
+                    f.write(name + "\n")
+                return function(*args, **kwargs)
+            return logged
+
+        def calls():
+            return Counter(log.read_text().split())
+
+        monkeypatch.setattr(montecarlo, "_kernel_inputs", spy("inputs", kernel_inputs))
+        monkeypatch.setattr(montecarlo, "RewardMatrix", spy("matrix", reward_matrix))
+        monkeypatch.setattr(montecarlo, "_MAX_CHUNK", 1)
+        assert len(montecarlo._chunk_bounds(0, 3, 100, workers)) == 3
+        configs = leading_batch((12.3, 7.9, 0.0, 41.6, 38.2), ("constant", "frd"),
+                                repetitions=3)
+        full = run_experiments(configs, workers=workers)
+        assert calls() == {"inputs": 1}  # no tail: the matrices run as they are
+        for f, l in zip(full, run_experiments(configs, workers=workers, leading_nodes=2)):
+            assert_leading_columns(f, l, 2)
+        assert calls() == {"inputs": 2, "matrix": 2}  # the two lumped matrices, made once
 
     @pytest.mark.parametrize("kind", [("constant", "frd"), ("frd", "unbalanced")])
     def test_workers_and_chunks(self, kind, monkeypatch):
@@ -511,9 +548,10 @@ class TestLeadingNodes:
     @pytest.mark.parametrize("stakes", [(30.0, 70.0), (30.0, 0.0)])
     @pytest.mark.parametrize("stride", [0, 40])
     def test_one_node_tail(self, stakes, stride, monkeypatch):
-        # m = 2 leaves a one-node tail, which does not lump; holding stake,
-        # it is paid +0.0 in every matrix the kernel sees, as in table1's
-        # two-node rows; empty, it keeps its column for the edge rule
+        # m = 2 leaves a one-node tail, which always lumps, into itself;
+        # holding stake, it is paid +0.0 in every matrix the kernel sees, as
+        # in table1's two-node rows; empty, it keeps its column for the edge
+        # rule
         seen = []
 
         def spy(stakes, total, matrices, *args, **kwargs):
@@ -535,6 +573,36 @@ class TestLeadingNodes:
                 assert np.array_equal(mat[:, 0], full_mat[:, 0])
             else:
                 assert np.array_equal(mat, full_mat)
+        kept, initial = montecarlo._kernel_inputs([c.reward_matrix() for c in configs],
+                                                  stakes, 1)
+        assert [bits(mat.entries).tolist() for mat in kept] == [bits(e).tolist() for e in entries]
+        assert bits(initial).tolist() == bits(stakes).tolist()
+
+    def test_table1_kernel_inputs_pinned(self, monkeypatch):
+        # sha256 of each stock row's batch as the kernel receives it: every
+        # matrix's entries, one urn's initial stakes and the total, pinned
+        # before the kept-node rule was made once per run; the 4-node and
+        # 10-node rows both run as [10, 90]
+        digests = []
+
+        def spy(stakes, total, matrices, *args, **kwargs):
+            assert stakes.shape[1] == 2 and [mat.num_nodes for mat in matrices] == [2, 2]
+            h = hashlib.sha256()
+            for mat in matrices:
+                h.update(np.ascontiguousarray(mat.entries).tobytes())
+            h.update(np.ascontiguousarray(stakes[0]).tobytes())
+            h.update(np.float64(total).tobytes())
+            digests.append(h.hexdigest())
+            return slot_snapshots(stakes, total, matrices, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "slot_snapshots", spy)
+        table1_report(builtin_benchmark_configs(repetitions=5))
+        assert digests == [
+            "f06cc9533eca69ff2884c544b0a65bd616f32c3b4b7173449c423ccd00906af4",
+            "f06cc9533eca69ff2884c544b0a65bd616f32c3b4b7173449c423ccd00906af4",
+            "8dee526272cc1ad8ed2ddf09803fe08410da746a8067c5bfe3004574e2ee4ca0",
+            "2d895078eedfc0b8ca4faadb89a0e61d2fd35c3dfedf9dea55f1bdf633da8df8",
+        ]
 
     def test_leading_nodes_above_node_count_rejected(self):
         configs = leading_batch((10.0, 30.0, 60.0), ("frd",))
