@@ -103,7 +103,12 @@ class AnalyticPrediction:
 
 def predict(matrix: RewardMatrix, node: int, initial_total: float, n: int) -> AnalyticPrediction:
     """Assemble the full prediction for one node of a balanced matrix at
-    horizon n >= 0 from the initial total S(0) > 0."""
+    horizon n >= 0 from the initial total S(0) > 0.
+
+    mean_fraction is the leading term l/(K-w+l) * K * n over S(n), which
+    leaves out S_i(0): under frd it sits exactly S_i(0)/S(n) below the
+    initial share, which is the exact mean fraction at every n.
+    """
     node = check_node(node, matrix.num_nodes)
     n = check_integer(n, "n", 0)
     initial_total = check_budget(initial_total, "initial_total")

@@ -30,7 +30,6 @@ from .montecarlo import (
     run_experiment,
     run_experiments,
 )
-from .schemes import RewardMatrix
 from .urn import STREAM_VERSION
 
 DEFAULT_TABLE_SEED = 1009
@@ -508,31 +507,25 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _predicted_law(
-    config: ExperimentConfig, node: int, matrix: RewardMatrix | None = None
-) -> dict:
+def _predicted_law(config: ExperimentConfig, node: int) -> dict:
     """One node's predicted law, as `predict` prints it.
 
     Under the constant scheme the urn is a Polya urn, so the fraction's law
     is its beta limit, or, when the node holds nothing or everything, the
     point mass at its initial fraction, which it then keeps; every other
-    scheme gets the closed-form leading order.  Pass `matrix`
-    (config.reward_matrix()) when predicting many nodes, so the O(m^2)
-    matrix is built once.
+    scheme gets the closed-form leading order.
     """
     if config.scheme == "constant":
         try:
             bp = beta_limit_params(config.initial_stakes, config.reward_budget_K, node)
         except DegenerateBeta:
             return {"node": node, "basis": "point_mass", "regime": "supercritical",
-                    "mean_fraction": config.initial_stakes[node] / sum(config.initial_stakes),
+                    "mean_fraction": config.initial_stakes[node] / config.initial_total,
                     "var_fraction": 0.0}
         return {"node": node, "basis": "beta_limit", "regime": "supercritical",
                 "beta_a": bp.a, "beta_b": bp.b,
                 "mean_fraction": bp.mean, "var_fraction": bp.variance}
-    if matrix is None:
-        matrix = config.reward_matrix()
-    p = predict(matrix, node, sum(config.initial_stakes), config.steps_n)
+    p = predict(config.reward_matrix(), node, config.initial_total, config.steps_n)
     return {"node": node, "basis": "closed_form", "regime": p.regime.value,
             "horizon_n": p.horizon_n, "mean_stake": p.mean_stake, "var_stake": p.var_stake,
             "mean_fraction": p.mean_fraction, "var_fraction": p.var_fraction,
@@ -541,13 +534,12 @@ def _predicted_law(
 
 def _cmd_predict(args) -> int:
     config = load_config(Path(args.config).read_bytes())
-    matrix = config.reward_matrix()
     doc = {
         "scheme": config.scheme,
         "steps_n": config.steps_n,
         "reward_budget_K": config.reward_budget_K,
-        "initial_total": sum(config.initial_stakes),
-        "nodes": [_predicted_law(config, node, matrix) for node in config.tracked_nodes()],
+        "initial_total": config.initial_total,
+        "nodes": [_predicted_law(config, node) for node in config.tracked_nodes()],
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
@@ -557,7 +549,7 @@ def _cmd_compare(args) -> int:
     config = load_config(Path(args.config).read_bytes())
     print(f"base_seed={config.base_seed}")
     node = config.tracked_nodes()[0]
-    share = config.initial_stakes[node] / sum(config.initial_stakes)
+    share = config.initial_stakes[node] / config.initial_total
     label = f"{config.num_nodes} nodes (share {share:.4g})"
     rows, text = table1_report([(label, config)], workers=args.workers)
     print(text)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -72,10 +72,14 @@ class ExperimentConfig:
     base_seed: int
     record: RecordPolicy = field(default_factory=RecordPolicy)
     custom_entries: tuple[tuple[float, ...], ...] | None = None
+    # S(0), derived by __post_init__: numpy's sum of the float64 stakes,
+    # which every reader of the config uses
+    initial_total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         stakes = stake_vector(self.initial_stakes)
         object.__setattr__(self, "initial_stakes", tuple(float(s) for s in stakes))
+        object.__setattr__(self, "initial_total", float(np.sum(stakes)))
         if self.scheme not in SCHEMES:
             raise InvalidInput(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if (self.custom_entries is None) != (self.scheme != "custom"):
@@ -92,7 +96,7 @@ class ExperimentConfig:
         for name, minimum in (("steps_n", 0), ("repetitions", 1), ("base_seed", None)):
             object.__setattr__(self, name, check_integer(getattr(self, name), name, minimum))
         try:
-            final_total = sum(self.initial_stakes) + self.steps_n * self.reward_budget_K
+            final_total = self.initial_total + self.steps_n * self.reward_budget_K
         except OverflowError:  # steps_n too large for a float
             final_total = np.inf
         if not np.isfinite(final_total):
@@ -112,7 +116,16 @@ class ExperimentConfig:
             return self.record.track_nodes
         return tuple(range(self.num_nodes))
 
+    def __getstate__(self):
+        # a pool ships configs with every chunk and result: leave out the
+        # O(m^2) matrix, which an unpickled config builds on first use
+        return {k: v for k, v in self.__dict__.items() if k != "_matrix"}
+
     def reward_matrix(self) -> RewardMatrix:
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> RewardMatrix:
         if self.scheme == "constant":
             return constant_matrix(self.num_nodes, self.reward_budget_K)
         if self.scheme == "frd":
@@ -437,7 +450,6 @@ def _chunk_task(
     n = config.steps_n
     draws = repetition_draws(config.base_seed, a, count, n,
                              out=None if buffer is None else buffer[:count])
-    total = float(np.sum(config.initial_stakes))  # not the lumped stakes' sum (_kernel_inputs)
     groups = len(configs)
     stakes = np.tile(initial, (groups * count, 1))
     record = config.record.stride > 0
@@ -451,7 +463,8 @@ def _chunk_task(
                       k, groups * count))
     sums: list[tuple[int, int]] = []
     filled = 0
-    kernel = slot_snapshots(stakes, total, matrices, draws, stops)
+    # from the config's S(0), not the lumped stakes' sum (_kernel_inputs)
+    kernel = slot_snapshots(stakes, config.initial_total, matrices, draws, stops)
     while True:
         try:
             _, at, columns = next(kernel)
@@ -485,7 +498,7 @@ def _chunk_task(
 
 # what configs run together share: every field but the reward scheme
 _SHARED_FIELDS = tuple(f.name for f in fields(ExperimentConfig)
-                       if f.name not in ("scheme", "custom_entries"))
+                       if f.init and f.name not in ("scheme", "custom_entries"))
 
 
 def run_experiments(

@@ -101,6 +101,25 @@ class TestPredictFraction:
     def test_fraction_variance_vanishes(self):
         assert predict(self.HALF, 0, 100, 10**9).var_fraction < 1e-8
 
+    @pytest.mark.parametrize("stakes,budget,n", [
+        ([0.1] * 9, 0.01, 10),
+        ([10, 30, 30, 30], 200, 1000),
+        ([12.5, 7.25, 30, 0, 50.25], 0.7, 300),
+        ([1e-3, 2.5, 1e6], 3.0, 0),
+        ([1e-3, 2.5, 1e6], 3.0, 10**9),
+    ])
+    def test_frd_mean_leaves_out_the_initial_stake(self, stakes, budget, n):
+        # the leading term l/(K-w+l) * K * n over S(n) is v_i * K * n / S(n):
+        # it sits S_i(0)/S(n) below the initial share v_i, which is frd's
+        # exact mean fraction at every n
+        matrix = frd_matrix(stakes, budget)
+        initial_total = float(np.sum(stakes))
+        final_total = initial_total + n * budget
+        for node, stake in enumerate(stakes):
+            p = predict(matrix, node, initial_total, n)
+            assert p.mean_fraction + stake / final_total == pytest.approx(
+                stake / initial_total, rel=1e-12)
+
     @pytest.mark.parametrize("n", [8, 64, 512, 4096, 10**6])
     def test_critical_variance_decays_past_n8(self, n):
         a = predict(self.HALF, 0, 100, n).var_fraction

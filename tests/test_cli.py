@@ -4,9 +4,11 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -859,6 +861,60 @@ def test_compare_ignores_the_config_scheme(tmp_path):
         assert main(["compare", "--config", str(path), "--out", str(tmp_path / name)]) == 0
         reports.append((tmp_path / name / "report.csv").read_bytes())
     assert reports[1] == reports[0]
+
+
+# nine stakes of 0.1: numpy sums them to 0.9, a left-to-right sum to
+# 0.8999999999999999
+NINE_TENTHS = dict(MINIMAL, initial_stakes=[0.1] * 9, reward_budget_K=0.01, steps_n=10,
+                   repetitions=50)
+
+
+class TestOneConfigDerivation:
+    def test_initial_total_is_numpys_sum_everywhere(self, tmp_path, capsys, monkeypatch):
+        stakes = NINE_TENTHS["initial_stakes"]
+        path = tmp_path / "config.json"
+        path.write_bytes(as_json(NINE_TENTHS))
+        assert main(["predict", "--config", str(path)]) == 0
+        initial_total = json.loads(capsys.readouterr().out)["initial_total"]
+        assert initial_total == 0.9 == float(np.sum(stakes))
+
+        totals = []
+        slot_snapshots = montecarlo.slot_snapshots
+        def spy(stakes, total, *args, **kwargs):
+            totals.append(total)
+            return slot_snapshots(stakes, total, *args, **kwargs)
+        monkeypatch.setattr(montecarlo, "slot_snapshots", spy)
+        run_experiment(load_config(path.read_bytes()))
+        assert totals == [0.9]
+
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "cmp")]) == 0
+        frd_row = (tmp_path / "cmp" / "report.csv").read_text().splitlines()[2].split(",")
+        assert frd_row[1] == "frd"
+        p = stakesim.predict(stakesim.frd_matrix(stakes, 0.01), 0, 0.9, 10)
+        assert [float(x) for x in frd_row[4:6]] == [p.mean_fraction, p.var_fraction]
+
+    def test_reward_matrix_is_built_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "config.json"
+        path.write_bytes(as_json(NINE_TENTHS))
+        config = load_config(path.read_bytes())
+        assert config.reward_matrix() is config.reward_matrix()
+
+        calls = []
+        frd_matrix = montecarlo.frd_matrix
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return frd_matrix(*args, **kwargs)
+        monkeypatch.setattr(montecarlo, "frd_matrix", spy)
+        assert main(["predict", "--config", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["nodes"]) == 9
+        assert len(calls) == 1
+
+        constant = replace(config, scheme="constant", custom_entries=None).reward_matrix()
+        assert constant.entries.tolist() == stakesim.constant_matrix(9, 0.01).entries.tolist()
+        twin = load_config(path.read_bytes())
+        assert twin == config and hash(twin) == hash(config)
+        assert pickle.loads(pickle.dumps(twin)) == config
+        assert pickle.loads(pickle.dumps(config)) == twin
 
 
 class TestPredictedLaw:

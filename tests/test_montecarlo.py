@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -1084,6 +1085,15 @@ class TestConfigValidation:
         assert make_config().reward_matrix().entries.tolist() == [[150.0, 50.0], [50.0, 150.0]]
         custom = make_config(scheme="custom", custom_entries=((150.0, 50.0), (50.0, 150.0)))
         assert custom.reward_matrix().entries.tolist() == [[150.0, 50.0], [50.0, 150.0]]
+
+    def test_pickle_leaves_the_matrix_out(self):
+        # a pool ships every chunk's configs and results: their pickles stay
+        # O(m), and an unpickled config builds the same matrix on first use
+        config = make_config(initial_stakes=tuple(range(1, 301)))
+        copy = pickle.loads(pickle.dumps(config))
+        assert len(pickle.dumps(config)) < 8 * 300 * 10
+        assert copy == config
+        assert copy.reward_matrix().entries.tobytes() == config.reward_matrix().entries.tobytes()
 
     @pytest.mark.parametrize("build,message", [
         (lambda: make_config(steps_n=10.0), "steps_n must be an integer, got 10.0"),
