@@ -105,7 +105,11 @@ class ExperimentConfig:
             raise InvalidInput("base_seed must be an unsigned 64-bit integer")
         for i in self.record.track_nodes or ():
             check_node(i, self.num_nodes, "track_nodes entry")
-        self.reward_matrix()  # custom size and row-sum rules apply here, not at first use
+        # a custom matrix's size and row-sum rules apply here, not at first use;
+        # frd and constant matrices are built on first use, as compare and
+        # table1 never read the matrix of the config they were given
+        if self.scheme == "custom":
+            self.reward_matrix()
 
     @property
     def num_nodes(self) -> int:

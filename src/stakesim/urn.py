@@ -9,7 +9,11 @@ which is repetition 0 of any run with that seed and horizon.
 from __future__ import annotations
 
 import math
-from collections.abc import Generator, Sequence
+import os
+import sys
+from collections.abc import Callable, Generator, Sequence
+from contextlib import contextmanager
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -75,16 +79,98 @@ def repetition_draws(
     This is the only place a seed becomes draws.
     `out`, a C-contiguous (count, n) float64 array, receives the draws in
     place of a new array; the values are the same.
+
+    The rows are filled in two halves, each from its own generator on the
+    stream, the second advanced to its first row's first value: every value
+    is read at the same stream position either way, so the array does not
+    depend on the split.  A large fill runs its second half on a helper
+    thread (_helper) while this thread fills the first.
     """
-    bitgen = np.random.PCG64(seed)
-    bitgen.advance(first * n)  # one 64-bit output per double
-    return np.random.Generator(bitgen).random((count, n), out=out)
+    draws = np.empty((count, n)) if out is None else out
+    cut = count // 2
+    # both generators are made here, in the calling thread
+    fills = []
+    for row in (first, first + cut):
+        bitgen = np.random.PCG64(seed)
+        bitgen.advance(row * n)  # one 64-bit output per double
+        fills.append(np.random.Generator(bitgen).random)
+    with _helper(count * n >= _SPLIT_DRAWS) as submit:
+        rest = submit(fills[1], out=draws[cut:])
+        fills[0](out=draws[:cut])
+        rest.result()
+    return draws
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may keep busy: one in a process that
+    multiprocessing started, as a pool's workers (run_experiments'
+    `workers`) already share the machine's; else its affinity mask, where
+    the OS has one."""
+    # a process that never imported multiprocessing was not started by it
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity call here
+        return os.cpu_count() or 1
+
+
+# the least work a helper thread takes on, as fixed sizes, not options: a
+# fill of _SPLIT_DRAWS draws (4 MiB), and blocks of _OVERLAP_URNS urns.  A
+# thread's start and join cost about 0.1-0.4 ms, and each block it builds
+# some tens of microseconds more.  On a 2-core box a split fill of 2**18
+# draws took 0.98x the time of one generator and 2**19 0.77x; a kernel pass
+# of 1,024 urns took 1.06-1.37x with a helper, 1,536 broke even and 2,048
+# took 0.86x.
+_SPLIT_DRAWS = 1 << 19
+_OVERLAP_URNS = 1600
+
+
+class _Deferred:
+    """_helper's submit when no helper thread runs: the call is made when
+    its result is asked for, on the asking thread, so inline work runs
+    where a thread's would be waited for."""
+
+    def __init__(self, fn: Callable, *args, **kwargs):
+        self._call = partial(fn, *args, **kwargs)
+
+    def result(self):
+        return self._call()
+
+
+@contextmanager
+def _helper(large: bool):
+    """A submit(fn, *args, **kwargs) whose handle's result() returns
+    fn's result or raises its exception.
+
+    For `large` work with at least two usable CPUs, fn runs on one helper
+    thread, started here and joined on exit, so none outlives the call that
+    opened it (nor is inherited by a later fork).  Otherwise the call runs
+    on the calling thread when result() is called (_Deferred): the same
+    calls, which on one CPU cost less than a thread's switches, and a block
+    built just before the slot loop reads it is still in cache.  Callers
+    hand a helper only numpy calls that release the GIL and write memory
+    allocated before the call.
+    """
+    if not large or _usable_cpus() < 2:
+        yield _Deferred
+        return
+    # imported here, as the process pool is: a run that never starts a
+    # helper never loads these modules
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield pool.submit
 
 
 # run_slots' block of slots and transpose tile of urns: fixed sizes that
-# keep a tile in cache, not options; no result depends on them
-_BLOCK_STEPS = 64
-_BLOCK_URNS = 256
+# keep a tile in cache, not options; no result depends on them.  Two blocks
+# of 32 slots take the memory one block of 64 did.  On one thread, tiles of
+# 1,024 urns copied as fast as tiles of 256, and a helper building a block
+# takes the GIL back after each copy, so it takes it a quarter as often.
+_BLOCK_STEPS = 32
+_BLOCK_URNS = 1024
 
 
 def run_slots(
@@ -149,13 +235,16 @@ def slot_snapshots(
 
     The urns are held node-major, one contiguous column per node, groups
     laid end to end.  The slots run in blocks of _BLOCK_STEPS, whatever the
-    stops: a block's draws are copied step-major into one (block, count)
-    buffer, a tile of _BLOCK_URNS urns at a time, and row k is scaled by
-    slot k's analytic total, so each threshold is the same one multiply
-    whatever the block and tile sizes.  Every group reads that one row of
-    thresholds draw * total: the compares see a (G, count) view of the urns
-    and broadcast the row over the groups.  A stop's total is slot k's
-    total plus the row sum, the add that makes the next slot's total.
+    stops: a block's draws are copied step-major into a (block, count)
+    buffer and row k is scaled by slot k's analytic total (_fill_block), so
+    each threshold is the same one multiply whatever the block and tile
+    sizes.  Two buffers take turns: the next block is built into one (on a
+    helper thread when _helper starts one) while the slot loop reads the
+    other, and the loop waits for it before reading.  Every group reads
+    that one row of thresholds draw * total: the compares see a (G, count)
+    view of the urns and broadcast the row over the groups.  A stop's total
+    is slot k's total plus the row sum, the add that makes the next slot's
+    total.
 
     The cumulative stakes are a running sum over the columns in ascending
     node order, the same adds as np.cumsum whatever the memory layout, and
@@ -229,8 +318,11 @@ def slot_snapshots(
     rewards, live = rewards[:paid], columns[:paid]
     gains = np.empty((paid, urns))
     rows = min(n, _BLOCK_STEPS)
-    thresholds = np.empty((rows, count))
-    totals = np.empty((_BLOCK_STEPS, 1))
+    # two blocks of thresholds and their slots' totals, so that a helper can
+    # build the next block (_fill_block) while the slot loop reads this one;
+    # with no helper, every block reuses the first, still in cache
+    thresholds = np.empty((2, rows, count))
+    totals = np.empty((2, _BLOCK_STEPS, 1))
     # the compares see the urns as `lanes`, one row per group, so that each
     # reads one row of thresholds
     lanes = (groups, count) if groups > 1 else (urns,)
@@ -264,63 +356,92 @@ def slot_snapshots(
     if stop == 0:
         yield 0, total, columns
         stop = next(upcoming)
-    for start in range(0, n, _BLOCK_STEPS):
-        width = min(_BLOCK_STEPS, n - start)
-        for k in range(width):
-            totals[k] = total
-            total += row_sum
-        block = thresholds[:width]
-        for lead in range(0, count, _BLOCK_URNS):
-            tile = slice(lead, lead + _BLOCK_URNS)
-            np.copyto(block[:, tile], draws[tile, start:start + width].T)
-        block *= totals[:width]
-        # stakes never fall, so a node m-1 positive in every urn now stays so,
-        # and the edge rule would give it the urns every mask already counted
-        # as its own: skip C_{m-1} and the edge check for the block; at m == 1
-        # the one node proposes every slot, and the check could move nothing
-        edge = m > 1 and not columns[m - 1].all()
-        for k in range(width):
-            threshold = block[k]
-            pick = picks[k]
-            less_equal(first, threshold, heads[k])
-            running = first
-            for column in later:
-                running = add(running, column, prefix)
-                less_equal(running, threshold, below_lanes)
-                add(pick, mask, pick)
-            if edge and less_equal(add(running, last, prefix), threshold, below_lanes).any():
-                # float edge: the running sum of stakes can land a hair below
-                # the analytic total; the draw then belongs to the last node
-                # with positive stake, not to node m-1 as the masks say
-                fixed = np.flatnonzero(below)
-                pick[fixed] = m - 1 - (columns[::-1, fixed] > 0).argmax(axis=0)
-            if offsets is None:
-                copyto(index, pick)
-            else:
-                add(pick, offsets, index)
-            if proposers is not None:
-                proposers[:, start + k] = pick
-            # index is in [0, G * m), so "wrap" never wraps; it only skips the
-            # bounds-checked copy "raise" makes of `out`
-            take(index, 1, gains, "wrap")
-            add(live, gains, live)
-            if start + k + 1 == stop:
-                at = totals.item(k) + row_sum
-                if derived:
-                    _settle(columns, at)
-                yield stop, at, columns
-                stop = next(upcoming)
-        # the block's tallies: at_least[h, j] gains group h's picks >= j
-        done = picks[:width]
-        for j in range(1, m):
-            hits = done if j == 1 else np.greater_equal(done, j, out=flags[:width])
-            for g, part in enumerate(parts):
-                at_least[g, j] += np.count_nonzero(hits[:, part])
+    with _helper(count >= _OVERLAP_URNS) as submit:
+        turns = 1 if submit is _Deferred else 2
+
+        def build(start: int):
+            """Set the totals of the block of slots from `start` and submit
+            its thresholds; return the handle, the block and its totals."""
+            nonlocal total
+            # the totals always alternate: the next block's are set here,
+            # while this block's may still be read at its stops
+            side = start // _BLOCK_STEPS % 2
+            width = min(_BLOCK_STEPS, n - start)
+            block, scale = thresholds[side % turns, :width], totals[side, :width]
+            for k in range(width):
+                scale[k] = total
+                total += row_sum
+            return submit(_fill_block, block, scale, draws, start), block, scale
+
+        following = build(0) if n else None
+        for start in range(0, n, _BLOCK_STEPS):
+            built, block, scale = following
+            built.result()
+            # a helper builds the next block into the other buffer while this
+            # one runs; with none, it is built when its result is asked for
+            if start + _BLOCK_STEPS < n:
+                following = build(start + _BLOCK_STEPS)
+            width = len(block)
+            # stakes never fall, so a node m-1 positive in every urn now stays so,
+            # and the edge rule would give it the urns every mask already counted
+            # as its own: skip C_{m-1} and the edge check for the block; at m == 1
+            # the one node proposes every slot, and the check could move nothing
+            edge = m > 1 and not columns[m - 1].all()
+            for k in range(width):
+                threshold = block[k]
+                pick = picks[k]
+                less_equal(first, threshold, heads[k])
+                running = first
+                for column in later:
+                    running = add(running, column, prefix)
+                    less_equal(running, threshold, below_lanes)
+                    add(pick, mask, pick)
+                if edge and less_equal(add(running, last, prefix), threshold, below_lanes).any():
+                    # float edge: the running sum of stakes can land a hair below
+                    # the analytic total; the draw then belongs to the last node
+                    # with positive stake, not to node m-1 as the masks say
+                    fixed = np.flatnonzero(below)
+                    pick[fixed] = m - 1 - (columns[::-1, fixed] > 0).argmax(axis=0)
+                if offsets is None:
+                    copyto(index, pick)
+                else:
+                    add(pick, offsets, index)
+                if proposers is not None:
+                    proposers[:, start + k] = pick
+                # index is in [0, G * m), so "wrap" never wraps; it only skips the
+                # bounds-checked copy "raise" makes of `out`
+                take(index, 1, gains, "wrap")
+                add(live, gains, live)
+                if start + k + 1 == stop:
+                    at = scale.item(k) + row_sum
+                    if derived:
+                        _settle(columns, at)
+                    yield stop, at, columns
+                    stop = next(upcoming)
+            # the block's tallies: at_least[h, j] gains group h's picks >= j
+            done = picks[:width]
+            for j in range(1, m):
+                hits = done if j == 1 else np.greater_equal(done, j, out=flags[:width])
+                for g, part in enumerate(parts):
+                    at_least[g, j] += np.count_nonzero(hits[:, part])
     if derived:
         _settle(columns, total)
     stakes[...] = columns.T
     at_least[:, :-1] -= at_least[:, 1:]  # now the per-node counts
     return (at_least if grouped else at_least[0]), total
+
+
+def _fill_block(block: np.ndarray, scale: np.ndarray, draws: np.ndarray, start: int) -> None:
+    """Write the thresholds of the (width, count) `block` of slots from
+    `start`: the draws copied step-major, a tile of _BLOCK_URNS urns at a
+    time, then row k times its slot's total scale[k], the same one multiply
+    whatever the block and tile sizes.  It writes only `block`, and each of
+    its few numpy calls releases the GIL, so it may run on a helper thread."""
+    width, count = block.shape
+    for lead in range(0, count, _BLOCK_URNS):
+        tile = slice(lead, lead + _BLOCK_URNS)
+        np.copyto(block[:, tile], draws[tile, start:start + width].T)
+    block *= scale
 
 
 def _exact_pass(

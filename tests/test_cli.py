@@ -916,6 +916,20 @@ class TestOneConfigDerivation:
         assert pickle.loads(pickle.dumps(twin)) == config
         assert pickle.loads(pickle.dumps(config)) == twin
 
+    def test_compare_builds_only_the_matrices_it_runs(self, tmp_path, monkeypatch):
+        # the loaded frd config's own matrix is never read: compare runs a
+        # constant and an frd config made from it, one build each
+        path = tmp_path / "config.json"
+        path.write_bytes(as_json(NINE_TENTHS))
+        builds = []
+        for name in ("frd_matrix", "constant_matrix"):
+            def spy(*args, build=getattr(montecarlo, name), name=name, **kwargs):
+                builds.append(name)
+                return build(*args, **kwargs)
+            monkeypatch.setattr(montecarlo, name, spy)
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "cmp")]) == 0
+        assert sorted(builds) == ["constant_matrix", "frd_matrix"]
+
 
 class TestPredictedLaw:
     @pytest.mark.parametrize("name", sorted(PREDICT_GOLDEN))

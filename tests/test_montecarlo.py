@@ -7,6 +7,7 @@ import pickle
 import re
 import subprocess
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +27,7 @@ from stakesim import (
     run_experiment,
     run_experiments,
 )
-from stakesim import montecarlo
+from stakesim import montecarlo, urn
 from stakesim.cli import (builtin_benchmark_configs, table1_report, write_samples_csv,
                           write_stats_csv)
 from stakesim.errors import InvalidInput, StakeSimError
@@ -977,7 +978,7 @@ GOLDEN = {
         "276b4f8024f177a236589799a313028b3f1dbbd50052b47be093eb82e3630d92",
         "7e8f82d1ab2c39082e88c764c4f499101a32e51bf3cf50bcbdcbd8c0155806a8",
     ),
-    # recorded steps on the kernel's 64-slot block edges (0, 64, 128, 192)
+    # recorded steps on the kernel's block edges (0, 64, 128, 192)
     # and inside its last block (200); then stops inside blocks with an
     # empty last node, so the float-edge pass runs in blocks that stop
     "frd_stride_64": (
@@ -1018,6 +1019,38 @@ class TestGoldenBytes:
         result = run_experiment(config, workers=1)
         assert hashlib.sha256(write_samples_csv(result)).hexdigest() == samples_sha
         assert hashlib.sha256(write_stats_csv(result.time_series)).hexdigest() == stats_sha
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_output_bytes_with_helpers_forced(self, name, cpus, monkeypatch):
+        # every fill and kernel pass takes a helper thread on 2 CPUs, and
+        # none on 1; the pinned bytes do not depend on which
+        config, samples_sha, stats_sha = GOLDEN[name]
+        force_helpers(monkeypatch, cpus)
+        result = run_experiment(config, workers=1)
+        assert hashlib.sha256(write_samples_csv(result)).hexdigest() == samples_sha
+        assert hashlib.sha256(write_stats_csv(result.time_series)).hexdigest() == stats_sha
+
+    def test_serial_run_with_helpers_then_a_pool(self, monkeypatch):
+        # the helper threads of a serial run are joined when it returns, so
+        # the pool that forks next inherits none
+        config, samples_sha, stats_sha = GOLDEN["frd"]
+        force_helpers(monkeypatch, 2)
+        baseline = threading.active_count()
+        serial = run_experiment(config, workers=1)
+        assert threading.active_count() == baseline
+        pooled = run_experiment(config, workers=2)
+        for result in (serial, pooled):
+            assert hashlib.sha256(write_samples_csv(result)).hexdigest() == samples_sha
+            assert hashlib.sha256(write_stats_csv(result.time_series)).hexdigest() == stats_sha
+
+
+def force_helpers(patch, cpus):
+    """Set urn's CPU probe to `cpus`, and let every draw fill and kernel
+    pass take a helper thread when there are two, however small."""
+    patch.setattr(urn, "_usable_cpus", lambda: cpus)
+    patch.setattr(urn, "_SPLIT_DRAWS", 0)
+    patch.setattr(urn, "_OVERLAP_URNS", 0)
 
 
 class TestConfigValidation:

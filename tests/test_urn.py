@@ -1,6 +1,9 @@
 """Tests for the core urn process: stake vectors, the slot kernel, trajectories."""
 
+import os
+import threading
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -669,7 +672,7 @@ class TestGroupedSlots:
         weights[3, :8] = 1.0  # under custom, node 8 gains nothing
         custom = integer_custom(weights, 2.0**-30)
         matrices = grouped_matrices(["constant", "frd", "custom"], EDGE_STAKES, custom)
-        cuts = [0, 1, _BLOCK_STEPS - 1, _BLOCK_STEPS + 1, 130, n]
+        cuts = [0, 1, _BLOCK_STEPS - 1, _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS + 2, n]
         proposers = check_groups_against_single_calls(EDGE_STAKES, matrices, draws, cuts)
         assert (proposers.reshape(3, count, n)[:, ::2, 0] == 7).all()
 
@@ -825,6 +828,131 @@ class TestSlotSnapshots:
                                 np.zeros((2, 5)), stops)
         with pytest.raises(InvalidInput, match=r"^stops must increase within \[0, 5\], got "):
             next(kernel)
+
+
+def force_helpers(patch, cpus):
+    """Set the CPU probe to `cpus`, and let every draw fill and every kernel
+    pass take a helper thread when there are two, however small."""
+    patch.setattr(urn, "_usable_cpus", lambda: cpus)
+    patch.setattr(urn, "_SPLIT_DRAWS", 0)
+    patch.setattr(urn, "_OVERLAP_URNS", 0)
+
+
+class TestHelperThread:
+    """With two usable CPUs, a large draw fill runs half its rows on a
+    helper thread and the kernel builds each next threshold block there;
+    with one, the same calls run in order on the calling thread.  Either way
+    the bytes are the same."""
+
+    def test_probe_reads_the_affinity_mask(self):
+        # so a run pinned to one CPU (taskset -c 0) selects no helper
+        assert urn._usable_cpus() == len(os.sched_getaffinity(0))
+
+    def test_pool_workers_start_no_helper(self):
+        # the workers of a process pool already share the CPUs
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(urn._usable_cpus).result(timeout=60) == 1
+
+    @pytest.mark.parametrize("cpus,threaded", [(1, False), (2, True)])
+    def test_selection_follows_the_probe(self, monkeypatch, cpus, threaded):
+        monkeypatch.setattr(urn, "_usable_cpus", lambda: cpus)
+        with urn._helper(True) as submit:
+            assert (submit is not urn._Deferred) == threaded
+        with urn._helper(False) as submit:
+            assert submit is urn._Deferred
+
+    @given(seed=st.integers(0, 2**64 - 1), first=st.integers(0, 10**6),
+           count=st.one_of(st.just(1), st.integers(1, 12).map(lambda k: 2 * k + 1), st.integers(1, 25)),
+           n=st.one_of(st.sampled_from([0, 1]), st.integers(0, 70)),
+           cpus=st.sampled_from([1, 2]), into_buffer=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_split_fill_equals_one_generator(self, seed, first, count, n, cpus, into_buffer):
+        bitgen = np.random.PCG64(seed)
+        bitgen.advance(first * n)
+        expected = np.random.Generator(bitgen).random((count, n))
+        with pytest.MonkeyPatch.context() as patch:
+            force_helpers(patch, cpus)
+            out = np.full((count + 2, n), -1.0) if into_buffer else None
+            draws = repetition_draws(seed, first, count, n,
+                                     out=None if out is None else out[:count])
+        assert draws.shape == (count, n)
+        assert draws.tobytes() == expected.tobytes()
+        if out is not None:
+            assert draws.base is out and (out[count:] == -1.0).all()
+
+    @seed(20261020)
+    @given(case=snapshot_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_overlapped_kernel_equals_inline(self, case):
+        # stops on and off the block grid, one or two groups, and the
+        # column-slice segment calls of README's trajectory recipe
+        stakes, n, count = case["stakes"], case["n"], case["count"]
+        m = len(stakes)
+        matrices = [constant_matrix(m, case["budget"]) if scheme == "constant" else
+                    frd_matrix(stakes, case["budget"]) for scheme in case["schemes"]]
+        draws = np.random.default_rng(case["draw_seed"]).random((count, n))
+        draws[np.random.default_rng(n).random((count, n)) < 0.05] = LARGEST_DRAW
+        vector, total = start(stakes)
+        runs = []
+        for cpus, run in ((1, one_pass), (2, one_pass), (2, segment_reference)):
+            urns = np.tile(vector, (len(matrices) * count, 1))
+            proposers = np.empty((len(matrices) * count, n), dtype=np.int64)
+            with pytest.MonkeyPatch.context() as patch:
+                force_helpers(patch, cpus)
+                snaps, counts, end = run(urns, total, matrices, draws, case["stops"], proposers)
+            runs.append((urns.tobytes(), proposers.tobytes(), counts.tolist(), end,
+                         [(step, at, columns.tobytes()) for step, at, columns in snaps]))
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    def test_blocks_past_a_tile_equal_inline(self):
+        # more urns than a tile, and slots past two blocks, on both sides
+        count, n = _BLOCK_URNS + 3, 2 * _BLOCK_STEPS + 5
+        draws = repetition_draws(29, 0, count, n)
+        draws[::3, [0, _BLOCK_STEPS, n - 1]] = LARGEST_DRAW
+        matrices = [constant_matrix(len(EDGE_STAKES), 1e-9), frd_matrix(EDGE_STAKES, 1e-9)]
+        vector, total = start(EDGE_STAKES)
+        runs = []
+        for cpus in (1, 2):
+            urns = np.tile(vector, (2 * count, 1))
+            proposers = np.empty((2 * count, n), dtype=np.int64)
+            with pytest.MonkeyPatch.context() as patch:
+                force_helpers(patch, cpus)
+                snaps, counts, end = one_pass(urns, total, matrices, draws,
+                                              [1, _BLOCK_STEPS, _BLOCK_STEPS + 1], proposers)
+            runs.append((urns.tobytes(), proposers.tobytes(), counts.tolist(), end,
+                         [(step, at, columns.tobytes()) for step, at, columns in snaps]))
+        assert runs[1] == runs[0]
+
+    def test_helper_exception_propagates(self, monkeypatch):
+        force_helpers(monkeypatch, 2)
+        baseline = threading.active_count()
+        with urn._helper(True) as submit:
+            handle = submit(int, "not a number")
+            with pytest.raises(ValueError, match="invalid literal"):
+                handle.result()
+        fill_block = urn._fill_block
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper failed")
+            fill_block(*args)
+        monkeypatch.setattr(urn, "_fill_block", failing)
+        vector, total = start([1.0, 3.0])
+        with pytest.raises(RuntimeError, match="helper failed"):
+            run_slots(np.tile(vector, (4, 1)), total, frd_matrix([1.0, 3.0], 2.0),
+                      np.full((4, 3 * _BLOCK_STEPS), 0.5))
+        assert threading.active_count() == baseline
+
+    def test_closing_early_joins_the_helper(self, monkeypatch):
+        force_helpers(monkeypatch, 2)
+        baseline = threading.active_count()
+        vector, total = start([1.0, 3.0])
+        kernel = slot_snapshots(np.tile(vector, (4, 1)), total, frd_matrix([1.0, 3.0], 2.0),
+                                np.full((4, 3 * _BLOCK_STEPS), 0.5), [1, 2 * _BLOCK_STEPS])
+        assert next(kernel)[0] == 1
+        assert threading.active_count() == baseline + 1  # the pass's helper
+        kernel.close()
+        assert threading.active_count() == baseline
 
 
 def exact_answers(monkeypatch):
@@ -990,7 +1118,7 @@ class _CountingNumpy:
 
 def slot_costs(monkeypatch, stakes, matrices, count=5):
     """Numpy calls per slot, by name, and the reward elements take gathers
-    per slot: a 64-slot pass less a 63-slot one, both one block and one
+    per slot: a one-block pass less one a slot shorter, both one block and one
     tile, so every per-block and per-call cost cancels."""
     vector, total = start(stakes)
     passes = []
