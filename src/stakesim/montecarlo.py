@@ -254,6 +254,7 @@ def _exact_sums(values: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(sums, sumsqs))
 
 
+@dataclass(slots=True)
 class RunningMoments:
     """Streaming count/mean/variance over finite float64 values.
 
@@ -262,12 +263,9 @@ class RunningMoments:
     O(1) per cell regardless of repetition count.
     """
 
-    __slots__ = ("count", "sum_scaled", "sumsq_scaled")
-
-    def __init__(self, count: int = 0, sum_scaled: int = 0, sumsq_scaled: int = 0):
-        self.count = count
-        self.sum_scaled = sum_scaled
-        self.sumsq_scaled = sumsq_scaled
+    count: int = 0
+    sum_scaled: int = 0
+    sumsq_scaled: int = 0
 
     def add_values(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
@@ -300,15 +298,6 @@ class RunningMoments:
             return float("nan")
         numerator = self.count * self.sumsq_scaled - self.sum_scaled * self.sum_scaled
         return numerator / (self.count * (self.count - 1) * _SQ_SCALE)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RunningMoments):
-            return NotImplemented
-        return (
-            self.count == other.count
-            and self.sum_scaled == other.sum_scaled
-            and self.sumsq_scaled == other.sumsq_scaled
-        )
 
     def __repr__(self) -> str:
         return f"RunningMoments(count={self.count}, mean={self.mean}, variance={self.variance})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from collections.abc import Callable, Generator, Sequence
+from collections.abc import Generator, Sequence
 from contextlib import contextmanager
 from functools import partial
 from typing import TYPE_CHECKING
@@ -97,7 +97,7 @@ def repetition_draws(
     with _helper(count * n >= _SPLIT_DRAWS) as submit:
         rest = submit(fills[1], out=draws[cut:])
         fills[0](out=draws[:cut])
-        rest.result()
+        rest()
     return draws
 
 
@@ -112,7 +112,7 @@ def _usable_cpus() -> int:
         return 1
     try:
         return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - no affinity call here
+    except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
@@ -127,41 +127,29 @@ _SPLIT_DRAWS = 1 << 19
 _OVERLAP_URNS = 1600
 
 
-class _Deferred:
-    """_helper's submit when no helper thread runs: the call is made when
-    its result is asked for, on the asking thread, so inline work runs
-    where a thread's would be waited for."""
-
-    def __init__(self, fn: Callable, *args, **kwargs):
-        self._call = partial(fn, *args, **kwargs)
-
-    def result(self):
-        return self._call()
-
-
 @contextmanager
 def _helper(large: bool):
-    """A submit(fn, *args, **kwargs) whose handle's result() returns
-    fn's result or raises its exception.
+    """A submit(fn, *args, **kwargs) that returns a wait(): a call with no
+    arguments that returns fn's result or raises its exception.
 
     For `large` work with at least two usable CPUs, fn runs on one helper
     thread, started here and joined on exit, so none outlives the call that
-    opened it (nor is inherited by a later fork).  Otherwise the call runs
-    on the calling thread when result() is called (_Deferred): the same
-    calls, which on one CPU cost less than a thread's switches, and a block
-    built just before the slot loop reads it is still in cache.  Callers
+    opened it (nor is inherited by a later fork); wait is its future's
+    result.  Otherwise wait is functools.partial(fn, *args, **kwargs): fn
+    runs when waited on, on the waiting thread, the same calls in the same
+    order, which on one CPU cost less than a thread's switches.  Callers
     hand a helper only numpy calls that release the GIL and write memory
     allocated before the call.
     """
     if not large or _usable_cpus() < 2:
-        yield _Deferred
+        yield partial
         return
     # imported here, as the process pool is: a run that never starts a
     # helper never loads these modules
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        yield pool.submit
+        yield lambda *args, **kwargs: pool.submit(*args, **kwargs).result
 
 
 # run_slots' block of slots and transpose tile of urns: fixed sizes that
@@ -234,17 +222,19 @@ def slot_snapshots(
     between the stops.
 
     The urns are held node-major, one contiguous column per node, groups
-    laid end to end.  The slots run in blocks of _BLOCK_STEPS, whatever the
-    stops: a block's draws are copied step-major into a (block, count)
-    buffer and row k is scaled by slot k's analytic total (_fill_block), so
-    each threshold is the same one multiply whatever the block and tile
-    sizes.  Two buffers take turns: the next block is built into one (on a
-    helper thread when _helper starts one) while the slot loop reads the
-    other, and the loop waits for it before reading.  Every group reads
-    that one row of thresholds draw * total: the compares see a (G, count)
-    view of the urns and broadcast the row over the groups.  A stop's total
-    is slot k's total plus the row sum, the add that makes the next slot's
-    total.
+    laid end to end.  The analytic totals S(0) .. S(n) are made once per
+    pass, S(0) = `total` and S(t + 1) = S(t) + row sum, one in-order
+    accumulate: the float adds of one running total.  A stop at s yields
+    S(s), and the pass returns S(n).  The slots run in blocks of
+    _BLOCK_STEPS, whatever the stops: a block's draws are copied
+    step-major into a (block, count) buffer and slot t's row is scaled by
+    S(t) (_fill_block), so each threshold is the same one multiply whatever
+    the block and tile sizes.  Two buffers take turns: the next block is
+    built into one (on a helper thread when _helper starts one) while the
+    slot loop reads the other, and the loop waits for it before reading.
+    Every group reads that one row of thresholds draw * total: the
+    compares see a (G, count) view of the urns and broadcast the row over
+    the groups.
 
     The cumulative stakes are a running sum over the columns in ascending
     node order, the same adds as np.cumsum whatever the memory layout, and
@@ -318,11 +308,13 @@ def slot_snapshots(
     rewards, live = rewards[:paid], columns[:paid]
     gains = np.empty((paid, urns))
     rows = min(n, _BLOCK_STEPS)
-    # two blocks of thresholds and their slots' totals, so that a helper can
-    # build the next block (_fill_block) while the slot loop reads this one;
-    # with no helper, every block reuses the first, still in cache
+    # two blocks of thresholds, so that a helper can build the next block
+    # (_fill_block) while the slot loop reads this one
     thresholds = np.empty((2, rows, count))
-    totals = np.empty((2, _BLOCK_STEPS, 1))
+    # sums[t]: the total after t slots, one running sum of the row sum
+    sums = np.full(n + 1, row_sum)
+    sums[0] = total
+    np.add.accumulate(sums, out=sums)
     # the compares see the urns as `lanes`, one row per group, so that each
     # reads one row of thresholds
     lanes = (groups, count) if groups > 1 else (urns,)
@@ -357,30 +349,17 @@ def slot_snapshots(
         yield 0, total, columns
         stop = next(upcoming)
     with _helper(count >= _OVERLAP_URNS) as submit:
-        turns = 1 if submit is _Deferred else 2
 
-        def build(start: int):
-            """Set the totals of the block of slots from `start` and submit
-            its thresholds; return the handle, the block and its totals."""
-            nonlocal total
-            # the totals always alternate: the next block's are set here,
-            # while this block's may still be read at its stops
-            side = start // _BLOCK_STEPS % 2
-            width = min(_BLOCK_STEPS, n - start)
-            block, scale = thresholds[side % turns, :width], totals[side, :width]
-            for k in range(width):
-                scale[k] = total
-                total += row_sum
-            return submit(_fill_block, block, scale, draws, start), block, scale
+        def fill(start: int):
+            return submit(_fill_block, thresholds[start // _BLOCK_STEPS % 2], sums, draws, start)
 
-        following = build(0) if n else None
+        wait = fill(0) if n else None
         for start in range(0, n, _BLOCK_STEPS):
-            built, block, scale = following
-            built.result()
+            block = wait()
             # a helper builds the next block into the other buffer while this
-            # one runs; with none, it is built when its result is asked for
+            # one runs; with none, it is built when it is waited on
             if start + _BLOCK_STEPS < n:
-                following = build(start + _BLOCK_STEPS)
+                wait = fill(start + _BLOCK_STEPS)
             width = len(block)
             # stakes never fall, so a node m-1 positive in every urn now stays so,
             # and the edge rule would give it the urns every mask already counted
@@ -413,10 +392,9 @@ def slot_snapshots(
                 take(index, 1, gains, "wrap")
                 add(live, gains, live)
                 if start + k + 1 == stop:
-                    at = scale.item(k) + row_sum
                     if derived:
-                        _settle(columns, at)
-                    yield stop, at, columns
+                        _settle(columns, sums.item(stop))
+                    yield stop, sums.item(stop), columns
                     stop = next(upcoming)
             # the block's tallies: at_least[h, j] gains group h's picks >= j
             done = picks[:width]
@@ -425,23 +403,26 @@ def slot_snapshots(
                 for g, part in enumerate(parts):
                     at_least[g, j] += np.count_nonzero(hits[:, part])
     if derived:
-        _settle(columns, total)
+        _settle(columns, sums.item(n))
     stakes[...] = columns.T
     at_least[:, :-1] -= at_least[:, 1:]  # now the per-node counts
-    return (at_least if grouped else at_least[0]), total
+    return (at_least if grouped else at_least[0]), sums.item(n)
 
 
-def _fill_block(block: np.ndarray, scale: np.ndarray, draws: np.ndarray, start: int) -> None:
-    """Write the thresholds of the (width, count) `block` of slots from
-    `start`: the draws copied step-major, a tile of _BLOCK_URNS urns at a
-    time, then row k times its slot's total scale[k], the same one multiply
-    whatever the block and tile sizes.  It writes only `block`, and each of
+def _fill_block(buffer: np.ndarray, sums: np.ndarray, draws: np.ndarray, start: int) -> np.ndarray:
+    """Write and return the thresholds of the block of slots from `start`,
+    the leading rows of the (rows, count) `buffer` that draws' columns
+    fill: the draws copied step-major, a tile of _BLOCK_URNS urns at a
+    time, then slot t's row times its total sums[t], the same one multiply
+    whatever the block and tile sizes.  It writes only `buffer`, and each of
     its few numpy calls releases the GIL, so it may run on a helper thread."""
+    block = buffer[:draws.shape[1] - start]
     width, count = block.shape
     for lead in range(0, count, _BLOCK_URNS):
         tile = slice(lead, lead + _BLOCK_URNS)
         np.copyto(block[:, tile], draws[tile, start:start + width].T)
-    block *= scale
+    block *= sums[start:start + width, None]
+    return block
 
 
 def _exact_pass(

@@ -27,11 +27,12 @@ from stakesim import (
     run_experiment,
     run_experiments,
 )
-from stakesim import montecarlo, urn
+from stakesim import montecarlo
 from stakesim.cli import (builtin_benchmark_configs, table1_report, write_samples_csv,
                           write_stats_csv)
 from stakesim.errors import InvalidInput, StakeSimError
 from stakesim.urn import repetition_draws, run_slots, slot_snapshots
+from test_urn import force_helpers
 
 
 def make_config(**overrides):
@@ -900,6 +901,21 @@ class TestExactSums:
             moments.add_values(values)
         assert moments == RunningMoments()
 
+    def test_value_semantics(self):
+        # pool results carry these cells: they compare by value, are not
+        # hashable, take (count, sum_scaled, sumsq_scaled) in that order and
+        # pickle to an equal cell
+        moments = RunningMoments(3, 5, 7)
+        assert (moments.count, moments.sum_scaled, moments.sumsq_scaled) == (3, 5, 7)
+        assert moments == RunningMoments(3, 5, 7) != RunningMoments(3, 5, 8)
+        assert moments != (3, 5, 7)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(moments)
+        copy = pickle.loads(pickle.dumps(moments))
+        assert copy == moments and copy is not moments
+        assert repr(copy) == repr(moments) == "RunningMoments(count=3, mean=" \
+            f"{moments.mean}, variance={moments.variance})"
+
 
 class _LimbStageNumpy:
     """numpy as _exact_sums sees it through stakesim.montecarlo.np: every
@@ -998,6 +1014,36 @@ GOLDEN = {
 }
 
 
+# a balanced matrix with row sum 1: each column is constant off the diagonal
+BALANCED = ((0.5, 0.25, 0.25), (0.125, 0.625, 0.25), (0.125, 0.25, 0.625))
+
+
+class TestPowerOfTwoScaling:
+    """Every stake, K and custom entry times 2**k: every float op of a run
+    scales exactly, so no output byte and no proposer count moves."""
+
+    @seed(20261020)
+    @given(scheme=st.sampled_from(["frd", "constant", "custom"]), exact=st.booleans(),
+           k=st.integers(-20, 20), base_seed=st.integers(0, 2**64 - 1),
+           stakes=st.lists(st.integers(0, 60), min_size=3, max_size=3).filter(any))
+    @settings(max_examples=60, deadline=None)
+    def test_outputs_do_not_depend_on_the_scale(self, scheme, exact, k, stakes, base_seed):
+        # integer stakes and K = 200 make exact passes under the constant and
+        # custom schemes; K = 0.7 makes every pass inexact
+        budget = 200.0 if exact else 0.7
+        outputs = []
+        for scale in (1.0, 2.0**k):
+            custom = tuple(tuple(budget * scale * x for x in row) for row in BALANCED)
+            config = make_config(initial_stakes=tuple(scale * s for s in stakes), scheme=scheme,
+                                 reward_budget_K=budget * scale, steps_n=150, repetitions=40,
+                                 custom_entries=custom if scheme == "custom" else None,
+                                 base_seed=base_seed, record=RecordPolicy(stride=13))
+            result = run_experiment(config)
+            outputs.append((write_samples_csv(result), write_stats_csv(result.time_series),
+                            result.proposer_counts.tolist()))
+        assert outputs[1] == outputs[0]
+
+
 class TestGoldenBytes:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -1043,14 +1089,6 @@ class TestGoldenBytes:
         for result in (serial, pooled):
             assert hashlib.sha256(write_samples_csv(result)).hexdigest() == samples_sha
             assert hashlib.sha256(write_stats_csv(result.time_series)).hexdigest() == stats_sha
-
-
-def force_helpers(patch, cpus):
-    """Set urn's CPU probe to `cpus`, and let every draw fill and kernel
-    pass take a helper thread when there are two, however small."""
-    patch.setattr(urn, "_usable_cpus", lambda: cpus)
-    patch.setattr(urn, "_SPLIT_DRAWS", 0)
-    patch.setattr(urn, "_OVERLAP_URNS", 0)
 
 
 class TestConfigValidation:

@@ -829,6 +829,24 @@ class TestSlotSnapshots:
         with pytest.raises(InvalidInput, match=r"^stops must increase within \[0, 5\], got "):
             next(kernel)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_totals_are_one_running_sum(self, cpus, monkeypatch):
+        # S(t + 1) = S(t) + K as one float add per slot, across block edges,
+        # with and without a helper; K = 0.1 is inexact, so the closed form
+        # S(0) + t * K rounds differently at some steps
+        force_helpers(monkeypatch, cpus)
+        budget, n = 0.1, 2 * _BLOCK_STEPS + 5
+        vector, total = start([0.15, 0.15])
+        expected = [total]
+        for _ in range(n):
+            expected.append(expected[-1] + budget)
+        assert any(at != total + t * budget for t, at in enumerate(expected))
+        snaps, _, end = one_pass(np.tile(vector, (4, 1)), total, frd_matrix([0.15, 0.15], budget),
+                                 np.random.default_rng(3).random((4, n)), range(n + 1),
+                                 np.empty((4, n), dtype=np.int64))
+        assert [at.hex() for _, at, _ in snaps] == [at.hex() for at in expected]
+        assert end.hex() == expected[-1].hex()
+
 
 def force_helpers(patch, cpus):
     """Set the CPU probe to `cpus`, and let every draw fill and every kernel
@@ -853,13 +871,21 @@ class TestHelperThread:
         with ProcessPoolExecutor(max_workers=1) as pool:
             assert pool.submit(urn._usable_cpus).result(timeout=60) == 1
 
+    def test_probe_without_affinity_counts_the_cpus(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert urn._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert urn._usable_cpus() == 1
+
     @pytest.mark.parametrize("cpus,threaded", [(1, False), (2, True)])
     def test_selection_follows_the_probe(self, monkeypatch, cpus, threaded):
         monkeypatch.setattr(urn, "_usable_cpus", lambda: cpus)
+        caller = threading.get_ident()
         with urn._helper(True) as submit:
-            assert (submit is not urn._Deferred) == threaded
+            assert (submit(threading.get_ident)() != caller) == threaded
         with urn._helper(False) as submit:
-            assert submit is urn._Deferred
+            assert submit(threading.get_ident)() == caller
 
     @given(seed=st.integers(0, 2**64 - 1), first=st.integers(0, 10**6),
            count=st.one_of(st.just(1), st.integers(1, 12).map(lambda k: 2 * k + 1), st.integers(1, 25)),
@@ -930,7 +956,7 @@ class TestHelperThread:
         with urn._helper(True) as submit:
             handle = submit(int, "not a number")
             with pytest.raises(ValueError, match="invalid literal"):
-                handle.result()
+                handle()
         fill_block = urn._fill_block
         def failing(*args):
             if threading.current_thread() is not threading.main_thread():
