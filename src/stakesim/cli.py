@@ -286,7 +286,8 @@ def render_histogram_svg(
     mean_marker: float | None = None,
 ) -> bytes:
     """Standalone SVG: density bars over [0, 1], an optional beta-density
-    overlay, and an optional vertical predicted-mean marker."""
+    overlay, and an optional vertical predicted-mean marker.  Positions are
+    written to 2 decimals, but the fixed frame's int ones as ints."""
     if mean_marker is not None and not 0.0 <= mean_marker <= 1.0:  # also rejects nan
         raise InvalidInput(f"mean marker must be in [0, 1], got {mean_marker!r}")
     counts = np.asarray(stats.bin_counts, dtype=np.float64)
@@ -306,24 +307,34 @@ def render_histogram_svg(
 
     plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
     plot_h = _SVG_H - _MARGIN_T - _MARGIN_B
-
-    def px(x: float) -> float:
-        return _MARGIN_L + x * plot_w
-
-    def py(y: float) -> float:
-        return _MARGIN_T + plot_h - min(y / y_max, 1.0) * plot_h
-
+    bottom = _MARGIN_T + plot_h
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect x="0" y="0" width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
     ]
+
+    def px(x: float) -> float:
+        return _MARGIN_L + x * plot_w
+
+    def py(y: float) -> float:
+        return bottom - min(y / y_max, 1.0) * plot_h
+
+    def at(v: float | int) -> str:
+        return f"{v:.2f}" if isinstance(v, float) else str(v)
+
+    def line(x1, y1, x2, y2, style='stroke="black"') -> None:
+        parts.append(f'<line x1="{at(x1)}" y1="{at(y1)}" x2="{at(x2)}" y2="{at(y2)}" {style}/>')
+
+    def text(x, y, label: str, anchor="middle", size=12) -> None:
+        parts.append(f'<text x="{at(x)}" y="{at(y)}" font-size="{size}" text-anchor="{anchor}" '
+                     f'font-family="sans-serif">{label}</text>')
+
     for i, d in enumerate(density.tolist()):
         x0, x1 = px(edges[i]), px(edges[i + 1])
         y = py(d)
-        h = _MARGIN_T + plot_h - y
         parts.append(
-            f'<rect x="{x0:.2f}" y="{y:.2f}" width="{x1 - x0:.2f}" height="{h:.2f}" '
+            f'<rect x="{x0:.2f}" y="{y:.2f}" width="{x1 - x0:.2f}" height="{bottom - y:.2f}" '
             f'fill="#4878a8" fill-opacity="0.85"/>'
         )
     if beta is not None:
@@ -335,39 +346,16 @@ def render_histogram_svg(
         )
     if mean_marker is not None:
         x = px(float(mean_marker))
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{_MARGIN_T}" x2="{x:.2f}" y2="{_MARGIN_T + plot_h}" '
-            f'stroke="#208040" stroke-width="1.5" stroke-dasharray="5,4"/>'
-        )
+        line(x, _MARGIN_T, x, bottom, 'stroke="#208040" stroke-width="1.5" stroke-dasharray="5,4"')
     # axes and ticks
-    parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T + plot_h}" x2="{_SVG_W - _MARGIN_R}" '
-        f'y2="{_MARGIN_T + plot_h}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" '
-        f'y2="{_MARGIN_T + plot_h}" stroke="black"/>'
-    )
+    line(_MARGIN_L, bottom, _SVG_W - _MARGIN_R, bottom)
+    line(_MARGIN_L, _MARGIN_T, _MARGIN_L, bottom)
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
-        x = px(tick)
-        y0 = _MARGIN_T + plot_h
-        parts.append(f'<line x1="{x:.2f}" y1="{y0}" x2="{x:.2f}" y2="{y0 + 5}" stroke="black"/>')
-        parts.append(
-            f'<text x="{x:.2f}" y="{y0 + 20}" font-size="12" text-anchor="middle" '
-            f'font-family="sans-serif">{tick:g}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_L - 8}" y="{_MARGIN_T + plot_h}" font-size="12" text-anchor="end" '
-        f'font-family="sans-serif">0</text>'
-    )
-    parts.append(
-        f'<text x="{_MARGIN_L - 8}" y="{_MARGIN_T + 12}" font-size="12" text-anchor="end" '
-        f'font-family="sans-serif">{y_max:.4g}</text>'
-    )
-    parts.append(
-        f'<text x="{px(0.5):.2f}" y="{_SVG_H - 6}" font-size="13" text-anchor="middle" '
-        f'font-family="sans-serif">final fractional stake</text>'
-    )
+        line(px(tick), bottom, px(tick), bottom + 5)
+        text(px(tick), bottom + 20, f"{tick:g}")
+    text(_MARGIN_L - 8, bottom, "0", "end")
+    text(_MARGIN_L - 8, _MARGIN_T + 12, f"{y_max:.4g}", "end")
+    text(px(0.5), _SVG_H - 6, "final fractional stake", size=13)
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode()
 
@@ -470,7 +458,8 @@ def _render_report_table(rows: Sequence[ReportRow]) -> str:
         table.append(cells)
     widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
     sep = "-+-".join("-" * w for w in widths)
-    out = ["empirical (predicted); constant predictions are the beta-limit values"]
+    out = ["empirical (predicted); constant predictions are the beta-limit values; frd ones "
+           "are leading order in n, and their mean leaves out S_i(0)"]
     for i, row in enumerate(table):
         out.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
         if i == 0:
@@ -496,14 +485,33 @@ def _cmd_simulate(args) -> int:
     config = load_config(Path(args.config).read_bytes())
     print(f"base_seed={config.base_seed}")
     result = run_experiment(config, workers=args.workers)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "samples.csv").write_bytes(write_samples_csv(result))
-    (out / "stats.csv").write_bytes(write_stats_csv(result.time_series))
     run_doc = {"base_seed": config.base_seed, "config": serialize_config(config),
                "stream_version": STREAM_VERSION}
-    (out / "run.json").write_text(json.dumps(run_doc, indent=2, sort_keys=True) + "\n")
-    print(f"wrote samples.csv, stats.csv, run.json to {out}")
+    _write_outputs(args.out, {
+        "samples.csv": write_samples_csv(result),
+        "stats.csv": write_stats_csv(result.time_series),
+        "run.json": (json.dumps(run_doc, indent=2, sort_keys=True) + "\n").encode(),
+    })
+    return 0
+
+
+def _write_outputs(out: str, files: dict[str, bytes]) -> None:
+    """Make the directory out (parents too), write each file's bytes, say so."""
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        (path / name).write_bytes(data)
+    print(f"wrote {', '.join(files)} to {path}")
+
+
+def _report(args, base_seed: int, configs: Sequence[tuple[str, ExperimentConfig]]) -> int:
+    """compare's and table1's tail: print the seed and the report table, and
+    write report.csv into --out when it is set."""
+    print(f"base_seed={base_seed}")
+    rows, text = table1_report(configs, workers=args.workers)
+    print(text)
+    if args.out is not None:
+        _write_outputs(args.out, {"report.csv": write_report_csv(rows)})
     return 0
 
 
@@ -547,17 +555,10 @@ def _cmd_predict(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = load_config(Path(args.config).read_bytes())
-    print(f"base_seed={config.base_seed}")
     node = config.tracked_nodes()[0]
     share = config.initial_stakes[node] / config.initial_total
-    label = f"{config.num_nodes} nodes (share {share:.4g})"
-    rows, text = table1_report([(label, config)], workers=args.workers)
-    print(text)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.csv").write_bytes(write_report_csv(rows))
-    print(f"wrote report.csv to {out}")
-    return 0
+    return _report(args, config.base_seed,
+                   [(f"{config.num_nodes} nodes (share {share:.4g})", config)])
 
 
 def _cmd_hist(args) -> int:
@@ -590,15 +591,7 @@ def _cmd_table1(args) -> int:
         configs = builtin_benchmark_configs(repetitions=args.reps, base_seed=args.seed)
     except InvalidInput as e:
         raise SchemaError("table1", str(e)) from None
-    print(f"base_seed={args.seed}")
-    rows, text = table1_report(configs, workers=args.workers)
-    print(text)
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.csv").write_bytes(write_report_csv(rows))
-        print(f"wrote report.csv to {out}")
-    return 0
+    return _report(args, args.seed, configs)
 
 
 def _build_parser() -> argparse.ArgumentParser:

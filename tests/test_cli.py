@@ -482,6 +482,13 @@ class TestReport:
                 assert cells[1 + 2 * i] == f"{row.mean_empirical:.4f} ({row.mean_predicted:.4f})"
                 assert cells[2 + 2 * i] == f"{row.var_empirical:.3e} ({row.var_predicted:.3e})"
 
+    def test_legend_names_both_bases(self):
+        # the frd column is predict's leading order: its mean drops S_i(0)
+        _, text = table1_report(builtin_benchmark_configs(repetitions=20)[:1])
+        assert text.splitlines()[0] == (
+            "empirical (predicted); constant predictions are the beta-limit values; frd ones "
+            "are leading order in n, and their mean leaves out S_i(0)")
+
     def test_builtin_configs(self):
         pairs = builtin_benchmark_configs(repetitions=10)
         assert len(pairs) == 4
@@ -804,15 +811,108 @@ HIST_BETA_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("pair", list(HIST_BETA_GOLDEN))
-def test_hist_beta_svg_pinned(tmp_path, monkeypatch, pair):
-    monkeypatch.setitem(sys.modules, "scipy", None)
+def write_ramp_samples(tmp_path) -> Path:
+    """The fixed samples.csv of the hist pins: rep r of 200 has fraction r/199."""
     samples = tmp_path / "samples.csv"
     samples.write_text("rep,node,final_fraction\n"
                        + "".join(f"{r},0,{r / 199!r}\n" for r in range(200)))
+    return samples
+
+
+@pytest.mark.parametrize("pair", list(HIST_BETA_GOLDEN))
+def test_hist_beta_svg_pinned(tmp_path, monkeypatch, pair):
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    samples = write_ramp_samples(tmp_path)
     svg = tmp_path / "h.svg"
     assert main(["hist", "--samples", str(samples), "--beta", pair, "--out", str(svg)]) == 0
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == HIST_BETA_GOLDEN[pair]
+
+
+# sha256 of `hist` with a mean marker on the same samples.csv, pinned before
+# the axis lines and labels were each drawn by one element writer; the
+# benchmark's hist runs `--mean-marker 0.5` alone
+HIST_MARKER_GOLDEN = {
+    "--mean-marker 0.5": "5ae98ce81377d2634e2c868b654c7d7fd6c8669c21af3c91ac8f2d5cd3b6e406",
+    "--beta 2,5 --mean-marker 0.3":
+        "86106a6084f7f189c11989881626cf4001c8d33cf21323c8b75a815f96f89e15",
+}
+
+
+@pytest.mark.parametrize("flags", list(HIST_MARKER_GOLDEN))
+def test_hist_marker_svg_pinned(tmp_path, flags):
+    samples = write_ramp_samples(tmp_path)
+    svg = tmp_path / "h.svg"
+    assert main(["hist", "--samples", str(samples), *flags.split(), "--out", str(svg)]) == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == HIST_MARKER_GOLDEN[flags]
+
+
+# sha256 of each command's whole stdout, the test's directory shown as TMP;
+# {config} is MINIMAL with 50 reps of 100 steps, recorded at stride 25.
+# Pinned before simulate, compare and table1 shared one directory writer;
+# compare's and table1's were then re-pinned with only the report legend
+# changed, when it began to name the frd basis
+STDOUT_GOLDEN = {
+    "simulate": ("simulate --config {config} --out {tmp}/out",
+                 "f15ea7739eca203dbcc4cf60032be0177704a7f0c94292e90c8480fa73c00b25"),
+    "compare": ("compare --config {config} --out {tmp}/cmp",
+                "1ca9ec2f56c9048b5c7faab09be3faba0c707dc8a7bb8217cbf3b893146c54a5"),
+    "table1_out": ("table1 --reps 20 --out {tmp}/t1",
+                   "f5e68fb99d72b47622c5d21ba13f9d2f7084c0ced885ab698cf6b5b24ac62974"),
+    "table1": ("table1 --reps 20",
+               "b51f374c291997be3e3c0799613f19f9ced45b6b1a35c5f2e76387ae7521bce1"),
+    "hist": ("hist --samples {samples} --mean-marker 0.5 --out {tmp}/h.svg",
+             "f4dcaacf111ce207a9b2e75d13e677a31357c38e7fe432f747fcd8b967253438"),
+}
+
+
+@pytest.mark.parametrize("name", list(STDOUT_GOLDEN))
+def test_stdout_pinned(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    argv, sha = STDOUT_GOLDEN[name]
+    config = tmp_path / "config.json"
+    config.write_bytes(as_json(dict(MINIMAL, repetitions=50, steps_n=100, record={"stride": 25})))
+    samples = write_ramp_samples(tmp_path)
+    assert main([a.format(tmp=tmp_path, config=config, samples=samples) for a in argv.split()]) == 0
+    out = capsys.readouterr().out.replace(str(tmp_path), "TMP")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha, out
+
+
+class TestOutputDirectory:
+    """simulate, compare and table1 write their files through one writer."""
+
+    FILES = {"simulate": ("samples.csv", "stats.csv", "run.json"),
+             "compare": ("report.csv",), "table1": ("report.csv",)}
+
+    @pytest.mark.parametrize("command", list(FILES))
+    def test_missing_nested_out_is_made_and_overwritten(self, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_bytes(as_json(dict(MINIMAL, repetitions=20, steps_n=50)))
+        out = tmp_path / "a" / "b" / "c"
+        flags = ["--reps", "20"] if command == "table1" else ["--config", str(config)]
+        argv = [command, *flags, "--out", str(out)]
+        assert main(argv) == 0
+        first = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert sorted(first) == sorted(self.FILES[command])
+        for name in first:
+            (out / name).write_bytes(b"stale")
+        assert main(argv) == 0
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == first
+        wrote = f"wrote {', '.join(self.FILES[command])} to {out}\n"
+        assert capsys.readouterr().out.count(wrote) == 2
+
+    def test_table1_without_out_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["table1", "--reps", "20"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        assert "wrote" not in capsys.readouterr().out
+
+    def test_compare_writes_to_the_working_directory_by_default(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_bytes(as_json(dict(MINIMAL, repetitions=20, steps_n=50)))
+        assert main(["compare", "--config", "config.json"]) == 0
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json", "report.csv"]
+        assert capsys.readouterr().out.endswith("\nwrote report.csv to .\n")
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
