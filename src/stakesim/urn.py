@@ -76,6 +76,8 @@ def repetition_draws(
     Repetition r reads values r*n .. (r+1)*n - 1 of the one stream seeded
     with `seed`, as a serial loop over repetitions would, so its draws do
     not depend on chunking, and depend on n as well as on the seed and r.
+    Value k is (x >> 11) * 2**-53, x the k-th raw 64-bit output of
+    PCG64(seed), which is how Generator.random reads the stream.
     This is the only place a seed becomes draws.
     `out`, a C-contiguous (count, n) float64 array, receives the draws in
     place of a new array; the values are the same.

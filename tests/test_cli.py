@@ -200,12 +200,11 @@ def hand_built_result(first: int, reps: int, m: int, values) -> ExperimentResult
                             proposer_counts=np.zeros(m, dtype=np.int64), time_series=None)
 
 
-# samples.csv cells that np.loadtxt and the csv row loop might read
-# differently: the padding int() and float() strip or refuse (loadtxt strips
-# \x1c-\x1f and reads "1\u01fe" as 472), "_" and Unicode digits,
-# quotes, a float or an exponent as an int, int64's edges and beyond, hex, a
-# comment, an int of more digits than int() converts and a field longer than
-# csv reads
+# samples.csv cells that np.loadtxt and a plain reader might read
+# differently: padding (loadtxt strips \x1c-\x1f and, outside ASCII, reads
+# "1\u01fe" as 472), "_" and Unicode digits, quotes, a float or an exponent
+# as an int, int64's edges and beyond, hex, a comment, an int of more
+# digits than int() converts and a long field
 _PAD = st.sampled_from(["", "", "", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
                         "\u01fe", "\u2028", "\u3000", "\ufeff", "\x00"])
 _INT_CELL = st.one_of(st.integers(-1, 3).map(str), st.sampled_from([
@@ -242,10 +241,60 @@ _SAMPLES_TEXT = st.one_of(
                   st.sampled_from(["\n", "\n", "\r\n", "\r", "\r\r\n", ""])),
 )
 
+# what np.loadtxt strips around a cell: ASCII whitespace but the line ends
+_CELL_PAD = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+_ROW_REFUSED = "a row np.loadtxt refuses"
 
-def _samples_outcome(parse, text):
+
+def _int64_cell(cell: str) -> int:
+    """A signed decimal int64 cell.  Leading zeros are dropped first: numpy
+    reads any number of them, but int() refuses over 4,300 digits."""
+    match = re.fullmatch(r"([+-]?)0*([0-9]+)", cell)
+    if match is None or len(match[2]) > 19:
+        raise ValueError(cell)
+    value = int(match[1] + match[2])
+    if not -2**63 <= value < 2**63:
+        raise ValueError(cell)
+    return value
+
+
+def reference_samples(data: bytes) -> dict[int, np.ndarray]:
+    r"""load_samples_csv's grammar read line by line in plain Python: split
+    on \n, one \r dropped before each \n and at the end, a \r anywhere
+    else refused, and _int64_cell and float() on the stripped cells,
+    with no "_" in the float."""
+    if not data.isascii():
+        raise SchemaError("samples", "not ASCII")
+    header, _, body = data.decode().partition("\n")
+    if header.removesuffix("\r") != "rep,node,final_fraction":
+        raise SchemaError("samples", "expected header rep,node,final_fraction")
+    if not body.strip("\r\n"):
+        return {}
+    per_node: dict[int, list[tuple[int, float]]] = {}
+    for line in body.split("\n"):
+        line = line.removesuffix("\r")
+        if not line:
+            continue
+        cells = [cell.strip(_CELL_PAD) for cell in line.split(",")]
+        try:
+            if "\r" in line or len(cells) != 3 or "_" in cells[2]:
+                raise ValueError(line)
+            rep, node, value = _int64_cell(cells[0]), _int64_cell(cells[1]), float(cells[2])
+        except ValueError:
+            raise SchemaError("samples", _ROW_REFUSED) from None
+        per_node.setdefault(node, []).append((rep, value))
+    for node in sorted(per_node):
+        reps = sorted(rep for rep, _ in per_node[node])
+        repeated = [a for a, b in zip(reps, reps[1:]) if a == b]
+        if repeated:
+            raise SchemaError("samples", f"rep {repeated[0]} appears more than once for node {node}")
+    return {node: np.array([v for _, v in sorted(pairs, key=lambda pair: pair[0])])
+            for node, pairs in per_node.items()}
+
+
+def _samples_outcome(parse, data):
     try:
-        return parse(text)
+        return parse(data)
     except SchemaError as e:
         return str(e)
 
@@ -299,11 +348,9 @@ class TestCsv:
         for node in (0, 1):
             assert np.array_equal(per_node[node], small_result.final_fractions[:, node])
 
-    @pytest.mark.parametrize("big_rep", [False, True], ids=["loadtxt", "row-loop"])
-    def test_samples_load_in_first_seen_node_order(self, monkeypatch, big_rep):
-        # nodes first appear as 2, 0, 1 and reps come shuffled; 2**63 does not
-        # fit int64, so only the csv row loop reads that file
-        reps = [3, 0, 2**63, 1] if big_rep else [3, 0, 1]
+    def test_samples_load_in_first_seen_node_order(self):
+        # nodes first appear as 2, 0, 1 and reps come shuffled
+        reps = [3, 0, 1]
         special = {(0, 2): "-0.0", (1, 0): "nan", (3, 1): "-nan"}
 
         def cell(rep, node):
@@ -311,10 +358,6 @@ class TestCsv:
 
         text = "rep,node,final_fraction\n" + "".join(
             f"{rep},{node},{cell(rep, node)}\n" for rep in reps for node in (2, 0, 1))
-        if not big_rep:
-            def no_fallback(data):
-                raise AssertionError("the csv row loop ran on a file np.loadtxt reads")
-            monkeypatch.setattr(cli, "_parse_samples_rows", no_fallback)
         per_node = load_samples_csv(text.encode())
         assert list(per_node) == [2, 0, 1]
         for node, values in per_node.items():
@@ -331,9 +374,18 @@ class TestCsv:
     @example(text="rep,node,final_fraction\n0,0,0.5\x1e\n")
     @example(text="rep,node,final_fraction\n" + "0" * 4400 + "1,0,0.5\n")
     @example(text="rep,node,final_fraction\n0,0," + " " * 131_073 + "0.5\n")
+    @example(text="rep,node,final_fraction\n\r\r")
+    @example(text="rep,node,final_fraction\n0,1,0.5\n0,0,0.5\n0,1,0.5\n0,0,0.5\n")
     def test_samples_loader_matches_row_loop(self, text):
-        fast = _samples_outcome(load_samples_csv, text)
-        reference = _samples_outcome(cli._parse_samples_rows, text)
+        # the reference words its own errors as the loader does; a row it
+        # refuses must come out as numpy's reason, none of those
+        data = text.encode()
+        fast = _samples_outcome(load_samples_csv, data)
+        reference = _samples_outcome(reference_samples, data)
+        if reference == f"samples: {_ROW_REFUSED}":
+            assert isinstance(fast, str) and fast.startswith("samples: ")
+            assert not re.match(r"samples: (not ASCII|expected header|rep -?\d+ appears)", fast)
+            return
         if isinstance(reference, str):
             assert fast == reference
             return
@@ -713,30 +765,44 @@ class TestMainCommands:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    # numpy words a row it refuses, perhaps differently in another numpy
+    # version, so there "..." stands for any text around the bad cell or
+    # the column count
     @pytest.mark.parametrize("rows,message", [
-        (b"x,0,0.4\n", "samples: line 2: expected rep,node,final_fraction, got ['x', '0', '0.4']"),
-        (b"0,0,0.5\n1,0\n", "samples: line 3: expected rep,node,final_fraction, got ['1', '0']"),
+        (b"x,0,0.4\n", "samples: ...'x'..."),
+        (b"0,0,0.5\n1,0\n", "samples: ...requires 3 columns but 2 were found..."),
         (b"0,0,0.5\n1,0,nan\n2,0,0.3\n", "hist: samples must lie in [0, 1]"),
-        (b"0,0,0.5\xff\n", "samples: not valid UTF-8"),
+        (b"0,0,0.5\xff\n", "samples: not ASCII"),
         (b"0,0,0.5\n0,0,0.7\n", "samples: rep 0 appears more than once for node 0"),
         (b"0,0,0.5\n0,1,0.5\n1,0,0.2\n1,1,0.8\n1,1,0.8\n",
          "samples: rep 1 appears more than once for node 1"),
-        (b"0,0,0.5\n  \n", "samples: line 3: expected rep,node,final_fraction, got ['  ']"),
-        (b"0,0,0.5 # x\n",
-         "samples: line 2: expected rep,node,final_fraction, got ['0', '0', '0.5 # x']"),
-        (b"0,0,0.5,\n",
-         "samples: line 2: expected rep,node,final_fraction, got ['0', '0', '0.5', '']"),
+        (b"0,0,0.5\n  \n", "samples: ...requires 3 columns but 1 were found..."),
+        (b"0,0,0.5 # x\n", "samples: ...'0.5 # x'..."),
+        (b"0,0,0.5,\n", "samples: ...requires 3 columns but 4 were found..."),
         (b"", "node: node 0 not present in samples"),
-        (b"0,0,0.5\r1,0,0.25\r", "samples: line 2: new-line character seen in unquoted field - "
-                                "do you need to open the file in universal-newline mode?"),
+        (b"0,0,0.5\r1,0,0.25\r", "samples: ...embedded newline..."),
+        # loadtxt would read the first as the int 472
+        (b"1\xc7\xbe,0,0.5\n", "samples: not ASCII"),
+        (b'"0",0,0.5\n', "samples: ...'\"0\"'..."),
+        (b"9223372036854775808,0,0.5\n", "samples: ...'9223372036854775808'..."),
     ])
     def test_hist_bad_samples_is_config_error(self, tmp_path, capsys, rows, message):
         samples = tmp_path / "samples.csv"
         samples.write_bytes(b"rep,node,final_fraction\n" + rows)
         svg = tmp_path / "h.svg"
         assert main(["hist", "--samples", str(samples), "--out", str(svg)]) == 2
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        pattern = ".*".join(re.escape(part) for part in message.split("..."))
+        assert re.fullmatch(f"config error: {pattern}\n", capsys.readouterr().err)
         assert not svg.exists()
+
+    def test_hist_missing_samples_is_config_error(self, tmp_path, capsys):
+        # as a missing --config is; hist makes its --out directory, so only
+        # a missing input can be missing
+        svg = tmp_path / "out" / "h.svg"
+        assert main(["hist", "--samples", str(tmp_path / "none.csv"), "--out", str(svg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [Errno 2] ") and "none.csv" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags,message", [
         (["--reps", "0"], "table1: repetitions must be >= 1, got 0"),
@@ -850,7 +916,8 @@ def test_hist_marker_svg_pinned(tmp_path, flags):
 # {config} is MINIMAL with 50 reps of 100 steps, recorded at stride 25.
 # Pinned before simulate, compare and table1 shared one directory writer;
 # compare's and table1's were then re-pinned with only the report legend
-# changed, when it began to name the frd basis
+# changed, when it began to name the frd basis, and hist's with only its
+# "wrote" line changed, when hist joined that writer
 STDOUT_GOLDEN = {
     "simulate": ("simulate --config {config} --out {tmp}/out",
                  "f15ea7739eca203dbcc4cf60032be0177704a7f0c94292e90c8480fa73c00b25"),
@@ -861,7 +928,7 @@ STDOUT_GOLDEN = {
     "table1": ("table1 --reps 20",
                "b51f374c291997be3e3c0799613f19f9ced45b6b1a35c5f2e76387ae7521bce1"),
     "hist": ("hist --samples {samples} --mean-marker 0.5 --out {tmp}/h.svg",
-             "f4dcaacf111ce207a9b2e75d13e677a31357c38e7fe432f747fcd8b967253438"),
+             "2f4203f4c9726f9ed50667bf65a067ace00ef8dd019f2d4ad6cc721824e6589e"),
 }
 
 
@@ -878,18 +945,23 @@ def test_stdout_pinned(tmp_path, capsys, monkeypatch, name):
 
 
 class TestOutputDirectory:
-    """simulate, compare and table1 write their files through one writer."""
+    """simulate, compare, table1 and hist write their files through one
+    writer; hist's --out names its file, the others' their directory."""
 
     FILES = {"simulate": ("samples.csv", "stats.csv", "run.json"),
-             "compare": ("report.csv",), "table1": ("report.csv",)}
+             "compare": ("report.csv",), "table1": ("report.csv",), "hist": ("h.svg",)}
 
     @pytest.mark.parametrize("command", list(FILES))
     def test_missing_nested_out_is_made_and_overwritten(self, tmp_path, capsys, command):
         config = tmp_path / "config.json"
         config.write_bytes(as_json(dict(MINIMAL, repetitions=20, steps_n=50)))
         out = tmp_path / "a" / "b" / "c"
-        flags = ["--reps", "20"] if command == "table1" else ["--config", str(config)]
-        argv = [command, *flags, "--out", str(out)]
+        flags = ["--config", str(config), "--out", str(out)]
+        if command == "table1":
+            flags = ["--reps", "20", "--out", str(out)]
+        elif command == "hist":
+            flags = ["--samples", str(write_ramp_samples(tmp_path)), "--out", str(out / "h.svg")]
+        argv = [command, *flags]
         assert main(argv) == 0
         first = {f.name: f.read_bytes() for f in out.iterdir()}
         assert sorted(first) == sorted(self.FILES[command])

@@ -856,6 +856,22 @@ def force_helpers(patch, cpus):
     patch.setattr(urn, "_OVERLAP_URNS", 0)
 
 
+class TestStreamRule:
+    """README's Stream rule, stated without numpy's Generator: the draws are
+    PCG64's raw 64-bit outputs, each read as (raw >> 11) * 2**-53."""
+
+    @pytest.mark.parametrize("seed,first,count,n", [
+        (1, 0, 40, 1000), (2**63 + 5, 17, 33, 77), (0, 0, 1, 1), (2**64 - 1, 3, 5, 0)])
+    def test_draws_are_pcg64_raw_bits(self, seed, first, count, n):
+        bitgen = np.random.PCG64(seed)
+        bitgen.advance(first * n)
+        raw = bitgen.random_raw(count * n).reshape(count, n)
+        expected = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        assert repetition_draws(seed, first, count, n).tobytes() == expected.tobytes(), (
+            "Generator.random no longer reads PCG64's raw outputs as (raw >> 11) * 2**-53: "
+            "README's Stream rule, and every output byte pinned on it, would change")
+
+
 class TestHelperThread:
     """With two usable CPUs, a large draw fill runs half its rows on a
     helper thread and the kernel builds each next threshold block there;
