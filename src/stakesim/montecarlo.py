@@ -12,7 +12,10 @@ run_experiments runs them as one batch over one draw of the stream.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+import os
+import sys
+from collections.abc import Callable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInput, StakeSimError, check_budget, check_integer, check_node
 from .schemes import ROW_SUM_RTOL, RewardMatrix, constant_matrix, custom_matrix, frd_matrix
-from .urn import recorded_steps, repetition_draws, slot_snapshots, stake_vector
+from .urn import draw_job, recorded_steps, repetition_draws, slot_snapshots, stake_vector
 
 SCHEMES = ("constant", "frd", "custom")
 
@@ -355,13 +358,15 @@ def _chunk_bounds(start: int, stop: int, n: int, workers: int) -> list[tuple[int
 
     A chunk's draws are all drawn before its slot-kernel pass, so the caps
     bound them: at most 32 MiB at steps_n = 1000, where 20,000 repetitions
-    run as 5 chunks of 4,000.  Above steps_n = 2048 the draw budget binds
-    first.  Each extra chunk costs one more kernel pass, whose fixed cost
-    per slot does not shrink with the chunk.  Runs that record take the
-    same cap, and batching their stops' exact sums (_chunk_task) pays for
-    the extra pass: at 5,000 repetitions of 1,000 slots recorded every 10,
-    on a 2-core box, the 4,096 cap alone ran about 1.06x as long as one
-    5,000-urn chunk, and with batching about 0.97x."""
+    run as 5 chunks of 4,000, which a serial run that draws ahead takes as
+    10 of 2,000 in two 16 MiB buffers (_serial_chunks).  Above
+    steps_n = 2048 the draw budget binds first.  Each extra chunk costs one
+    more kernel pass, whose fixed cost per slot does not shrink with the
+    chunk.  Runs that record take the same cap, and batching their stops'
+    exact sums (_chunk_task) pays for the extra pass: at 5,000 repetitions
+    of 1,000 slots recorded every 10, on a 2-core box, the 4,096 cap alone
+    ran about 1.06x as long as one 5,000-urn chunk, and with batching about
+    0.97x."""
     cap = _MAX_CHUNK
     if n > 0:
         cap = min(cap, max(1, _DRAW_BUDGET // n))
@@ -416,7 +421,7 @@ def _chunk_task(
     initial: np.ndarray,
     leading: int,
     bounds: tuple[int, int],
-    buffer: np.ndarray | None = None,
+    draws: np.ndarray | None = None,
 ) -> list[ExperimentResult]:
     """Simulate repetitions [a, b) of every config on their block of the
     run's one stream (urn.repetition_draws), drawn once: one group of urns
@@ -431,9 +436,9 @@ def _chunk_task(
     stops, while its limbs (32 bytes per value) stay within a core's L2
     cache.  At 2,500 urns of 2 tracked nodes, bounds of 20,000 to 80,000
     values ran alike and 10,000 about 2% slower.  The integers do not
-    depend on the batching.  The draws go into the leading b - a rows of
-    `buffer`, a C-contiguous float64 array of steps_n columns, when one is
-    given, and into a new array otherwise.
+    depend on the batching.  `draws` are the chunk's (b - a, steps_n)
+    draws when the caller has drawn them (_serial_chunks); otherwise they
+    are drawn here.
 
     Each result holds the `leading` (k) first nodes: final_fractions is
     (b - a, k) and proposer_counts (k,)."""
@@ -441,8 +446,8 @@ def _chunk_task(
     a, b = bounds
     count = b - a
     n = config.steps_n
-    draws = repetition_draws(config.base_seed, a, count, n,
-                             out=None if buffer is None else buffer[:count])
+    if draws is None:
+        draws = repetition_draws(config.base_seed, a, count, n)
     groups = len(configs)
     stakes = np.tile(initial, (groups * count, 1))
     record = config.record.stride > 0
@@ -489,6 +494,109 @@ def _chunk_task(
     ]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may keep busy: one in a process that
+    multiprocessing started, as a pool's workers (run_experiments'
+    `workers`) already share the machine's; else its affinity mask, where
+    the OS has one."""
+    # a process that never imported multiprocessing was not started by it
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# the least work a serial run shares with a helper thread, as fixed sizes,
+# not options: a chunk of _SPLIT_DRAWS draws (4 MiB) is drawn in two halves,
+# one on each thread, and a run draws the next chunk while the kernel runs
+# this one when halving its chunks leaves each half _OVERLAP_URNS urns and
+# _SPLIT_DRAWS draws.  On a 2-core box, with the thread's start and join, a
+# split fill of 2**17 draws took 1.06x the time of one generator, 2**18
+# 0.85x and 2**19 0.72x.  Drawing ahead in halves of 2,000 urns of 1,000
+# slots took about 0.9x the time of the whole chunks, and in halves of
+# 1,250 and 1,000 urns 1.06x and 1.10x, as each extra chunk costs one more
+# kernel pass; in halves of 2,048 urns of 10 slots it took 2.1x.
+_SPLIT_DRAWS = 1 << 19
+_OVERLAP_URNS = 1600
+
+
+@contextmanager
+def _helper(threaded: bool):
+    """A submit(fn, *args, **kwargs) that returns a wait(): a call with no
+    arguments that returns fn's result or raises its exception.
+
+    When `threaded`, fn runs on one helper thread, started here and joined
+    on exit, so none outlives the block that opened it (nor is inherited by
+    a later fork); wait is its future's result.  Otherwise wait is
+    functools.partial(fn, *args, **kwargs): fn runs when waited on, on the
+    waiting thread, the same calls in the same order.  Callers hand a
+    helper only numpy calls that release the GIL and write memory allocated
+    before the call.
+    """
+    if not threaded:
+        yield partial
+        return
+    # imported here, as the process pool is: a run that never starts a
+    # helper never loads these modules
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield lambda *args, **kwargs: pool.submit(*args, **kwargs).result
+
+
+def _serial_chunks(
+    task: Callable[..., list[ExperimentResult]],
+    seed: int,
+    n: int,
+    bounds: list[tuple[int, int]],
+) -> list[list[ExperimentResult]]:
+    """task(bounds, draws) for each chunk of `bounds` in turn, on draws this
+    process makes (urn.draw_job): the outputs, in order.
+
+    With two usable CPUs, a helper thread takes a share of the drawing.
+    When halving the chunks leaves each half at least _OVERLAP_URNS urns and
+    _SPLIT_DRAWS draws, the run takes the halves as its chunks and draws
+    ahead: the helper draws chunk i + 1 into one of two buffers while the
+    kernel runs chunk i on the other.  Otherwise, and for the first chunk,
+    when the largest chunk holds at least _SPLIT_DRAWS draws, each chunk is
+    drawn in two halves at once, one on each thread.  With one CPU every
+    call runs in the same order on this thread.  Each chunk reads the same
+    values of the one stream whichever thread draws it, so the outputs do
+    not depend on the plan.
+
+    A chunk's draws are slot-major: the leading values of a row of one
+    buffer, allocated once per run, viewed as (n, chunk) and transposed.
+    Each fill (urn.draw_job) makes its generator and scratch block on this
+    thread when it is handed out, and frees them when it ends, so that the
+    kernel's buffers can take their memory."""
+    threads = _usable_cpus() >= 2
+    half = min(b - a for a, b in bounds) // 2
+    ahead = threads and half >= _OVERLAP_URNS and half * n >= _SPLIT_DRAWS
+    if ahead:
+        bounds = [part for a, b in bounds for part in ((a, (a + b) // 2), ((a + b) // 2, b))]
+    largest = max(b - a for a, b in bounds)
+    buffers = np.empty((1 + ahead, largest * n))
+    views = [buffers[i % len(buffers), :(b - a) * n].reshape(n, b - a).T
+             for i, (a, b) in enumerate(bounds)]
+    outputs = []
+    with _helper(threads and largest * n >= _SPLIT_DRAWS) as submit:
+        for i, (a, b) in enumerate(bounds):
+            if ahead and i:
+                wait()
+            else:  # in two halves at once, one on each thread
+                cut = (b - a) // 2
+                rest = submit(draw_job(seed, a + cut, views[i][cut:]))
+                draw_job(seed, a, views[i][:cut])()
+                rest()
+            if ahead and i + 1 < len(bounds):
+                wait = submit(draw_job(seed, bounds[i + 1][0], views[i + 1]))
+            outputs.append(task((a, b), views[i]))
+    return outputs
+
+
 # what configs run together share: every field but the reward scheme
 _SHARED_FIELDS = tuple(f.name for f in fields(ExperimentConfig)
                        if f.init and f.name not in ("scheme", "custom_entries"))
@@ -517,10 +625,10 @@ def run_experiments(
     exactly the full-run result (see merge_results).  `workers` > 1 farms
     chunks (_chunk_bounds) to a process pool of at most as many workers as
     chunks, each drawing into its own arrays; the output is identical to
-    the serial run.  A serial run allocates one draw buffer the size of its
-    largest chunk and draws every chunk into a leading slice of it, so its
-    pages are touched once per run, not once per chunk.  Either way each
-    chunk reads the same values of the one stream.
+    the serial run.  A serial run draws into buffers it allocates once
+    (one, or two when it draws the next chunk while the kernel runs this
+    one) and may share the drawing with a helper thread (_serial_chunks).
+    Either way each chunk reads the same values of the one stream.
 
     `leading_nodes` k (default: all m nodes), 1 <= k <= m, keeps only nodes
     0 .. k-1 in the results: final_fractions is (reps, k) and
@@ -575,9 +683,7 @@ def run_experiments(
         with ProcessPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
             outputs = list(pool.map(task, bounds))
     else:
-        # one draw buffer for every chunk, so its pages are touched once per run
-        buffer = np.empty((max(b - a for a, b in bounds), n))
-        outputs = [task(b, buffer) for b in bounds]
+        outputs = _serial_chunks(task, config.base_seed, n, bounds)
     return [merge_results(parts) for parts in zip(*outputs)]
 
 

@@ -5,15 +5,39 @@ stake, then row g of the reward matrix is added to all stakes.  The total
 stake therefore grows by exactly the row sum K each slot.  One trajectory
 is run_slots on a (1, m) stake array fed repetition_draws(seed, 0, 1, n),
 which is repetition 0 of any run with that seed and horizon.
+
+Output bits across numpy versions.  The draws are Generator.random on
+PCG64, pinned to the stream's raw outputs by
+tests/test_urn.py::TestStreamRule.  Every other numpy call whose bits reach
+an output computes them so that no version can change them:
+- draw_job's block copy into slot-major draws is a copy: it moves bits
+  and rounds nothing.
+- A threshold is one np.multiply of a draw by S(t), and the stake and
+  prefix sums are np.add of two floats: IEEE 754 operations, each
+  correctly rounded, so their bits do not depend on the loop, its SIMD
+  width or the draws' layout.
+- S(t) is np.add.accumulate over a 1-D array: a running sum, each element
+  the previous one plus the next input, one correctly rounded add each.
+  numpy sums pairwise only in reductions, never in accumulate; pinned by
+  TestSlotSnapshots::test_totals_are_one_running_sum.
+- _exact_pass' np.add.reduce sums equal their targets only when the
+  exact sums do, in any summation order (see its docstring), and _settle's
+  run only on exact passes, where every partial sum is exact and so the
+  same in any order, pairwise or not.
+- montecarlo's fractions are np.divide, one correctly rounded division
+  each, and its exact moments are sums of integers below 2**53 (_exact_sums),
+  the same in any order, BLAS or not.
+- np.unique in cli.write_samples_csv groups the fractions' bit patterns so
+  that each distinct value is formatted once; a value's text does not
+  depend on the grouping, and the inverse of a 1-D input is 1-D in every
+  version.
+- The %.17g text is Python's float formatting, not numpy's: Python's own
+  correctly rounded conversion, the same on every platform.
 """
 from __future__ import annotations
 
 import math
-import os
-import sys
-from collections.abc import Generator, Sequence
-from contextlib import contextmanager
-from functools import partial
+from collections.abc import Callable, Generator, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -78,89 +102,61 @@ def repetition_draws(
     not depend on chunking, and depend on n as well as on the seed and r.
     Value k is (x >> 11) * 2**-53, x the k-th raw 64-bit output of
     PCG64(seed), which is how Generator.random reads the stream.
-    This is the only place a seed becomes draws.
-    `out`, a C-contiguous (count, n) float64 array, receives the draws in
-    place of a new array; the values are the same.
 
-    The rows are filled in two halves, each from its own generator on the
-    stream, the second advanced to its first row's first value: every value
-    is read at the same stream position either way, so the array does not
-    depend on the split.  A large fill runs its second half on a helper
-    thread (_helper) while this thread fills the first.
+    The draws are returned slot-major: the (count, n) transpose of a
+    C-contiguous (n, count) array, so that each slot's draws are contiguous
+    (strides[0] == 8), as the slot kernel reads them.  `out`, a (count, n)
+    float64 array of any layout, receives the draws in place of a new
+    array; the values are the same.  draw_job makes them.
     """
-    draws = np.empty((count, n)) if out is None else out
-    cut = count // 2
-    # both generators are made here, in the calling thread
-    fills = []
-    for row in (first, first + cut):
-        bitgen = np.random.PCG64(seed)
-        bitgen.advance(row * n)  # one 64-bit output per double
-        fills.append(np.random.Generator(bitgen).random)
-    with _helper(count * n >= _SPLIT_DRAWS) as submit:
-        rest = submit(fills[1], out=draws[cut:])
-        fills[0](out=draws[:cut])
-        rest()
-    return draws
+    return draw_job(seed, first, np.empty((n, count)).T if out is None else out)()
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may keep busy: one in a process that
-    multiprocessing started, as a pool's workers (run_experiments'
-    `workers`) already share the machine's; else its affinity mask, where
-    the OS has one."""
-    # a process that never imported multiprocessing was not started by it
-    multiprocessing = sys.modules.get("multiprocessing")
-    if multiprocessing is not None and multiprocessing.parent_process() is not None:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+def draw_job(seed: int, first: int, out: np.ndarray) -> Callable[[], np.ndarray]:
+    """A call with no arguments that writes repetition_draws(seed, first,
+    count, n) into `out`, a (count, n) float64 array of any layout, and
+    returns it.  This is the only place a seed becomes draws.
 
-
-# the least work a helper thread takes on, as fixed sizes, not options: a
-# fill of _SPLIT_DRAWS draws (4 MiB), and blocks of _OVERLAP_URNS urns.  A
-# thread's start and join cost about 0.1-0.4 ms, and each block it builds
-# some tens of microseconds more.  On a 2-core box a split fill of 2**18
-# draws took 0.98x the time of one generator and 2**19 0.77x; a kernel pass
-# of 1,024 urns took 1.06-1.37x with a helper, 1,536 broke even and 2,048
-# took 0.86x.
-_SPLIT_DRAWS = 1 << 19
-_OVERLAP_URNS = 1600
-
-
-@contextmanager
-def _helper(large: bool):
-    """A submit(fn, *args, **kwargs) that returns a wait(): a call with no
-    arguments that returns fn's result or raises its exception.
-
-    For `large` work with at least two usable CPUs, fn runs on one helper
-    thread, started here and joined on exit, so none outlives the call that
-    opened it (nor is inherited by a later fork); wait is its future's
-    result.  Otherwise wait is functools.partial(fn, *args, **kwargs): fn
-    runs when waited on, on the waiting thread, the same calls in the same
-    order, which on one CPU cost less than a thread's switches.  Callers
-    hand a helper only numpy calls that release the GIL and write memory
-    allocated before the call.
+    Its generator, advanced once to value first * n, and a scratch block of
+    repetitions are made here, on the calling thread, so that the call
+    allocates nothing and may run on a helper thread (memory that a helper
+    thread allocates stays in its own malloc arena).  The call fills the
+    scratch with one block of repetitions at a time and copies each block
+    into its rows of `out`; every value is read at the same stream position
+    whatever the block size, so `out` depends on neither it nor its layout.
     """
-    if not large or _usable_cpus() < 2:
-        yield partial
-        return
-    # imported here, as the process pool is: a run that never starts a
-    # helper never loads these modules
-    from concurrent.futures import ThreadPoolExecutor
+    count, n = out.shape
+    bitgen = np.random.PCG64(seed)
+    bitgen.advance(first * n)  # one 64-bit output per double
+    fill = np.random.Generator(bitgen).random
+    scratch = np.empty((max(1, min(count, _DRAW_BLOCK // max(n, 1))), n))
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        yield lambda *args, **kwargs: pool.submit(*args, **kwargs).result
+    def job() -> np.ndarray:
+        for lead in range(0, count, len(scratch)):
+            rows = out[lead:lead + len(scratch)]
+            block = scratch[:len(rows)]
+            fill(out=block)
+            rows[...] = block
+        return out
+    return job
 
 
-# run_slots' block of slots and transpose tile of urns: fixed sizes that
-# keep a tile in cache, not options; no result depends on them.  Two blocks
-# of 32 slots take the memory one block of 64 did.  On one thread, tiles of
-# 1,024 urns copied as fast as tiles of 256, and a helper building a block
-# takes the GIL back after each copy, so it takes it a quarter as often.
+# draw_job's block: the repetitions that fit in _DRAW_BLOCK draws (768 KiB),
+# or one repetition when it holds more; a fixed size, not an option.  On a
+# 2-core box (numpy 2.4.6), filled and copied into slot-major draws of 1,000
+# slots, blocks of 96 to 128 repetitions took 4.1-4.6 ns per draw, of 80
+# 5.0-5.5 ns and of 64 5.6-6.1 ns; at 10,000 slots, into a chunk of 838
+# repetitions, blocks of 6 to 64 took 7.3-8.1 ns alike.  A chunk drawn in
+# halves on two threads holds two blocks, 1.5 MiB at 1,000 slots: table1's
+# peak RSS read about 0.1 MB (in process) and 0.44 MB (perfbench) above the
+# unblocked repetition-major fill's, and with blocks of 112 repetitions
+# (1.75 MiB) about 0.55 MB in process.
+_DRAW_BLOCK = 3 << 15
+
+
+# run_slots' block of slots: a fixed size that keeps the block's thresholds
+# in cache, not an option; no result depends on it
 _BLOCK_STEPS = 32
-_BLOCK_URNS = 1024
 
 
 def run_slots(
@@ -228,12 +224,11 @@ def slot_snapshots(
     pass, S(0) = `total` and S(t + 1) = S(t) + row sum, one in-order
     accumulate: the float adds of one running total.  A stop at s yields
     S(s), and the pass returns S(n).  The slots run in blocks of
-    _BLOCK_STEPS, whatever the stops: a block's draws are copied
-    step-major into a (block, count) buffer and slot t's row is scaled by
-    S(t) (_fill_block), so each threshold is the same one multiply whatever
-    the block and tile sizes.  Two buffers take turns: the next block is
-    built into one (on a helper thread when _helper starts one) while the
-    slot loop reads the other, and the loop waits for it before reading.
+    _BLOCK_STEPS, whatever the stops: before the slot loop reads a block,
+    slot t's row of a (block, count) buffer is made as its column of draws
+    times S(t), so each threshold is the same one multiply whatever the
+    block size or the layout of `draws` (slot-major draws, as
+    repetition_draws returns them, make each column one contiguous read).
     Every group reads that one row of thresholds draw * total: the
     compares see a (G, count) view of the urns and broadcast the row over
     the groups.
@@ -310,9 +305,7 @@ def slot_snapshots(
     rewards, live = rewards[:paid], columns[:paid]
     gains = np.empty((paid, urns))
     rows = min(n, _BLOCK_STEPS)
-    # two blocks of thresholds, so that a helper can build the next block
-    # (_fill_block) while the slot loop reads this one
-    thresholds = np.empty((2, rows, count))
+    thresholds = np.empty((rows, count))
     # sums[t]: the total after t slots, one running sum of the row sum
     sums = np.full(n + 1, row_sum)
     sums[0] = total
@@ -350,81 +343,57 @@ def slot_snapshots(
     if stop == 0:
         yield 0, total, columns
         stop = next(upcoming)
-    with _helper(count >= _OVERLAP_URNS) as submit:
-
-        def fill(start: int):
-            return submit(_fill_block, thresholds[start // _BLOCK_STEPS % 2], sums, draws, start)
-
-        wait = fill(0) if n else None
-        for start in range(0, n, _BLOCK_STEPS):
-            block = wait()
-            # a helper builds the next block into the other buffer while this
-            # one runs; with none, it is built when it is waited on
-            if start + _BLOCK_STEPS < n:
-                wait = fill(start + _BLOCK_STEPS)
-            width = len(block)
-            # stakes never fall, so a node m-1 positive in every urn now stays so,
-            # and the edge rule would give it the urns every mask already counted
-            # as its own: skip C_{m-1} and the edge check for the block; at m == 1
-            # the one node proposes every slot, and the check could move nothing
-            edge = m > 1 and not columns[m - 1].all()
-            for k in range(width):
-                threshold = block[k]
-                pick = picks[k]
-                less_equal(first, threshold, heads[k])
-                running = first
-                for column in later:
-                    running = add(running, column, prefix)
-                    less_equal(running, threshold, below_lanes)
-                    add(pick, mask, pick)
-                if edge and less_equal(add(running, last, prefix), threshold, below_lanes).any():
-                    # float edge: the running sum of stakes can land a hair below
-                    # the analytic total; the draw then belongs to the last node
-                    # with positive stake, not to node m-1 as the masks say
-                    fixed = np.flatnonzero(below)
-                    pick[fixed] = m - 1 - (columns[::-1, fixed] > 0).argmax(axis=0)
-                if offsets is None:
-                    copyto(index, pick)
-                else:
-                    add(pick, offsets, index)
-                if proposers is not None:
-                    proposers[:, start + k] = pick
-                # index is in [0, G * m), so "wrap" never wraps; it only skips the
-                # bounds-checked copy "raise" makes of `out`
-                take(index, 1, gains, "wrap")
-                add(live, gains, live)
-                if start + k + 1 == stop:
-                    if derived:
-                        _settle(columns, sums.item(stop))
-                    yield stop, sums.item(stop), columns
-                    stop = next(upcoming)
-            # the block's tallies: at_least[h, j] gains group h's picks >= j
-            done = picks[:width]
-            for j in range(1, m):
-                hits = done if j == 1 else np.greater_equal(done, j, out=flags[:width])
-                for g, part in enumerate(parts):
-                    at_least[g, j] += np.count_nonzero(hits[:, part])
+    for start in range(0, n, _BLOCK_STEPS):
+        width = min(_BLOCK_STEPS, n - start)
+        # slot t's thresholds: its draws times S(t), one multiply per draw
+        block = np.multiply(draws[:, start:start + width].T, sums[start:start + width, None],
+                            out=thresholds[:width])
+        # stakes never fall, so a node m-1 positive in every urn now stays so,
+        # and the edge rule would give it the urns every mask already counted
+        # as its own: skip C_{m-1} and the edge check for the block; at m == 1
+        # the one node proposes every slot, and the check could move nothing
+        edge = m > 1 and not columns[m - 1].all()
+        for k in range(width):
+            threshold = block[k]
+            pick = picks[k]
+            less_equal(first, threshold, heads[k])
+            running = first
+            for column in later:
+                running = add(running, column, prefix)
+                less_equal(running, threshold, below_lanes)
+                add(pick, mask, pick)
+            if edge and less_equal(add(running, last, prefix), threshold, below_lanes).any():
+                # float edge: the running sum of stakes can land a hair below
+                # the analytic total; the draw then belongs to the last node
+                # with positive stake, not to node m-1 as the masks say
+                fixed = np.flatnonzero(below)
+                pick[fixed] = m - 1 - (columns[::-1, fixed] > 0).argmax(axis=0)
+            if offsets is None:
+                copyto(index, pick)
+            else:
+                add(pick, offsets, index)
+            if proposers is not None:
+                proposers[:, start + k] = pick
+            # index is in [0, G * m), so "wrap" never wraps; it only skips the
+            # bounds-checked copy "raise" makes of `out`
+            take(index, 1, gains, "wrap")
+            add(live, gains, live)
+            if start + k + 1 == stop:
+                if derived:
+                    _settle(columns, sums.item(stop))
+                yield stop, sums.item(stop), columns
+                stop = next(upcoming)
+        # the block's tallies: at_least[h, j] gains group h's picks >= j
+        done = picks[:width]
+        for j in range(1, m):
+            hits = done if j == 1 else np.greater_equal(done, j, out=flags[:width])
+            for g, part in enumerate(parts):
+                at_least[g, j] += np.count_nonzero(hits[:, part])
     if derived:
         _settle(columns, sums.item(n))
     stakes[...] = columns.T
     at_least[:, :-1] -= at_least[:, 1:]  # now the per-node counts
     return (at_least if grouped else at_least[0]), sums.item(n)
-
-
-def _fill_block(buffer: np.ndarray, sums: np.ndarray, draws: np.ndarray, start: int) -> np.ndarray:
-    """Write and return the thresholds of the block of slots from `start`,
-    the leading rows of the (rows, count) `buffer` that draws' columns
-    fill: the draws copied step-major, a tile of _BLOCK_URNS urns at a
-    time, then slot t's row times its total sums[t], the same one multiply
-    whatever the block and tile sizes.  It writes only `buffer`, and each of
-    its few numpy calls releases the GIL, so it may run on a helper thread."""
-    block = buffer[:draws.shape[1] - start]
-    width, count = block.shape
-    for lead in range(0, count, _BLOCK_URNS):
-        tile = slice(lead, lead + _BLOCK_URNS)
-        np.copyto(block[:, tile], draws[tile, start:start + width].T)
-    block *= sums[start:start + width, None]
-    return block
 
 
 def _exact_pass(

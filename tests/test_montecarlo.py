@@ -362,6 +362,36 @@ class TestRunExperiments:
         for config, first, second in zip(configs, *halves):
             assert results_equal(merge_results([first, second]), run_experiment(config))
 
+    def test_drawn_ahead_run_equals_one_cpu_and_a_pool(self, monkeypatch):
+        # a G = 2 batch recorded every 7 steps, in 3 chunks of 20 that a
+        # serial run on 2 CPUs takes as 6 halves of 10, each drawn ahead
+        # but the first: equal to the run on 1 CPU and on 2 workers, and
+        # its rep_range halves merge into it
+        configs = [make_config(scheme=scheme, initial_stakes=(20.0, 30.0, 50.0), steps_n=50,
+                               repetitions=60, record=RecordPolicy(stride=7, track_nodes=(2, 0)))
+                   for scheme in ("constant", "frd")]
+        monkeypatch.setattr(montecarlo, "_MAX_CHUNK", 20)
+        runs = {}
+        for cpus in (1, 2):
+            with monkeypatch.context() as patch:
+                force_helpers(patch, cpus)
+                chunks = []
+                task = montecarlo._chunk_task
+
+                def spy(*args):
+                    chunks.append(args[4])
+                    return task(*args)
+                patch.setattr(montecarlo, "_chunk_task", spy)
+                runs[cpus] = run_experiments(configs)
+                size = 10 if cpus == 2 else 20
+                assert chunks == [(a, a + size) for a in range(0, 60, size)]
+                halves = [run_experiments(configs, rep_range=r) for r in [(0, 27), (27, 60)]]
+        pooled = run_experiments(configs, workers=2)
+        for one, ahead, pool, first, second in zip(runs[1], runs[2], pooled, *halves):
+            assert results_equal(ahead, one)
+            assert results_equal(pool, one)
+            assert results_equal(merge_results([first, second]), one)
+
     def test_one_config_is_run_experiment(self):
         config = make_config(record=RecordPolicy(stride=10))
         [result] = run_experiments([config])
@@ -537,12 +567,11 @@ class TestLeadingNodes:
         # within rounding of the total and the float-edge rule decides the
         # slots whose running sum rounds below it: with an empty tail they
         # go to the last kept node with stake, otherwise to the tail
-        def last_draws(seed, first, count, n, *, out=None):
-            draws = np.empty((count, n)) if out is None else out
-            draws.fill(np.nextafter(1.0, 0.0))
-            return draws
+        def last_draws(seed, first, out):
+            out.fill(np.nextafter(1.0, 0.0))
+            return lambda: out
 
-        monkeypatch.setattr(montecarlo, "repetition_draws", last_draws)
+        monkeypatch.setattr(montecarlo, "draw_job", last_draws)
         configs = leading_batch((0.1, 0.2, 0.3, *tail), ("constant", "frd"),
                                 steps_n=200, repetitions=3)
         for f, l in zip(run_experiments(configs), run_experiments(configs, leading_nodes=3)):
@@ -1055,9 +1084,9 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_small_chunks_reuse_the_draw_buffer(self, name, monkeypatch):
-        # a serial run draws every chunk into one buffer; with chunks of 8
-        # and 9 rows, some shorter chunk fills a leading slice of the buffer
-        # after a longer one filled all of it
+        # a serial run that does not draw ahead draws every chunk into one
+        # buffer; with chunks of 8 and 9 rows, some shorter chunk fills the
+        # leading values of the buffer after a longer one filled all of it
         config, samples_sha, stats_sha = GOLDEN[name]
         monkeypatch.setattr(montecarlo, "_MAX_CHUNK", 9)
         sizes = chunk_sizes(config.repetitions, config.steps_n, 1, config.record.stride > 0)
@@ -1069,11 +1098,22 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_output_bytes_with_helpers_forced(self, name, cpus, monkeypatch):
-        # every fill and kernel pass takes a helper thread on 2 CPUs, and
-        # none on 1; the pinned bytes do not depend on which
+        # on 2 CPUs each config's one chunk runs as two halves, the first
+        # drawn in two quarters at once and the second drawn ahead on the
+        # helper thread; on 1 the chunk is drawn on this thread; the pinned
+        # bytes do not depend on which
         config, samples_sha, stats_sha = GOLDEN[name]
         force_helpers(monkeypatch, cpus)
+        chunks = []
+        task = montecarlo._chunk_task
+
+        def spy(*args):
+            chunks.append(args[4])
+            return task(*args)
+        monkeypatch.setattr(montecarlo, "_chunk_task", spy)
         result = run_experiment(config, workers=1)
+        reps = config.repetitions
+        assert chunks == ([(0, reps // 2), (reps // 2, reps)] if cpus == 2 else [(0, reps)])
         assert hashlib.sha256(write_samples_csv(result)).hexdigest() == samples_sha
         assert hashlib.sha256(write_stats_csv(result.time_series)).hexdigest() == stats_sha
 

@@ -19,11 +19,10 @@ from stakesim import (
     run_experiment,
     stake_vector,
 )
-from stakesim import urn
+from stakesim import montecarlo, urn
 from stakesim.schemes import custom_matrix
 from stakesim.urn import (
     _BLOCK_STEPS,
-    _BLOCK_URNS,
     repetition_draws,
     run_slots,
     slot_snapshots,
@@ -419,11 +418,11 @@ class TestSlotRuleReference:
 
     @pytest.mark.parametrize("scheme", ["frd", "constant", "custom"])
     def test_blocks_and_tiles_match_scalar_reference(self, scheme):
-        # more urns than one tile and more slots than two blocks; the largest
-        # draw hits the float edge in the first, a middle and the last block
+        # a thousand urns and more slots than two blocks; the largest draw
+        # hits the float edge in the first, a middle and the last block
         # (under constant, node 8 keeps zero stake, so the edge rule decides
         # the proposer in all three)
-        count, n = _BLOCK_URNS + 3, 2 * _BLOCK_STEPS + 5
+        count, n = 1027, 2 * _BLOCK_STEPS + 5
         draws = np.random.default_rng(11).random((count, n))
         for step in (0, _BLOCK_STEPS + 7, n - 1):
             draws[::2, step] = LARGEST_DRAW
@@ -460,7 +459,7 @@ class TestSlotRuleReference:
             assert (0 < first_gain).all() and (first_gain < _BLOCK_STEPS - 1).all()
 
     def test_segments_off_the_block_grid_match_one_call(self):
-        count, n = _BLOCK_URNS + 3, 200
+        count, n = 1027, 200
         cuts = [0, 1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 130, n]
         draws = repetition_draws(17, 0, count, n)
         draws[::3, [0, _BLOCK_STEPS, n - 1]] = LARGEST_DRAW
@@ -664,7 +663,7 @@ class TestGroupedSlots:
         # EDGE_STAKES' node 8 is empty: the largest draws go to node 7 by the
         # edge rule, in the first, a middle and the last block, in every
         # group; the grouped calls stop off the block grid
-        count, n = _BLOCK_URNS + 3, 2 * _BLOCK_STEPS + 5
+        count, n = 1027, 2 * _BLOCK_STEPS + 5
         draws = np.random.default_rng(31).random((count, n))
         for step in (0, _BLOCK_STEPS + 7, n - 1):
             draws[::2, step] = LARGEST_DRAW
@@ -832,8 +831,8 @@ class TestSlotSnapshots:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_totals_are_one_running_sum(self, cpus, monkeypatch):
         # S(t + 1) = S(t) + K as one float add per slot, across block edges,
-        # with and without a helper; K = 0.1 is inexact, so the closed form
-        # S(0) + t * K rounds differently at some steps
+        # whatever CPU count a run would see; K = 0.1 is inexact, so the
+        # closed form S(0) + t * K rounds differently at some steps
         force_helpers(monkeypatch, cpus)
         budget, n = 0.1, 2 * _BLOCK_STEPS + 5
         vector, total = start([0.15, 0.15])
@@ -847,13 +846,61 @@ class TestSlotSnapshots:
         assert [at.hex() for _, at, _ in snaps] == [at.hex() for at in expected]
         assert end.hex() == expected[-1].hex()
 
+    @seed(20261020)
+    @given(case=snapshot_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_slot_major_draws_equal_row_major(self, case):
+        # the kernel on slot-major draws, as runs draw them, and on the same
+        # draws row-major; stops on and off the block grid, one or two
+        # groups, and the column-slice segment calls of README's trajectory
+        # recipe
+        stakes, n, count = case["stakes"], case["n"], case["count"]
+        m = len(stakes)
+        matrices = [constant_matrix(m, case["budget"]) if scheme == "constant" else
+                    frd_matrix(stakes, case["budget"]) for scheme in case["schemes"]]
+        draws = np.random.default_rng(case["draw_seed"]).random((count, n))
+        draws[np.random.default_rng(n).random((count, n)) < 0.05] = LARGEST_DRAW
+        slot_major = np.asfortranarray(draws)
+        vector, total = start(stakes)
+        runs = []
+        for layout, run in ((draws, one_pass), (slot_major, one_pass),
+                            (slot_major, segment_reference)):
+            urns = np.tile(vector, (len(matrices) * count, 1))
+            proposers = np.empty((len(matrices) * count, n), dtype=np.int64)
+            snaps, counts, end = run(urns, total, matrices, layout, case["stops"], proposers)
+            runs.append((urns.tobytes(), proposers.tobytes(), counts.tolist(), end,
+                         [(step, at, columns.tobytes()) for step, at, columns in snaps]))
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    def test_draw_blocks_and_slot_blocks_equal_row_major(self, monkeypatch):
+        # a thousand urns drawn in blocks of 100 repetitions, and slots past
+        # two blocks, read slot-major and row-major
+        count, n = 1027, 2 * _BLOCK_STEPS + 5
+        monkeypatch.setattr(urn, "_DRAW_BLOCK", 100 * n)
+        draws = repetition_draws(29, 0, count, n)
+        draws[::3, [0, _BLOCK_STEPS, n - 1]] = LARGEST_DRAW
+        matrices = [constant_matrix(len(EDGE_STAKES), 1e-9), frd_matrix(EDGE_STAKES, 1e-9)]
+        vector, total = start(EDGE_STAKES)
+        runs = []
+        for layout in (draws, np.ascontiguousarray(draws)):
+            urns = np.tile(vector, (2 * count, 1))
+            proposers = np.empty((2 * count, n), dtype=np.int64)
+            snaps, counts, end = one_pass(urns, total, matrices, layout,
+                                          [1, _BLOCK_STEPS, _BLOCK_STEPS + 1], proposers)
+            runs.append((urns.tobytes(), proposers.tobytes(), counts.tolist(), end,
+                         [(step, at, columns.tobytes()) for step, at, columns in snaps]))
+        assert runs[1] == runs[0]
+
 
 def force_helpers(patch, cpus):
-    """Set the CPU probe to `cpus`, and let every draw fill and every kernel
-    pass take a helper thread when there are two, however small."""
-    patch.setattr(urn, "_usable_cpus", lambda: cpus)
-    patch.setattr(urn, "_SPLIT_DRAWS", 0)
-    patch.setattr(urn, "_OVERLAP_URNS", 0)
+    """Set the CPU probe of serial runs to `cpus`, and let every chunk's
+    draws take a helper thread when there are two, however small: each
+    chunk is drawn in two halves, and a run of chunks of two or more
+    repetitions draws ahead in halves of them."""
+    patch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    patch.setattr(montecarlo, "_SPLIT_DRAWS", 0)
+    patch.setattr(montecarlo, "_OVERLAP_URNS", 1)  # a half holds at least one urn
 
 
 class TestStreamRule:
@@ -873,127 +920,117 @@ class TestStreamRule:
 
 
 class TestHelperThread:
-    """With two usable CPUs, a large draw fill runs half its rows on a
-    helper thread and the kernel builds each next threshold block there;
-    with one, the same calls run in order on the calling thread.  Either way
-    the bytes are the same."""
+    """With two usable CPUs, a serial run draws part of its chunks on a
+    helper thread: large chunks in two halves at once, and, when the
+    halves of its chunks are large, each next chunk while the kernel runs
+    this one.  With one, the same calls run in order on the calling thread.
+    Either way the bytes are the same."""
 
     def test_probe_reads_the_affinity_mask(self):
         # so a run pinned to one CPU (taskset -c 0) selects no helper
-        assert urn._usable_cpus() == len(os.sched_getaffinity(0))
+        assert montecarlo._usable_cpus() == len(os.sched_getaffinity(0))
 
     def test_pool_workers_start_no_helper(self):
         # the workers of a process pool already share the CPUs
         with ProcessPoolExecutor(max_workers=1) as pool:
-            assert pool.submit(urn._usable_cpus).result(timeout=60) == 1
+            assert pool.submit(montecarlo._usable_cpus).result(timeout=60) == 1
 
     def test_probe_without_affinity_counts_the_cpus(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert urn._usable_cpus() == 3
+        assert montecarlo._usable_cpus() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
-        assert urn._usable_cpus() == 1
+        assert montecarlo._usable_cpus() == 1
 
     @pytest.mark.parametrize("cpus,threaded", [(1, False), (2, True)])
     def test_selection_follows_the_probe(self, monkeypatch, cpus, threaded):
-        monkeypatch.setattr(urn, "_usable_cpus", lambda: cpus)
+        force_helpers(monkeypatch, cpus)
         caller = threading.get_ident()
-        with urn._helper(True) as submit:
-            assert (submit(threading.get_ident)() != caller) == threaded
-        with urn._helper(False) as submit:
+        drawers = set()
+
+        def spy(*args):
+            job = urn.draw_job(*args)
+
+            def run():
+                drawers.add(threading.get_ident())
+                return job()
+            return run
+        monkeypatch.setattr(montecarlo, "draw_job", spy)
+        run_experiment(ExperimentConfig(initial_stakes=(1.0, 3.0), scheme="frd",
+                                        reward_budget_K=2.0, steps_n=10, repetitions=40,
+                                        base_seed=7))
+        assert caller in drawers
+        assert (drawers != {caller}) == threaded
+        with montecarlo._helper(True) as submit:
+            assert submit(threading.get_ident)() != caller
+        with montecarlo._helper(False) as submit:
             assert submit(threading.get_ident)() == caller
 
     @given(seed=st.integers(0, 2**64 - 1), first=st.integers(0, 10**6),
-           count=st.one_of(st.just(1), st.integers(1, 12).map(lambda k: 2 * k + 1), st.integers(1, 25)),
+           count=st.one_of(st.sampled_from([1, 127, 128, 129, 257]),
+                           st.integers(1, 12).map(lambda k: 2 * k + 1), st.integers(1, 25)),
            n=st.one_of(st.sampled_from([0, 1]), st.integers(0, 70)),
-           cpus=st.sampled_from([1, 2]), into_buffer=st.booleans())
-    @settings(max_examples=120, deadline=None)
-    def test_split_fill_equals_one_generator(self, seed, first, count, n, cpus, into_buffer):
+           rows=st.sampled_from([None, 1, 2, 128]), into_buffer=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_split_fill_equals_one_generator(self, seed, first, count, n, rows, into_buffer):
+        # the fill is split into blocks of `rows` repetitions (None: the
+        # default block, which holds every repetition at these sizes), and
+        # `out` is a slice of a larger slot-major buffer
         bitgen = np.random.PCG64(seed)
         bitgen.advance(first * n)
         expected = np.random.Generator(bitgen).random((count, n))
+        out = np.full((n, count + 2), -1.0).T if into_buffer else None
         with pytest.MonkeyPatch.context() as patch:
-            force_helpers(patch, cpus)
-            out = np.full((count + 2, n), -1.0) if into_buffer else None
+            if rows is not None:
+                patch.setattr(urn, "_DRAW_BLOCK", rows * n)
             draws = repetition_draws(seed, first, count, n,
-                                     out=None if out is None else out[:count])
+                                     out=None if out is None else out[1:count + 1])
         assert draws.shape == (count, n)
+        assert n == 0 or draws.strides[0] == 8  # each slot's draws are contiguous
         assert draws.tobytes() == expected.tobytes()
         if out is not None:
-            assert draws.base is out and (out[count:] == -1.0).all()
-
-    @seed(20261020)
-    @given(case=snapshot_cases())
-    @settings(max_examples=60, deadline=None)
-    def test_overlapped_kernel_equals_inline(self, case):
-        # stops on and off the block grid, one or two groups, and the
-        # column-slice segment calls of README's trajectory recipe
-        stakes, n, count = case["stakes"], case["n"], case["count"]
-        m = len(stakes)
-        matrices = [constant_matrix(m, case["budget"]) if scheme == "constant" else
-                    frd_matrix(stakes, case["budget"]) for scheme in case["schemes"]]
-        draws = np.random.default_rng(case["draw_seed"]).random((count, n))
-        draws[np.random.default_rng(n).random((count, n)) < 0.05] = LARGEST_DRAW
-        vector, total = start(stakes)
-        runs = []
-        for cpus, run in ((1, one_pass), (2, one_pass), (2, segment_reference)):
-            urns = np.tile(vector, (len(matrices) * count, 1))
-            proposers = np.empty((len(matrices) * count, n), dtype=np.int64)
-            with pytest.MonkeyPatch.context() as patch:
-                force_helpers(patch, cpus)
-                snaps, counts, end = run(urns, total, matrices, draws, case["stops"], proposers)
-            runs.append((urns.tobytes(), proposers.tobytes(), counts.tolist(), end,
-                         [(step, at, columns.tobytes()) for step, at, columns in snaps]))
-        assert runs[1] == runs[0]
-        assert runs[2] == runs[0]
-
-    def test_blocks_past_a_tile_equal_inline(self):
-        # more urns than a tile, and slots past two blocks, on both sides
-        count, n = _BLOCK_URNS + 3, 2 * _BLOCK_STEPS + 5
-        draws = repetition_draws(29, 0, count, n)
-        draws[::3, [0, _BLOCK_STEPS, n - 1]] = LARGEST_DRAW
-        matrices = [constant_matrix(len(EDGE_STAKES), 1e-9), frd_matrix(EDGE_STAKES, 1e-9)]
-        vector, total = start(EDGE_STAKES)
-        runs = []
-        for cpus in (1, 2):
-            urns = np.tile(vector, (2 * count, 1))
-            proposers = np.empty((2 * count, n), dtype=np.int64)
-            with pytest.MonkeyPatch.context() as patch:
-                force_helpers(patch, cpus)
-                snaps, counts, end = one_pass(urns, total, matrices, draws,
-                                              [1, _BLOCK_STEPS, _BLOCK_STEPS + 1], proposers)
-            runs.append((urns.tobytes(), proposers.tobytes(), counts.tolist(), end,
-                         [(step, at, columns.tobytes()) for step, at, columns in snaps]))
-        assert runs[1] == runs[0]
+            assert draws.base is out.base and (out[[0, -1]] == -1.0).all()
 
     def test_helper_exception_propagates(self, monkeypatch):
         force_helpers(monkeypatch, 2)
         baseline = threading.active_count()
-        with urn._helper(True) as submit:
+        with montecarlo._helper(True) as submit:
             handle = submit(int, "not a number")
             with pytest.raises(ValueError, match="invalid literal"):
                 handle()
-        fill_block = urn._fill_block
-        def failing(*args):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("helper failed")
-            fill_block(*args)
-        monkeypatch.setattr(urn, "_fill_block", failing)
-        vector, total = start([1.0, 3.0])
+
+        # 200 repetitions run as two chunks of 100, the second drawn ahead
+        def failing(seed, first, out):
+            job = urn.draw_job(seed, first, out)
+
+            def run():
+                if first == 100 and threading.current_thread() is not threading.main_thread():
+                    raise RuntimeError("helper failed")
+                return job()
+            return run
+        monkeypatch.setattr(montecarlo, "draw_job", failing)
+        config = ExperimentConfig(initial_stakes=(1.0, 3.0), scheme="frd", reward_budget_K=2.0,
+                                  steps_n=3 * _BLOCK_STEPS, repetitions=200, base_seed=5)
         with pytest.raises(RuntimeError, match="helper failed"):
-            run_slots(np.tile(vector, (4, 1)), total, frd_matrix([1.0, 3.0], 2.0),
-                      np.full((4, 3 * _BLOCK_STEPS), 0.5))
+            run_experiment(config)
         assert threading.active_count() == baseline
 
     def test_closing_early_joins_the_helper(self, monkeypatch):
+        # a run whose chunk task raises while the helper draws the next
+        # chunk joins the helper before the exception leaves it
         force_helpers(monkeypatch, 2)
         baseline = threading.active_count()
-        vector, total = start([1.0, 3.0])
-        kernel = slot_snapshots(np.tile(vector, (4, 1)), total, frd_matrix([1.0, 3.0], 2.0),
-                                np.full((4, 3 * _BLOCK_STEPS), 0.5), [1, 2 * _BLOCK_STEPS])
-        assert next(kernel)[0] == 1
-        assert threading.active_count() == baseline + 1  # the pass's helper
-        kernel.close()
+        running = []
+
+        def failing(*args):
+            running.append(threading.active_count())
+            raise RuntimeError("task failed")
+        monkeypatch.setattr(montecarlo, "_chunk_task", failing)
+        config = ExperimentConfig(initial_stakes=(1.0, 3.0), scheme="frd", reward_budget_K=2.0,
+                                  steps_n=3 * _BLOCK_STEPS, repetitions=200, base_seed=5)
+        with pytest.raises(RuntimeError, match="task failed"):
+            run_experiment(config)
+        assert running == [baseline + 1]  # the run's helper
         assert threading.active_count() == baseline
 
 
@@ -1160,8 +1197,8 @@ class _CountingNumpy:
 
 def slot_costs(monkeypatch, stakes, matrices, count=5):
     """Numpy calls per slot, by name, and the reward elements take gathers
-    per slot: a one-block pass less one a slot shorter, both one block and one
-    tile, so every per-block and per-call cost cancels."""
+    per slot: a one-block pass less one a slot shorter, both one block, so
+    every per-block and per-call cost cancels."""
     vector, total = start(stakes)
     passes = []
     for n in (_BLOCK_STEPS, _BLOCK_STEPS - 1):
