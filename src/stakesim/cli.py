@@ -7,12 +7,11 @@ be compared and replayed bit-exactly.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -143,13 +142,11 @@ def serialize_config(config: ExperimentConfig) -> dict:
 
 # --- CSV ----------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _format_rows(header: str, row_format: str, columns: Sequence[list]) -> bytes:
     """The header line, then one row_format line per row of the equal-length
-    columns, all formatted by one % call (%.17g is _fmt's text)."""
+    columns, all formatted by one % call: only the header when the columns
+    are empty.  %.17g is the text of format(x, ".17g"), nan, inf and -0
+    included."""
     rows = len(columns[0])
     cells = [None] * (len(columns) * rows)
     for i, column in enumerate(columns):
@@ -427,15 +424,20 @@ def _render_report_table(rows: Sequence[ReportRow]) -> str:
 
 
 def write_report_csv(rows: Sequence[ReportRow]) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "scheme", "mean_emp", "var_emp", "mean_pred", "var_pred", "regime"])
-    for r in rows:
-        writer.writerow(
-            [r.label, r.scheme, _fmt(r.mean_empirical), _fmt(r.var_empirical),
-             _fmt(r.mean_predicted), _fmt(r.var_predicted), r.regime]
-        )
-    return buf.getvalue().encode()
+    """label,scheme,mean_emp,var_emp,mean_pred,var_pred,regime rows, one per
+    ReportRow and one column per field, in field order; the header only
+    when there are none.
+
+    Cells are written unquoted.  No cell needs quoting: the labels come
+    from builtin_benchmark_configs and from compare's "{m} nodes (share
+    {share:.4g})", the schemes and regimes are fixed words, and the numbers
+    are %.17g text, so none holds a comma, a quote or a line break.  Rows
+    that other code builds must keep to that."""
+    return _format_rows(
+        "label,scheme,mean_emp,var_emp,mean_pred,var_pred,regime",
+        "%s,%s,%.17g,%.17g,%.17g,%.17g,%s",
+        [[getattr(r, f.name) for r in rows] for f in fields(ReportRow)],
+    )
 
 
 # --- subcommands ---------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInput, StakeSimError, check_budget, check_integer, check_node
 from .schemes import ROW_SUM_RTOL, RewardMatrix, constant_matrix, custom_matrix, frd_matrix
-from .urn import draw_job, recorded_steps, repetition_draws, slot_snapshots, stake_vector
+from .urn import draw_job, recorded_steps, slot_snapshots, stake_vector
 
 SCHEMES = ("constant", "frd", "custom")
 
@@ -421,12 +421,13 @@ def _chunk_task(
     initial: np.ndarray,
     leading: int,
     bounds: tuple[int, int],
-    draws: np.ndarray | None = None,
+    draws: np.ndarray,
 ) -> list[ExperimentResult]:
-    """Simulate repetitions [a, b) of every config on their block of the
-    run's one stream (urn.repetition_draws), drawn once: one group of urns
-    per config, each starting at `initial`, all advanced by one slot-kernel
-    pass (urn.slot_snapshots) with `matrices` (_kernel_inputs).
+    """Simulate repetitions [a, b) of every config on `draws`, their
+    (b - a, steps_n) block of the run's one stream, which _serial_chunks
+    draws: one group of urns per config, each starting at `initial`, all
+    advanced by one slot-kernel pass (urn.slot_snapshots) with `matrices`
+    (_kernel_inputs).
     When recording, the pass stops at each recorded step, and the tracked
     nodes' fractions, all among the `leading` nodes, are read from its
     node-major stake columns into a batch buffer of (stop, node, group)
@@ -436,9 +437,7 @@ def _chunk_task(
     stops, while its limbs (32 bytes per value) stay within a core's L2
     cache.  At 2,500 urns of 2 tracked nodes, bounds of 20,000 to 80,000
     values ran alike and 10,000 about 2% slower.  The integers do not
-    depend on the batching.  `draws` are the chunk's (b - a, steps_n)
-    draws when the caller has drawn them (_serial_chunks); otherwise they
-    are drawn here.
+    depend on the batching.
 
     Each result holds the `leading` (k) first nodes: final_fractions is
     (b - a, k) and proposer_counts (k,)."""
@@ -446,8 +445,6 @@ def _chunk_task(
     a, b = bounds
     count = b - a
     n = config.steps_n
-    if draws is None:
-        draws = repetition_draws(config.base_seed, a, count, n)
     groups = len(configs)
     stakes = np.tile(initial, (groups * count, 1))
     record = config.record.stride > 0
@@ -554,7 +551,9 @@ def _serial_chunks(
     bounds: list[tuple[int, int]],
 ) -> list[list[ExperimentResult]]:
     """task(bounds, draws) for each chunk of `bounds` in turn, on draws this
-    process makes (urn.draw_job): the outputs, in order.
+    process makes (urn.draw_job): the outputs, in order.  This is the one
+    way a chunk gets its draws: a serial run calls it on all its chunks,
+    and each pool worker on each chunk it is handed (_pool_chunk).
 
     With two usable CPUs, a helper thread takes a share of the drawing.
     When halving the chunks leaves each half at least _OVERLAP_URNS urns and
@@ -562,8 +561,9 @@ def _serial_chunks(
     ahead: the helper draws chunk i + 1 into one of two buffers while the
     kernel runs chunk i on the other.  Otherwise, and for the first chunk,
     when the largest chunk holds at least _SPLIT_DRAWS draws, each chunk is
-    drawn in two halves at once, one on each thread.  With one CPU every
-    call runs in the same order on this thread.  Each chunk reads the same
+    drawn in two halves at once, one on each thread.  With one CPU, as in
+    a pool worker (_usable_cpus), every call runs in the same order on
+    this thread.  Each chunk reads the same
     values of the one stream whichever thread draws it, so the outputs do
     not depend on the plan.
 
@@ -597,6 +597,24 @@ def _serial_chunks(
     return outputs
 
 
+# a pool worker's chunk loop (run_experiments' `chunks`), set once per
+# worker by _start_worker, so that each pool task carries only its bounds
+_worker_chunks: Callable | None = None
+
+
+def _start_worker(chunks: Callable) -> None:
+    """A pool worker's initializer: keep the run's chunk loop."""
+    global _worker_chunks
+    _worker_chunks = chunks
+
+
+def _pool_chunk(bounds: tuple[int, int]) -> list[list[ExperimentResult]]:
+    """A pool task: the worker's chunk loop over the one chunk `bounds`,
+    and its outputs, one per chunk it ran (as halves, were it to draw
+    ahead)."""
+    return _worker_chunks([bounds])
+
+
 # what configs run together share: every field but the reward scheme
 _SHARED_FIELDS = tuple(f.name for f in fields(ExperimentConfig)
                        if f.init and f.name not in ("scheme", "custom_entries"))
@@ -622,13 +640,15 @@ def run_experiments(
 
     `rep_range` (default: all repetitions) selects a half-open block of
     repetition indices; partial results over adjacent blocks merge into
-    exactly the full-run result (see merge_results).  `workers` > 1 farms
-    chunks (_chunk_bounds) to a process pool of at most as many workers as
-    chunks, each drawing into its own arrays; the output is identical to
-    the serial run.  A serial run draws into buffers it allocates once
-    (one, or two when it draws the next chunk while the kernel runs this
-    one) and may share the drawing with a helper thread (_serial_chunks).
-    Either way each chunk reads the same values of the one stream.
+    exactly the full-run result (see merge_results).  A serial run takes
+    its chunks (_chunk_bounds) through one chunk loop (_serial_chunks),
+    which draws into buffers it allocates once (one, or two when it draws
+    the next chunk while the kernel runs this one) and may share the
+    drawing with a helper thread.  `workers` > 1 farms the chunks to a
+    process pool of at most as many workers as chunks: each worker gets
+    the run's chunk loop once, when it starts, and runs each chunk it is
+    handed through it on one thread.  Either way each chunk reads the same
+    values of the one stream, and the output is identical.
 
     `leading_nodes` k (default: all m nodes), 1 <= k <= m, keeps only nodes
     0 .. k-1 in the results: final_fractions is (reps, k) and
@@ -674,16 +694,20 @@ def run_experiments(
         )
     bounds = _chunk_bounds(start, stop, n, workers)
     kept, initial = _kernel_inputs(matrices, config.initial_stakes, leading)
-    task = partial(_chunk_task, configs, kept, initial, leading)
+    chunks = partial(_serial_chunks, partial(_chunk_task, configs, kept, initial, leading),
+                     config.base_seed, n)
     if workers > 1 and len(bounds) > 1:
         # imported here, so a serial run never loads the pool's modules
         from concurrent.futures import ProcessPoolExecutor
 
-        # a fork pool starts every worker at once: no more than there are chunks
-        with ProcessPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
-            outputs = list(pool.map(task, bounds))
+        # a fork pool starts every worker at once: no more than there are
+        # chunks; each gets the chunk loop once (a fork copies it, spawn
+        # pickles it once per worker), and each task only its bounds
+        with ProcessPoolExecutor(max_workers=min(workers, len(bounds)),
+                                 initializer=_start_worker, initargs=(chunks,)) as pool:
+            outputs = [part for parts in pool.map(_pool_chunk, bounds) for part in parts]
     else:
-        outputs = _serial_chunks(task, config.base_seed, n, bounds)
+        outputs = chunks(bounds)
     return [merge_results(parts) for parts in zip(*outputs)]
 
 

@@ -65,11 +65,7 @@ def constant_matrix(m: int, budget: float) -> RewardMatrix:
     """Proposer-takes-all baseline: K on the diagonal, zero elsewhere."""
     m = check_integer(m, "node count", 1)
     budget = check_budget(budget)
-    entries = np.eye(m, dtype=np.float64) * budget
-    params = BalancedParams(
-        w=_freeze(np.full(m, budget)), l=_freeze(np.zeros(m))
-    )
-    return RewardMatrix(entries=_freeze(entries), row_sum=budget, balanced=params)
+    return _stock_matrix(np.zeros(m), np.full(m, budget), budget)
 
 
 def frd_matrix(initial_stakes: Sequence[float], budget: float) -> RewardMatrix:
@@ -87,8 +83,13 @@ def frd_matrix(initial_stakes: Sequence[float], budget: float) -> RewardMatrix:
     # fractions first: alpha*S_i(0) = v_i(0)*K/2 without overflow for
     # extreme stake magnitudes
     l = (stakes / total) * (0.5 * budget)
-    w = l + 0.5 * budget
-    m = stakes.shape[0]
+    return _stock_matrix(l, l + 0.5 * budget, budget)
+
+
+def _stock_matrix(l: np.ndarray, w: np.ndarray, budget: float) -> RewardMatrix:
+    """The balanced matrix whose column i holds l[i] off the diagonal and
+    w[i] on it, with row sum `budget`: entries, w and l frozen."""
+    m = l.shape[0]
     entries = np.tile(l, (m, 1))
     entries[np.diag_indices(m)] = w
     params = BalancedParams(w=_freeze(w), l=_freeze(l))

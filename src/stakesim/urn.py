@@ -92,9 +92,7 @@ def recorded_steps(n: int, stride: int) -> list[int]:
 STREAM_VERSION = 2
 
 
-def repetition_draws(
-    seed: int, first: int, count: int, n: int, *, out: np.ndarray | None = None
-) -> np.ndarray:
+def repetition_draws(seed: int, first: int, count: int, n: int) -> np.ndarray:
     """The (count, n) uniform draws of repetitions [first, first + count).
 
     Repetition r reads values r*n .. (r+1)*n - 1 of the one stream seeded
@@ -105,11 +103,11 @@ def repetition_draws(
 
     The draws are returned slot-major: the (count, n) transpose of a
     C-contiguous (n, count) array, so that each slot's draws are contiguous
-    (strides[0] == 8), as the slot kernel reads them.  `out`, a (count, n)
-    float64 array of any layout, receives the draws in place of a new
-    array; the values are the same.  draw_job makes them.
+    (strides[0] == 8), as the slot kernel reads them.  draw_job makes them;
+    a run draws its chunks through draw_job into buffers of its own
+    (montecarlo._serial_chunks), and this array is for one-off reads.
     """
-    return draw_job(seed, first, np.empty((n, count)).T if out is None else out)()
+    return draw_job(seed, first, np.empty((n, count)).T)()
 
 
 def draw_job(seed: int, first: int, out: np.ndarray) -> Callable[[], np.ndarray]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
@@ -211,6 +211,80 @@ class TestExactStakeMoments:
         lead, regime = predict_var_stake(1.0, 2.0, 4.0, 10_000)
         assert regime is Regime.SUBCRITICAL
         assert 0.95 <= var / lead <= 1.0
+
+
+def premium_matrix(stakes, budget, beta):
+    """The balanced matrix that pays the proposer a premium beta*K on top
+    of l_i = (1 - beta) K v_i(0): frd at beta = 1/2, constant at 1."""
+    v0 = np.asarray(stakes, dtype=float) / np.sum(stakes)
+    l = (1 - beta) * budget * v0
+    entries = np.tile(l, (len(l), 1))
+    entries[np.diag_indices(len(l))] = l + beta * budget
+    return custom_matrix(entries.tolist())
+
+
+def pooling_ratios(matrix, stakes, n):
+    """Var v_i(n) / (v_i(0)(1 - v_i(0))) for every node, from
+    exact_stake_moments."""
+    total = float(np.sum(stakes))
+    final = total + n * matrix.row_sum
+    ratios = []
+    for s, w, l in zip(stakes, matrix.balanced.w.tolist(), matrix.balanced.l.tolist()):
+        _, var = exact_stake_moments(float(s), total, w, l, matrix.row_sum, n)
+        v0 = s / total
+        ratios.append(var / final**2 / (v0 * (1 - v0)))
+    return np.array(ratios)
+
+
+class TestPoolingIdentity:
+    r"""Var v_i(n) = c(n) v_i(0)(1 - v_i(0)) with one c(n) for every node
+    of an frd or a constant config.
+
+    Both matrices pay node i l_i = (1 - beta) K v_i(0) when another node
+    proposes and w_i = l_i + beta K when it proposes, beta = 1/2 (frd) or 1
+    (constant).  Write d = beta K, T_t = S(0) + t K, X = S_i(t) and
+    v = X / T_t.  Given X, X' = X + l_i + d B with B ~ Bernoulli(v), so
+    E[X' | X] = X (1 + d/T_t) + l_i, and by induction E v_i(t) = v_i(0):
+    v_i(0) T_t (1 + d/T_t) + (K - d) v_i(0) = v_i(0) T_{t+1}.  The law of
+    total variance gives
+
+        Var X' = (1 + d/T_t)^2 Var X + d^2 E[v (1 - v)],
+        E[v (1 - v)] = v_i(0)(1 - v_i(0)) - Var v,
+
+    so V_t = Var v_i(t) obeys
+
+        V_{t+1} T_{t+1}^2 = ((T_t + d)^2 - d^2) V_t + d^2 v_i(0)(1 - v_i(0)),
+
+    with V_0 = 0.  The coefficients do not depend on i, and the source is
+    v_i(0)(1 - v_i(0)), so V_t / (v_i(0)(1 - v_i(0))) = c(t) for every
+    node.  The derivation holds for every beta in [0, 1] (the premium
+    family), and fails when l_i is not proportional to v_i(0): then
+    E v_i(t) drifts and the source term is no longer v_i(0)(1 - v_i(0)).
+
+    exact_stake_moments returns m2 - m1^2, which cancels by up to about
+    v_i(0) / (c(n)(1 - v_i(0))); with stakes 1 .. 100 that is below 1e7,
+    so the rounding of its n steps stays well inside the relative bound
+    1e-6."""
+
+    @seed(20261021)
+    @given(stakes=st.lists(st.integers(1, 100), min_size=2, max_size=8),
+           n=st.integers(1, 1000), budget=st.sampled_from([200.0, 0.7]))
+    @settings(max_examples=30, deadline=None)
+    def test_one_ratio_for_every_node(self, stakes, n, budget):
+        for matrix in (frd_matrix(stakes, budget), constant_matrix(len(stakes), budget),
+                       premium_matrix(stakes, budget, 0.75)):
+            ratios = pooling_ratios(matrix, stakes, n)
+            assert np.ptp(ratios) <= 1e-6 * ratios.max(), ratios
+
+    def test_payouts_not_proportional_to_stake_break_it(self):
+        # l_i = K/6 for every node, w_i = l_i + K/2: balanced and critical,
+        # but each mean fraction drifts toward 1/3
+        budget = 200.0
+        matrix = custom_matrix([[400 / 3, 100 / 3, 100 / 3], [100 / 3, 400 / 3, 100 / 3],
+                                [100 / 3, 100 / 3, 400 / 3]])
+        ratios = pooling_ratios(matrix, [10, 30, 60], 1000)
+        assert matrix.row_sum == pytest.approx(budget)
+        assert np.ptp(ratios) > 0.1 * ratios.max(), ratios
 
 
 class TestMeanFractionsSumToOne:

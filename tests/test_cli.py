@@ -1,6 +1,8 @@
 """Tests for config IO, CSV/SVG emission, the report table, and the CLI."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -30,6 +32,7 @@ from stakesim import (
 from stakesim import cli, montecarlo
 from stakesim.analytics import BetaParams, SampleStats
 from stakesim.cli import (
+    ReportRow,
     builtin_benchmark_configs,
     load_config,
     load_samples_csv,
@@ -188,6 +191,19 @@ def reference_stats_csv(series) -> bytes:
 # shortest round-trip text needs all 17 significant digits
 EDGE_VALUES = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0, 0.7,
                2.0**-1022, 0.123456789012345678]
+
+
+def reference_report_csv(rows) -> bytes:
+    """The csv.writer report writer that write_report_csv replaced."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["label", "scheme", "mean_emp", "var_emp", "mean_pred", "var_pred", "regime"])
+    for r in rows:
+        writer.writerow(
+            [r.label, r.scheme, format(r.mean_empirical, ".17g"), format(r.var_empirical, ".17g"),
+             format(r.mean_predicted, ".17g"), format(r.var_predicted, ".17g"), r.regime]
+        )
+    return buf.getvalue().encode()
 
 
 def hand_built_result(first: int, reps: int, m: int, values) -> ExperimentResult:
@@ -546,6 +562,27 @@ class TestReport:
         assert len(pairs) == 4
         assert [len(cfg.initial_stakes) for _, cfg in pairs] == [4, 10, 2, 2]
         assert all(sum(cfg.initial_stakes) == pytest.approx(100.0) for _, cfg in pairs)
+
+    def test_report_csv_equals_the_csv_writer(self):
+        # the stock rows, a row labelled as compare labels it, a nan
+        # variance, and values whose text is special
+        config = ExperimentConfig(initial_stakes=(12.3, 7.9, 41.6), scheme="frd",
+                                  reward_budget_K=0.05, steps_n=100, repetitions=30,
+                                  base_seed=8, record=RecordPolicy(track_nodes=(1,)))
+        share = config.initial_stakes[1] / config.initial_total
+        cases = {
+            "stock": table1_report(builtin_benchmark_configs(repetitions=30))[0],
+            "compare": table1_report([(f"3 nodes (share {share:.4g})", config)])[0],
+            "nan variance": table1_report([("one", replace(config, repetitions=1))])[0],
+            "special": [ReportRow("x", "frd", -0.0, math.inf, -math.inf, 5e-324, "critical"),
+                        ReportRow("y", "constant", 1e300, math.nan, 0.1, 2.0 / 3.0,
+                                  "supercritical")],
+            "empty": [],
+        }
+        assert math.isnan(cases["nan variance"][0].var_empirical)
+        for name, rows in cases.items():
+            assert write_report_csv(rows) == reference_report_csv(rows), name
+        assert write_report_csv([]) == b"label,scheme,mean_emp,var_emp,mean_pred,var_pred,regime\n"
 
 
 class TestMainCommands:

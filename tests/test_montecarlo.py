@@ -117,13 +117,15 @@ class TestRunExperiment:
                              [(2, 5000), (3, 40), (2, 20000), (4, 3), (64, 5)])
     def test_every_worker_gets_a_chunk(self, monkeypatch, workers, reps):
         # the pool stand-in runs serially and records its size and the
-        # chunks it is given; a real pool starts every worker at once
+        # chunks it is given; a real pool starts every worker at once, and
+        # runs the initializer in each
         pools = []
         chunks = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 pools.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -143,6 +145,24 @@ class TestRunExperiment:
         assert chunks and len(chunks) % min(workers, reps) == 0
         assert max(sizes) - min(sizes) <= 1 and max(sizes) <= 8192
         assert results_equal(parallel, run_experiment(config, workers=1))
+
+    def test_pool_tasks_carry_only_their_bounds(self, monkeypatch):
+        # each worker gets the run's chunk loop once, when it starts, so a
+        # task pickles to a function's name and its bounds whatever m; at
+        # 300 nodes each used to carry the kept matrices, 730,695 bytes
+        from concurrent.futures import ProcessPoolExecutor
+
+        sizes = []
+        submit = ProcessPoolExecutor.submit
+
+        def spy(self, fn, *args, **kwargs):
+            sizes.append(len(pickle.dumps((fn, args, kwargs))))
+            return submit(self, fn, *args, **kwargs)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+        config = make_config(initial_stakes=tuple(range(1, 301)), steps_n=20, repetitions=100)
+        pooled = run_experiment(config, workers=2)
+        assert len(sizes) == 2 and max(sizes) < 2048, sizes
+        assert results_equal(pooled, run_experiment(config))
 
     def test_fraction_rows_sum_to_one(self):
         result = run_experiment(make_config(initial_stakes=(10.0, 30.0, 30.0, 30.0)))
@@ -1071,6 +1091,40 @@ class TestPowerOfTwoScaling:
             outputs.append((write_samples_csv(result), write_stats_csv(result.time_series),
                             result.proposer_counts.tolist()))
         assert outputs[1] == outputs[0]
+
+
+class TestCoalitionsLump:
+    """Split one node into 2-3 adjacent parts, C: under frd and constant
+    every other node gets the same reward whichever part proposes, and C
+    gets the merged node's total reward, so on one seed the split urn runs
+    the merged urn's chain.  C's proposer counts equal the merged node's
+    exactly, and its fraction, the sum of its parts', is the merged node's
+    within rounding: each part's stake and frd payout round apart from the
+    merged one's, by about steps_n * eps in all.  A path can part only
+    where a draw lands within rounding of C's interval edge, which the
+    merged urn places once and the split urn after each part."""
+
+    @seed(20261021)
+    @given(outside=st.lists(st.integers(1, 1000), min_size=1, max_size=4),
+           parts=st.lists(st.integers(1, 1000), min_size=2, max_size=3),
+           at=st.integers(0, 4), budget=st.sampled_from([200.0, 0.7]),
+           base_seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_split_node_runs_the_merged_chain(self, outside, parts, at, budget, base_seed):
+        at = min(at, len(outside))
+        k = len(parts)
+        runs = []
+        for stakes in (outside[:at] + parts + outside[at:],
+                       outside[:at] + [sum(parts)] + outside[at:]):
+            configs = [make_config(initial_stakes=tuple(map(float, stakes)), scheme=scheme,
+                                   reward_budget_K=budget, steps_n=200, repetitions=50,
+                                   base_seed=base_seed)
+                       for scheme in ("frd", "constant")]
+            runs.append(run_experiments(configs))
+        for split, merged in zip(*runs):
+            assert split.proposer_counts[at:at + k].sum() == merged.proposer_counts[at]
+            coalition = split.final_fractions[:, at:at + k].sum(axis=1)
+            assert np.abs(coalition - merged.final_fractions[:, at]).max() <= 1e-12
 
 
 class TestGoldenBytes:

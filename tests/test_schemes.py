@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from stakesim import (
@@ -18,7 +18,9 @@ from stakesim import (
     frd_matrix,
     predict_var_stake,
 )
-from stakesim.errors import InvalidInput
+from stakesim.errors import InvalidInput, check_budget, check_integer
+from stakesim.schemes import BalancedParams, RewardMatrix
+from stakesim.urn import stake_vector
 
 stake_lists = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=32
@@ -100,6 +102,69 @@ class TestFrdMatrix:
         assert np.array_equal(
             frd_matrix(stakes, 2 * budget).entries, 2 * frd_matrix(stakes, budget).entries
         )
+
+
+def reference_constant_matrix(m, budget):
+    """The constant constructor that the one stock builder replaced."""
+    m = check_integer(m, "node count", 1)
+    budget = check_budget(budget)
+    entries = np.eye(m, dtype=np.float64) * budget
+    params = BalancedParams(w=np.full(m, budget), l=np.zeros(m))
+    return RewardMatrix(entries=entries, row_sum=budget, balanced=params)
+
+
+def reference_frd_matrix(initial_stakes, budget):
+    """The frd constructor that the one stock builder replaced."""
+    stakes = stake_vector(initial_stakes)
+    budget = check_budget(budget)
+    total = float(stakes.sum())
+    l = (stakes / total) * (0.5 * budget)
+    w = l + 0.5 * budget
+    m = stakes.shape[0]
+    entries = np.tile(l, (m, 1))
+    entries[np.diag_indices(m)] = w
+    return RewardMatrix(entries=entries, row_sum=budget, balanced=BalancedParams(w=w, l=l))
+
+
+# magnitudes from 1e-300 to 1e300, and small integers
+wide_floats = st.one_of(st.floats(1e-300, 1e300), st.integers(1, 20).map(float))
+
+
+class TestStockBuilder:
+    """constant_matrix and frd_matrix share one builder: their entries, w
+    and l equal the old constructors' bit for bit, and all three are
+    frozen."""
+
+    @staticmethod
+    def assert_same_bits(matrix, reference):
+        assert matrix.row_sum == reference.row_sum
+        for got, want in [(matrix.entries, reference.entries),
+                          (matrix.balanced.w, reference.balanced.w),
+                          (matrix.balanced.l, reference.balanced.l)]:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+    @seed(20261021)
+    @given(m=st.integers(1, 11), budget=wide_floats)
+    @settings(max_examples=200, deadline=None)
+    def test_constant_equals_reference(self, m, budget):
+        matrix = constant_matrix(m, budget)
+        self.assert_same_bits(matrix, reference_constant_matrix(m, budget))
+        # +0.0 off the diagonal, as np.eye(m) * K gives
+        assert not np.signbit(matrix.entries).any()
+
+    @seed(20261021)
+    @given(stakes=st.lists(wide_floats, min_size=1, max_size=11), budget=wide_floats)
+    @settings(max_examples=200, deadline=None)
+    def test_frd_equals_reference(self, stakes, budget):
+        try:
+            reference = reference_frd_matrix(stakes, budget)
+        except InvalidInput as e:  # stakes whose total overflows
+            with pytest.raises(InvalidInput, match=f"^{re.escape(str(e))}$"):
+                frd_matrix(stakes, budget)
+            return
+        self.assert_same_bits(frd_matrix(stakes, budget), reference)
 
 
 class TestCustomMatrix:

@@ -983,8 +983,10 @@ class TestHelperThread:
         with pytest.MonkeyPatch.context() as patch:
             if rows is not None:
                 patch.setattr(urn, "_DRAW_BLOCK", rows * n)
-            draws = repetition_draws(seed, first, count, n,
-                                     out=None if out is None else out[1:count + 1])
+            if out is None:
+                draws = repetition_draws(seed, first, count, n)
+            else:
+                draws = urn.draw_job(seed, first, out[1:count + 1])()
         assert draws.shape == (count, n)
         assert n == 0 or draws.strides[0] == 8  # each slot's draws are contiguous
         assert draws.tobytes() == expected.tobytes()
