@@ -139,16 +139,19 @@ def exact_stake_moments(
 ) -> tuple[float, float]:
     """Exact mean and variance of one node's stake after n slots.
 
-    Iterates the one-step conditional moments (select with probability
-    S_i/S, gain w, else gain l):
+    Iterates the one-step moments (select with probability v = S_i/T, gain
+    w, else gain l), with d = w - l and p = E[S]/T:
 
-        E[S']   = E[S] (1 + (w-l)/T) + l
-        E[S'^2] = E[S^2] (1 + 2(w-l)/T) + E[S] (2l + (w^2-l^2)/T) + l^2
+        E[S']   = E[S] (1 + d/T) + l
+        Var S'  = Var S (1 + d/T)^2 + d^2 (p (1 - p) - Var S / T^2)
 
-    with T = S(0) + step*K.  No asymptotic truncation: this is the
-    independent check the leading-order predictors are tested against,
-    valid in every regime.  O(n) time.  Raises InvalidInput unless
-    0 <= l <= w <= K and 0 <= s_i0 <= S(0).
+    with T = S(0) + step*K: the law of total variance, as Var(S' | S) =
+    d^2 v (1 - v) and E[v (1 - v)] = p (1 - p) - Var v.  The variance is
+    iterated itself, not as E[S^2] - E[S]^2, which cancels when v_i(0) is
+    near 1.  No asymptotic truncation: this is the independent check the
+    leading-order predictors are tested against, valid in every regime.
+    O(n) time.  Raises InvalidInput unless 0 <= l <= w <= K and
+    0 <= s_i0 <= S(0).
     """
     _check_wl(l, w, budget)
     n = check_integer(n, "n", 0)
@@ -157,18 +160,16 @@ def exact_stake_moments(
         raise InvalidInput(
             f"need 0 <= s_i0 <= initial_total, got s_i0={s_i0!r} initial_total={total!r}"
         )
+    d = w - l
     m1 = float(s_i0)
-    m2 = m1 * m1
+    var = 0.0
     for _ in range(n):
-        m1_next = m1 * (1.0 + (w - l) / total) + l
-        m2_next = (
-            m2 * (1.0 + 2.0 * (w - l) / total)
-            + m1 * (2.0 * l + (w * w - l * l) / total)
-            + l * l
-        )
-        m1, m2 = m1_next, m2_next
+        p = m1 / total
+        grow = 1.0 + d / total
+        var = var * grow * grow + d * d * (p * (1.0 - p) - var / (total * total))
+        m1 = m1 * grow + l
         total += budget
-    return m1, m2 - m1 * m1
+    return m1, var
 
 
 # BetaParams.pdf's switch to the saddle-point form; from there on the

@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import sys
 from collections.abc import Callable, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 
@@ -124,8 +123,9 @@ class ExperimentConfig:
         return tuple(range(self.num_nodes))
 
     def __getstate__(self):
-        # a pool ships configs with every chunk and result: leave out the
-        # O(m^2) matrix, which an unpickled config builds on first use
+        # a pool ships the configs to each worker once and back with every
+        # result: leave out the O(m^2) matrix, which an unpickled config
+        # builds on first use
         return {k: v for k, v in self.__dict__.items() if k != "_matrix"}
 
     def reward_matrix(self) -> RewardMatrix:
@@ -356,17 +356,17 @@ def _chunk_bounds(start: int, stop: int, n: int, workers: int) -> list[tuple[int
     multiple of `workers` chunks when there are at least that many
     repetitions, so no worker sits idle.
 
-    A chunk's draws are all drawn before its slot-kernel pass, so the caps
-    bound them: at most 32 MiB at steps_n = 1000, where 20,000 repetitions
-    run as 5 chunks of 4,000, which a serial run that draws ahead takes as
-    10 of 2,000 in two 16 MiB buffers (_serial_chunks).  Above
-    steps_n = 2048 the draw budget binds first.  Each extra chunk costs one
-    more kernel pass, whose fixed cost per slot does not shrink with the
-    chunk.  Runs that record take the same cap, and batching their stops'
-    exact sums (_chunk_task) pays for the extra pass: at 5,000 repetitions
-    of 1,000 slots recorded every 10, on a 2-core box, the 4,096 cap alone
-    ran about 1.06x as long as one 5,000-urn chunk, and with batching about
-    0.97x."""
+    A chunk's draws are all drawn, whole and on one thread, before its
+    slot-kernel pass, so the caps bound them: at most 32 MiB at
+    steps_n = 1000, where 20,000 repetitions run as 5 chunks of 4,000,
+    which a serial run that draws ahead takes as 10 of 2,000 in two 16 MiB
+    buffers (_serial_chunks).  Above steps_n = 2048 the draw budget binds
+    first.  Each extra chunk costs one more kernel pass, whose fixed cost
+    per slot does not shrink with the chunk.  Runs that record take the
+    same cap, and batching their stops' exact sums (_chunk_task) pays for
+    the extra pass: at 5,000 repetitions of 1,000 slots recorded every 10,
+    on a 2-core box, the 4,096 cap alone ran about 1.06x as long as one
+    5,000-urn chunk, and with batching about 0.97x."""
     cap = _MAX_CHUNK
     if n > 0:
         cap = min(cap, max(1, _DRAW_BUDGET // n))
@@ -507,41 +507,15 @@ def _usable_cpus() -> int:
 
 
 # the least work a serial run shares with a helper thread, as fixed sizes,
-# not options: a chunk of _SPLIT_DRAWS draws (4 MiB) is drawn in two halves,
-# one on each thread, and a run draws the next chunk while the kernel runs
-# this one when halving its chunks leaves each half _OVERLAP_URNS urns and
-# _SPLIT_DRAWS draws.  On a 2-core box, with the thread's start and join, a
-# split fill of 2**17 draws took 1.06x the time of one generator, 2**18
-# 0.85x and 2**19 0.72x.  Drawing ahead in halves of 2,000 urns of 1,000
-# slots took about 0.9x the time of the whole chunks, and in halves of
-# 1,250 and 1,000 urns 1.06x and 1.10x, as each extra chunk costs one more
-# kernel pass; in halves of 2,048 urns of 10 slots it took 2.1x.
+# not options: a run draws the next chunk while the kernel runs this one
+# when halving its chunks leaves each half _OVERLAP_URNS urns and
+# _SPLIT_DRAWS draws (4 MiB).  On a 2-core box, drawing ahead in halves of
+# 2,000 urns of 1,000 slots took about 0.9x the time of the whole chunks,
+# and in halves of 1,250 and 1,000 urns 1.06x and 1.10x, as each extra
+# chunk costs one more kernel pass; in halves of 2,048 urns of 10 slots it
+# took 2.1x.
 _SPLIT_DRAWS = 1 << 19
 _OVERLAP_URNS = 1600
-
-
-@contextmanager
-def _helper(threaded: bool):
-    """A submit(fn, *args, **kwargs) that returns a wait(): a call with no
-    arguments that returns fn's result or raises its exception.
-
-    When `threaded`, fn runs on one helper thread, started here and joined
-    on exit, so none outlives the block that opened it (nor is inherited by
-    a later fork); wait is its future's result.  Otherwise wait is
-    functools.partial(fn, *args, **kwargs): fn runs when waited on, on the
-    waiting thread, the same calls in the same order.  Callers hand a
-    helper only numpy calls that release the GIL and write memory allocated
-    before the call.
-    """
-    if not threaded:
-        yield partial
-        return
-    # imported here, as the process pool is: a run that never starts a
-    # helper never loads these modules
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        yield lambda *args, **kwargs: pool.submit(*args, **kwargs).result
 
 
 def _serial_chunks(
@@ -555,45 +529,44 @@ def _serial_chunks(
     way a chunk gets its draws: a serial run calls it on all its chunks,
     and each pool worker on each chunk it is handed (_pool_chunk).
 
-    With two usable CPUs, a helper thread takes a share of the drawing.
-    When halving the chunks leaves each half at least _OVERLAP_URNS urns and
-    _SPLIT_DRAWS draws, the run takes the halves as its chunks and draws
-    ahead: the helper draws chunk i + 1 into one of two buffers while the
-    kernel runs chunk i on the other.  Otherwise, and for the first chunk,
-    when the largest chunk holds at least _SPLIT_DRAWS draws, each chunk is
-    drawn in two halves at once, one on each thread.  With one CPU, as in
-    a pool worker (_usable_cpus), every call runs in the same order on
-    this thread.  Each chunk reads the same
-    values of the one stream whichever thread draws it, so the outputs do
-    not depend on the plan.
+    Each chunk is drawn whole, by one draw_job call on one thread.  With
+    two usable CPUs (_usable_cpus), when halving the chunks leaves each
+    half at least _OVERLAP_URNS urns and _SPLIT_DRAWS draws, the run takes
+    the halves as its chunks and draws ahead: this thread draws the first,
+    and one helper thread, started here and joined before the call returns
+    (so none is inherited by a later fork), draws chunk i + 1 into one of
+    two buffers while the kernel runs chunk i on the other.  Otherwise, as
+    in a pool worker, this thread draws every chunk and no thread starts.
+    Each chunk reads the same values of the one stream whichever thread
+    draws it, so the outputs do not depend on the plan.
 
     A chunk's draws are slot-major: the leading values of a row of one
     buffer, allocated once per run, viewed as (n, chunk) and transposed.
     Each fill (urn.draw_job) makes its generator and scratch block on this
     thread when it is handed out, and frees them when it ends, so that the
     kernel's buffers can take their memory."""
-    threads = _usable_cpus() >= 2
     half = min(b - a for a, b in bounds) // 2
-    ahead = threads and half >= _OVERLAP_URNS and half * n >= _SPLIT_DRAWS
+    ahead = half >= _OVERLAP_URNS and half * n >= _SPLIT_DRAWS and _usable_cpus() >= 2
     if ahead:
         bounds = [part for a, b in bounds for part in ((a, (a + b) // 2), ((a + b) // 2, b))]
     largest = max(b - a for a, b in bounds)
     buffers = np.empty((1 + ahead, largest * n))
     views = [buffers[i % len(buffers), :(b - a) * n].reshape(n, b - a).T
              for i, (a, b) in enumerate(bounds)]
+    if not ahead:
+        return [task(chunk, draw_job(seed, chunk[0], view)()) for chunk, view in zip(bounds, views)]
+    # imported here, as the process pool is: a run that does not draw ahead
+    # never loads these modules
+    from concurrent.futures import ThreadPoolExecutor
+
     outputs = []
-    with _helper(threads and largest * n >= _SPLIT_DRAWS) as submit:
-        for i, (a, b) in enumerate(bounds):
-            if ahead and i:
-                wait()
-            else:  # in two halves at once, one on each thread
-                cut = (b - a) // 2
-                rest = submit(draw_job(seed, a + cut, views[i][cut:]))
-                draw_job(seed, a, views[i][:cut])()
-                rest()
-            if ahead and i + 1 < len(bounds):
-                wait = submit(draw_job(seed, bounds[i + 1][0], views[i + 1]))
-            outputs.append(task((a, b), views[i]))
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        wait = draw_job(seed, bounds[0][0], views[0])  # the first chunk, on this thread
+        for i, chunk in enumerate(bounds):
+            wait()
+            if i + 1 < len(bounds):
+                wait = helper.submit(draw_job(seed, bounds[i + 1][0], views[i + 1])).result
+            outputs.append(task(chunk, views[i]))
     return outputs
 
 
@@ -642,13 +615,14 @@ def run_experiments(
     repetition indices; partial results over adjacent blocks merge into
     exactly the full-run result (see merge_results).  A serial run takes
     its chunks (_chunk_bounds) through one chunk loop (_serial_chunks),
-    which draws into buffers it allocates once (one, or two when it draws
-    the next chunk while the kernel runs this one) and may share the
-    drawing with a helper thread.  `workers` > 1 farms the chunks to a
-    process pool of at most as many workers as chunks: each worker gets
-    the run's chunk loop once, when it starts, and runs each chunk it is
-    handed through it on one thread.  Either way each chunk reads the same
-    values of the one stream, and the output is identical.
+    which draws each chunk whole into buffers it allocates once: one, or
+    two when, on two CPUs and large enough chunks, one helper thread draws
+    the next chunk while the kernel runs this one.  `workers` > 1 farms
+    the chunks to a process pool of at most as many workers as chunks:
+    each worker gets the run's chunk loop once, when it starts, and runs
+    each chunk it is handed through it on one thread.  Either way each
+    chunk reads the same values of the one stream, and the output is
+    identical.
 
     `leading_nodes` k (default: all m nodes), 1 <= k <= m, keeps only nodes
     0 .. k-1 in the results: final_fractions is (reps, k) and

@@ -144,11 +144,7 @@ def draw_job(seed: int, first: int, out: np.ndarray) -> Callable[[], np.ndarray]
 # 2-core box (numpy 2.4.6), filled and copied into slot-major draws of 1,000
 # slots, blocks of 96 to 128 repetitions took 4.1-4.6 ns per draw, of 80
 # 5.0-5.5 ns and of 64 5.6-6.1 ns; at 10,000 slots, into a chunk of 838
-# repetitions, blocks of 6 to 64 took 7.3-8.1 ns alike.  A chunk drawn in
-# halves on two threads holds two blocks, 1.5 MiB at 1,000 slots: table1's
-# peak RSS read about 0.1 MB (in process) and 0.44 MB (perfbench) above the
-# unblocked repetition-major fill's, and with blocks of 112 repetitions
-# (1.75 MiB) about 0.55 MB in process.
+# repetitions, blocks of 6 to 64 took 7.3-8.1 ns alike.
 _DRAW_BLOCK = 3 << 15
 
 

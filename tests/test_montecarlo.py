@@ -1153,8 +1153,8 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_output_bytes_with_helpers_forced(self, name, cpus, monkeypatch):
         # on 2 CPUs each config's one chunk runs as two halves, the first
-        # drawn in two quarters at once and the second drawn ahead on the
-        # helper thread; on 1 the chunk is drawn on this thread; the pinned
+        # drawn on this thread and the second drawn ahead on the helper
+        # thread; on 1 the whole chunk is drawn on this thread; the pinned
         # bytes do not depend on which
         config, samples_sha, stats_sha = GOLDEN[name]
         force_helpers(monkeypatch, cpus)
@@ -1172,7 +1172,7 @@ class TestGoldenBytes:
         assert hashlib.sha256(write_stats_csv(result.time_series)).hexdigest() == stats_sha
 
     def test_serial_run_with_helpers_then_a_pool(self, monkeypatch):
-        # the helper threads of a serial run are joined when it returns, so
+        # the helper thread of a serial run is joined when it returns, so
         # the pool that forks next inherits none
         config, samples_sha, stats_sha = GOLDEN["frd"]
         force_helpers(monkeypatch, 2)

@@ -1,9 +1,12 @@
 """Tests for the core urn process: stake vectors, the slot kernel, trajectories."""
 
 import os
+import subprocess
+import sys
 import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -894,10 +897,10 @@ class TestSlotSnapshots:
 
 
 def force_helpers(patch, cpus):
-    """Set the CPU probe of serial runs to `cpus`, and let every chunk's
-    draws take a helper thread when there are two, however small: each
-    chunk is drawn in two halves, and a run of chunks of two or more
-    repetitions draws ahead in halves of them."""
+    """Set the CPU probe of serial runs to `cpus`, and let a run draw
+    ahead on a helper thread when there are two, however small its chunks:
+    a run of chunks of two or more repetitions takes their halves as its
+    chunks, and the helper draws each but the first."""
     patch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
     patch.setattr(montecarlo, "_SPLIT_DRAWS", 0)
     patch.setattr(montecarlo, "_OVERLAP_URNS", 1)  # a half holds at least one urn
@@ -920,11 +923,10 @@ class TestStreamRule:
 
 
 class TestHelperThread:
-    """With two usable CPUs, a serial run draws part of its chunks on a
-    helper thread: large chunks in two halves at once, and, when the
-    halves of its chunks are large, each next chunk while the kernel runs
-    this one.  With one, the same calls run in order on the calling thread.
-    Either way the bytes are the same."""
+    """With two usable CPUs, a serial run whose chunks have large halves
+    draws ahead: a helper thread draws each next chunk, whole, while the
+    kernel runs this one.  Otherwise the calling thread draws every chunk
+    whole and no thread starts.  Either way the bytes are the same."""
 
     def test_probe_reads_the_affinity_mask(self):
         # so a run pinned to one CPU (taskset -c 0) selects no helper
@@ -961,10 +963,33 @@ class TestHelperThread:
                                         base_seed=7))
         assert caller in drawers
         assert (drawers != {caller}) == threaded
-        with montecarlo._helper(True) as submit:
-            assert submit(threading.get_ident)() != caller
-        with montecarlo._helper(False) as submit:
-            assert submit(threading.get_ident)() == caller
+
+    def test_run_that_does_not_draw_ahead_starts_no_thread(self):
+        # on two CPUs, with the real thresholds, 1,000 repetitions of 1,000
+        # slots run as one chunk whose halves hold fewer than _OVERLAP_URNS
+        # urns: the run does not draw ahead, so the calling thread draws the
+        # whole chunk in one fill and the thread pool's module never loads
+        # (a subprocess, as this one may have loaded it already)
+        code = ("import sys, threading\n"
+                "from stakesim import ExperimentConfig, montecarlo, run_experiment, urn\n"
+                "montecarlo._usable_cpus = lambda: 2\n"
+                "assert 500 < montecarlo._OVERLAP_URNS\n"
+                "drawers = []\n"
+                "def spy(*args):\n"
+                "    job = urn.draw_job(*args)\n"
+                "    def run():\n"
+                "        drawers.append(threading.get_ident())\n"
+                "        return job()\n"
+                "    return run\n"
+                "montecarlo.draw_job = spy\n"
+                "run_experiment(ExperimentConfig(initial_stakes=(50.0, 50.0), scheme='frd',"
+                " reward_budget_K=200.0, steps_n=1000, repetitions=1000, base_seed=7))\n"
+                "print(len(drawers), set(drawers) == {threading.get_ident()},"
+                " 'concurrent.futures.thread' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(montecarlo.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.split() == ["1", "True", "False"]
 
     @given(seed=st.integers(0, 2**64 - 1), first=st.integers(0, 10**6),
            count=st.one_of(st.sampled_from([1, 127, 128, 129, 257]),
@@ -994,14 +1019,10 @@ class TestHelperThread:
             assert draws.base is out.base and (out[[0, -1]] == -1.0).all()
 
     def test_helper_exception_propagates(self, monkeypatch):
+        # 200 repetitions run as two chunks of 100, the second drawn ahead
+        # on the helper, whose exception leaves the run once it is joined
         force_helpers(monkeypatch, 2)
         baseline = threading.active_count()
-        with montecarlo._helper(True) as submit:
-            handle = submit(int, "not a number")
-            with pytest.raises(ValueError, match="invalid literal"):
-                handle()
-
-        # 200 repetitions run as two chunks of 100, the second drawn ahead
         def failing(seed, first, out):
             job = urn.draw_job(seed, first, out)
 
